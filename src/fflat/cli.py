@@ -90,6 +90,27 @@ def _prime_power(q: int):
     return p, k
 
 
+def _make_field(q: int, modulus=None) -> GF:
+    """F_q; for q = p^k, k > 1, without a modulus the first irreducible
+    one in base-p counting order."""
+    p, k = _prime_power(q)
+    if k == 1 or modulus is not None:
+        return GF(p, k, modulus)
+    for n in range(p ** k, 2 * p ** k):
+        digits = []
+        v = n
+        for _ in range(k + 1):
+            digits.append(v % p)
+            v //= p
+        if digits[-1] != 1:
+            continue
+        try:
+            return GF(p, k, tuple(digits))
+        except ParseError:
+            continue
+    raise ParseError(f"no modulus found for q={q}")
+
+
 class Instance:
     __slots__ = ("field", "lattice", "body", "periodic", "kind", "N")
 
@@ -160,11 +181,10 @@ def load_instance(path: str) -> Instance:
         raise ParseError(f"unknown field {sorted(unknown)[0]!r}")
     if "q" not in raw or not isinstance(raw["q"], int):
         raise ParseError("q: required integer")
-    p, k = _prime_power(raw["q"])
     modulus = raw.get("modulus")
     if modulus is not None and not isinstance(modulus, list):
         raise ParseError("modulus: expected a coefficient list")
-    field = GF(p, k, tuple(modulus) if modulus else None)
+    field = _make_field(raw["q"], tuple(modulus) if modulus else None)
     if "d" not in raw or not isinstance(raw["d"], int):
         raise ParseError("d: required integer")
     d = raw["d"]
@@ -459,26 +479,6 @@ def random_coset_lattice(rng, field: GF, d: int, n: int, lat: Lattice) -> Period
             return make_coset_lattice(lat, reps)
         except ValueError:
             continue
-
-
-def _make_field(q: int) -> GF:
-    p, k = _prime_power(q)
-    if k == 1:
-        return GF(p)
-    # smallest irreducible modulus by brute force
-    for n in range(p ** k, 2 * p ** k):
-        digits = []
-        v = n
-        for _ in range(k + 1):
-            digits.append(v % p)
-            v //= p
-        if digits[-1] != 1:
-            continue
-        try:
-            return GF(p, k, tuple(digits))
-        except ParseError:
-            continue
-    raise ParseError(f"no modulus found for q={q}")
 
 
 def parse_grid(text: str):

@@ -227,11 +227,6 @@ class QExp:
             return QExp(None)
         return QExp(self.exp - other.exp)
 
-    def _key(self, other):
-        if not isinstance(other, QExp):
-            return NotImplemented
-        return other
-
     def __eq__(self, other):
         if not isinstance(other, QExp):
             return NotImplemented
@@ -507,6 +502,10 @@ class Rat:
     def mul_poly(self, p: Poly) -> "Rat":
         return Rat(self.num * p, self.den)
 
+    def scale(self, c: int) -> "Rat":
+        """Multiply by the constant c of F_q."""
+        return Rat(self.num.scale(c), self.den, _canonical=True)
+
     def divmod_parts(self):
         """(polynomial part, fractional part); num = quo*den + rem."""
         quo, rem = divmod(self.num, self.den)
@@ -586,11 +585,6 @@ class LaurentSeries:
         return cls(field, (), 1, exact=True)
 
     @classmethod
-    def unknown_below(cls, field: GF, floor: int) -> "LaurentSeries":
-        """All-zero knowledge down to floor, not exact."""
-        return cls(field, (), floor, exact=False)
-
-    @classmethod
     def from_poly(cls, p: Poly) -> "LaurentSeries":
         return cls(p.field, tuple(reversed(p.coeffs)), 0, exact=True)
 
@@ -633,19 +627,6 @@ class LaurentSeries:
             needed_floor=self.floor - 1,
         )
 
-    def val_le(self, bound: int) -> bool:
-        """Decide |self| <= q^bound, or raise InsufficientPrecision."""
-        if self.coeffs:
-            return self.top <= bound
-        if self.exact:
-            return True
-        if self.floor - 1 <= bound:
-            return True
-        raise InsufficientPrecision(
-            f"cannot certify |s| <= q^{bound}: series truncated at x^{self.floor}",
-            needed_floor=bound,
-        )
-
     def coeff_exp(self, n: int) -> int:
         """Coefficient of x^n; raises when the truncation hides it."""
         if n > self.top:
@@ -658,10 +639,6 @@ class LaurentSeries:
             f"coefficient of x^{n} lies below the precision floor x^{self.floor}",
             needed_floor=n,
         )
-
-    def coeff_depth(self, j: int) -> int:
-        """Coefficient of x^(-j), j >= 1."""
-        return self.coeff_exp(-j)
 
     def eff_floor(self):
         return None if self.exact else self.floor
@@ -708,6 +685,8 @@ class LaurentSeries:
         f = self.field
         if c == 0:
             return LaurentSeries.exact_zero(f)
+        if c == 1:
+            return self
         return LaurentSeries(
             f, [f.mul(a, c) for a in self.coeffs], self.floor, self.exact
         )
@@ -868,7 +847,8 @@ def frac_part(s):
 # --- element grammar -----------------------------------------------------
 #
 # element  := side [ '/' side ]      (split at a top-level '/')
-# side     := sum, optionally wrapped in one pair of parentheses
+# side     := sum, optionally wrapped in parentheses; "(c)" with c free
+#             of x is read as the coefficient c, so "(t + 1)" parses
 # sum      := ['+'|'-'] term (('+'|'-') term)*
 # term     := coef ['*' xpart] | xpart
 # coef     := integer | '(' tsum ')'
@@ -894,22 +874,29 @@ def _split_toplevel_slash(s: str):
     return s, None
 
 
+def _wrapped(s: str) -> bool:
+    """Is s one parenthesized group, "(...)"?"""
+    if not (s.startswith("(") and s.endswith(")")):
+        return False
+    depth = 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0 and i != len(s) - 1:
+                return False
+    return True
+
+
 def _strip_outer_parens(s: str) -> str:
     s = s.strip()
-    while s.startswith("(") and s.endswith(")"):
-        depth = 0
-        wraps = True
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(s) - 1:
-                    wraps = False
-                    break
-        if not wraps:
+    while _wrapped(s):
+        inner = s[1:-1].strip()
+        if "x" not in inner and not _wrapped(inner):
+            # "(t + 1)": a parenthesized F_q constant is a coefficient
             break
-        s = s[1:-1].strip()
+        s = inner
     return s
 
 

@@ -44,7 +44,7 @@ def hankel(alpha, m: int, n: int):
     ]
 
 
-def _stack(field, phi, exps, ell: int, n: int):
+def _stack(phi, exps, ell: int, n: int):
     rows = []
     for y, e in zip(phi, exps):
         rows.extend(hankel(y, ell + e, n))
@@ -60,7 +60,7 @@ def rank_condition(S: PeriodicLattice, C: ConvexBody, ell: int) -> bool:
     rb = reduce_lattice(S.lattice, C)
     phi = _alpha_coords(S, rb)
     want = sum(max(ell + e, 0) for e in rb.exps)
-    rows = _stack(S.field, phi, rb.exps, ell, S.form.N + 1)
+    rows = _stack(phi, rb.exps, ell, S.form.N + 1)
     return rank_fq(S.field, rows) == want
 
 
@@ -98,7 +98,7 @@ def covrad_periodic(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
     ell = -e_d
     while True:
         want = sum(max(ell + e, 0) for e in exps)
-        rows = _stack(field, phi, exps, ell, N + 1)
+        rows = _stack(phi, exps, ell, N + 1)
         if rank_fq(field, rows) != want:
             return QExp(-(1 + (ell - 1)))
         ell += 1

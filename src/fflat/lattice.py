@@ -238,7 +238,12 @@ class ReducedBasis:
         return out
 
     def coords_from_ambient_series(self, vec):
-        """Same as coords_from_ambient_rat for LaurentSeries entries."""
+        """Same as coords_from_ambient_rat for LaurentSeries entries.
+
+        When det(VP) is not a constant, a row that comes out exact is
+        divided in Rat arithmetic and returned as a Rat: dividing an
+        exact series by a polynomial would need a choice of floor.
+        """
         adj, det = self._vp_inverse_parts()
         field = self.lattice.field
         inv_det = Rat(Poly.one(field), det)
@@ -248,7 +253,10 @@ class ReducedBasis:
             for j in range(self.d):
                 acc = acc + vec[j].mul_poly(adj[i][j])
             acc = acc.mul_xpow(self.ashift)
-            out.append(acc.mul_rat(inv_det))
+            if acc.exact and det.degree > 0:
+                out.append(acc.to_rat() * inv_det)
+            else:
+                out.append(acc.mul_rat(inv_det))
         return out
 
     def ambient_from_coords(self, coords):

@@ -11,6 +11,10 @@ frame is the reduced basis for the sup-norm body; operations taking a
 different body convert coordinates by exact linear algebra and reduce
 into that body's fundamental domain, which does not change the point
 set modulo Lambda.
+
+The coordinates of one periodic lattice share one arithmetic backend,
+chosen at construction (_lift): Rat when no input coordinate is a
+series, LaurentSeries for all of them when one is.
 """
 
 from __future__ import annotations
@@ -109,44 +113,49 @@ def _poly_range(field: GF, N: int):
         yield Poly(field, tuple(coeffs))
 
 
-def _frac_of(y):
-    # Rat and LaurentSeries both expose frac_part
-    return y.frac_part()
+def _is_series(coords) -> bool:
+    """The backend of one coordinate vector; every vector of an instance
+    shares it, except the polynomial unit vectors, which stay Rat."""
+    return isinstance(coords[0], LaurentSeries)
 
 
-def _is_exact_zero_coord(y) -> bool:
-    if isinstance(y, LaurentSeries):
-        return y.is_exact_zero
-    return y.is_zero
+def _lift(vals, d: int):
+    """One arithmetic backend for a set of coordinates: all Rat when none
+    is a series, else all series (see _as_series)."""
+    if not any(isinstance(v, LaurentSeries) for v in vals):
+        return list(vals)
+    return _as_series(vals, d)
 
 
-def _coord_key(y):
-    if isinstance(y, LaurentSeries):
-        return ("s", y.coeffs, y.floor, y.exact)
-    return ("r", y.num.coeffs, y.den.coeffs)
+def _as_series(vals, d: int):
+    """Series and Rat coordinates as series: a polynomial exactly, any
+    other rational expanded 4d + 8 exponents below the lowest truncated
+    floor (or below x^0), so that the expansion is not what limits the
+    precision of what is computed from it."""
+    floors = [v.floor for v in vals if isinstance(v, LaurentSeries) and not v.exact]
+    deep = (min(floors) if floors else 0) - 4 * d - 8
+    return [
+        v if isinstance(v, LaurentSeries)
+        else LaurentSeries.from_poly(v.num) if v.den.degree == 0
+        else expand_rational(v, deep)
+        for v in vals
+    ]
 
 
 def _frac_norm(exps, coords) -> QExp:
     """max_i |y_i| q^(e_i) with sound truncation handling."""
+    if not _is_series(coords):
+        norms = [y.val().exp + e for e, y in zip(exps, coords) if not y.is_zero]
+        return QExp(max(norms)) if norms else QEXP_ZERO
     best = None
     pending = []
     for e_i, y in zip(exps, coords):
-        if isinstance(y, LaurentSeries):
-            if y.is_exact_zero:
-                continue
-            if y.coeffs:
-                c = y.top + e_i
-                if best is None or c > best:
-                    best = c
-            else:
-                pending.append((y.floor - 1) + e_i)
-        else:
-            v = y.val()
-            if v.is_zero:
-                continue
-            c = v.exp + e_i
+        if y.coeffs:
+            c = y.top + e_i
             if best is None or c > best:
                 best = c
+        elif not y.exact:
+            pending.append((y.floor - 1) + e_i)
     if best is not None and all(best >= b for b in pending):
         return QExp(best)
     if not pending:
@@ -173,31 +182,20 @@ def _tail_pattern(y, depth: int):
     return tuple(s.coeff_exp(-t) for t in range(1, depth + 1))
 
 
+def _from_ambient(rb: ReducedBasis, vec, d: int):
+    """Ambient vector -> rb-frame coordinates, same backend."""
+    if not _is_series(vec):
+        return rb.coords_from_ambient_rat(vec)
+    # rows that stay exact come back as Rat
+    return _as_series(rb.coords_from_ambient_series(vec), d)
+
+
 def _convert_coords(S: PeriodicLattice, rb: ReducedBasis, coords):
     """Canonical-frame fractional coords -> rb-frame fractional coords."""
     rb0 = reduce_lattice(S.lattice, S.base_body())
     if rb is rb0 or rb.body.cache_key() == rb0.body.cache_key():
         return list(coords)
-    if any(isinstance(y, LaurentSeries) for y in coords):
-        sc = []
-        floors = [
-            y.eff_floor() for y in coords
-            if isinstance(y, LaurentSeries) and not y.exact
-        ]
-        deep = (min(floors) if floors else 0) - 4 * S.d - 8
-        for y in coords:
-            if isinstance(y, LaurentSeries):
-                sc.append(y)
-            elif y.den.degree == 0:
-                sc.append(LaurentSeries.from_poly(y.num))
-            else:
-                sc.append(expand_rational(y, deep))
-        amb = _ambient_series(rb0, sc)
-        out = rb.coords_from_ambient_series(amb)
-    else:
-        amb = rb0.ambient_from_coords(coords)
-        out = rb.coords_from_ambient_rat(amb)
-    return [_frac_of(y) for y in out]
+    return [y.frac_part() for y in _from_ambient(rb, _ambient_point(rb0, coords), S.d)]
 
 
 def _ambient_series(rb: ReducedBasis, coords):
@@ -212,7 +210,7 @@ def _ambient_series(rb: ReducedBasis, coords):
 
 
 def _ambient_point(rb: ReducedBasis, coords):
-    if any(isinstance(y, LaurentSeries) for y in coords):
+    if _is_series(coords):
         return _ambient_series(rb, coords)
     return rb.ambient_from_coords(coords)
 
@@ -238,7 +236,7 @@ def _rep_coords(S: PeriodicLattice, rb: ReducedBasis):
 # --- construction ----------------------------------------------------------
 
 
-def _coords_from_input(lat: Lattice, rb0: ReducedBasis, alpha, frame: str):
+def _parse_coords(lat: Lattice, alpha):
     field = lat.field
     vals = []
     for a in alpha:
@@ -254,26 +252,7 @@ def _coords_from_input(lat: Lattice, rb0: ReducedBasis, alpha, frame: str):
             raise TypeError(f"unsupported coordinate type {type(a).__name__}")
     if len(vals) != lat.d:
         raise ValueError(f"expected {lat.d} coordinates, got {len(vals)}")
-    if frame == "reduced":
-        return vals
-    if frame != "ambient":
-        raise ValueError("frame must be 'ambient' or 'reduced'")
-    if any(isinstance(v, LaurentSeries) for v in vals):
-        floors = [
-            v.eff_floor() for v in vals
-            if isinstance(v, LaurentSeries) and not v.exact
-        ]
-        deep = (min(floors) if floors else 0) - 4 * lat.d - 8
-        sc = []
-        for v in vals:
-            if isinstance(v, LaurentSeries):
-                sc.append(v)
-            elif v.den.degree == 0:
-                sc.append(LaurentSeries.from_poly(v.num))
-            else:
-                sc.append(expand_rational(v, deep))
-        return rb0.coords_from_ambient_series(sc)
-    return rb0.coords_from_ambient_rat(vals)
+    return vals
 
 
 def make_alpha_lattice(
@@ -290,9 +269,10 @@ def make_alpha_lattice(
     leaves the point set unchanged.  For rational coordinates the
     N-irrationality test is exact: alpha is N-rational iff the lcm of
     the reduced-coordinate denominators has degree <= N, and that lcm
-    is returned as the witness.  For truncated coordinates every
-    nonzero Q with deg Q <= N must produce a representative with a
-    certified nonzero coefficient.
+    is returned as the witness.  For series coordinates (one series
+    among the inputs makes every coordinate a series) every nonzero Q
+    with deg Q <= N must produce a representative with a certified
+    nonzero coefficient.
 
     require_irrational=False admits N-rational rational alpha (for
     degenerate cases such as alpha = 0); the period size is then the
@@ -303,10 +283,14 @@ def make_alpha_lattice(
     field = lat.field
     if field.q ** (N + 1) > cap:
         raise CapExceeded(f"orbit size q^{N + 1} exceeds cap {cap}")
-    rb0 = reduce_lattice(lat, ConvexBody.identity(field, lat.d))
-    coords = _coords_from_input(lat, rb0, alpha, frame)
-    phi = [_frac_of(y) for y in coords]
-    if all(not isinstance(y, LaurentSeries) for y in phi):
+    coords = _lift(_parse_coords(lat, alpha), lat.d)
+    if frame == "ambient":
+        rb0 = reduce_lattice(lat, ConvexBody.identity(field, lat.d))
+        coords = _from_ambient(rb0, coords, lat.d)
+    elif frame != "reduced":
+        raise ValueError("frame must be 'ambient' or 'reduced'")
+    phi = [y.frac_part() for y in coords]
+    if not _is_series(phi):
         lcm = Poly.one(field)
         for y in phi:
             lcm = poly_lcm(lcm, y.den)
@@ -316,11 +300,10 @@ def make_alpha_lattice(
                     f"alpha is N-rational for N={N}: witness degree {lcm.degree}",
                     witness=lcm,
                 )
-            seen = set()
-            for Q in _poly_range(field, N):
-                key = tuple(_coord_key(_frac_of(y.mul_poly(Q))) for y in phi)
-                seen.add(key)
-            count = len(seen)
+            count = len({
+                tuple(y.mul_poly(Q).frac_part() for y in phi)
+                for Q in _poly_range(field, N)
+            })
             size = 0
             while field.q ** size < count:
                 size += 1
@@ -332,35 +315,21 @@ def make_alpha_lattice(
         for Q in _poly_range(field, N):
             if Q.is_zero:
                 continue
-            reps = [_frac_of(_mul_coord(y, Q)) for y in phi]
-            decided_nonzero = False
-            undecided = None
-            for r in reps:
-                if isinstance(r, LaurentSeries):
-                    if r.coeffs:
-                        decided_nonzero = True
-                        break
-                    if not r.exact:
-                        undecided = r.floor
-                elif not r.is_zero:
-                    decided_nonzero = True
-                    break
-            if not decided_nonzero:
-                if undecided is not None:
-                    raise InsufficientPrecision(
-                        "cannot certify N-irrationality: representative of "
-                        f"Q={Q.coeffs} has no known nonzero coefficient",
-                        needed_floor=undecided - 1,
-                    )
-                raise NRational(
-                    f"alpha is N-rational for N={N}", witness=Q
+            reps = [y.mul_poly(Q).frac_part() for y in phi]
+            if any(r.coeffs for r in reps):
+                continue
+            undecided = [r.floor for r in reps if not r.exact]
+            if undecided:
+                raise InsufficientPrecision(
+                    "cannot certify N-irrationality: representative of "
+                    f"Q={Q.coeffs} has no known nonzero coefficient",
+                    needed_floor=undecided[-1] - 1,
                 )
+            raise NRational(
+                f"alpha is N-rational for N={N}", witness=Q
+            )
     form = AlphaForm(phi, N, irr_verified=True)
     return PeriodicLattice(lat, form, N + 1)
-
-
-def _mul_coord(y, Q: Poly):
-    return y.mul_poly(Q)
 
 
 def make_coset_lattice(lat: Lattice, reps) -> PeriodicLattice:
@@ -371,85 +340,56 @@ def make_coset_lattice(lat: Lattice, reps) -> PeriodicLattice:
     modulo Lambda) is certified exactly for rational entries and at the
     common precision floor for truncated ones.
     """
-    field = lat.field
-    rb0 = reduce_lattice(lat, ConvexBody.identity(field, lat.d))
-    parsed = []
-    for rep in reps:
-        coords = _coords_from_input(lat, rb0, rep, "reduced")
-        for y in coords:
-            if isinstance(y, LaurentSeries):
-                bad = bool(y.coeffs) and y.top >= 0
-            else:
-                bad = not y.poly_part().is_zero
-            if bad:
-                raise ValueError(
-                    "coset representative coordinates must lie in the "
-                    "fundamental domain (negative exponents only)"
-                )
-        parsed.append(coords)
-    n = len(parsed)
-    if n > 0:
-        _certify_fq_independent(field, lat.d, parsed)
-    return PeriodicLattice(lat, CosetForm(parsed), n)
+    d = lat.d
+    flat = _lift([y for rep in reps for y in _parse_coords(lat, rep)], d)
+    if any(y.frac_part() != y for y in flat):
+        raise ValueError(
+            "coset representative coordinates must lie in the "
+            "fundamental domain (negative exponents only)"
+        )
+    parsed = [flat[i:i + d] for i in range(0, len(flat), d)]
+    if parsed:
+        _certify_fq_independent(lat.field, d, parsed)
+    return PeriodicLattice(lat, CosetForm(parsed), len(parsed))
 
 
 def _certify_fq_independent(field: GF, d: int, reps):
     """Reps must be F_q-independent as coefficient vectors."""
-    floors = []
-    for rep in reps:
-        for y in rep:
-            if isinstance(y, LaurentSeries):
-                if not y.exact:
-                    floors.append(y.eff_floor())
+    series = _is_series(reps[0])
+    floors = [y.floor for rep in reps for y in rep if not y.exact] if series else []
     if floors:
         window = -min(floors)
-    else:
-        # exact data: a window below every denominator degree is enough
-        # to separate distinct rational tails is NOT guaranteed; use
-        # exact polynomial linear algebra instead
-        window = None
-    if window is None:
-        # per coordinate: clear by the lcm of that coordinate's
-        # denominators across reps, then compare numerator coefficient
-        # vectors over F_q
-        rat_reps = [
-            [y.to_rat() if isinstance(y, LaurentSeries) else y for y in rep]
-            for rep in reps
-        ]
-        mats = []
-        for i in range(d):
-            lcm = Poly.one(field)
-            for rep in rat_reps:
-                lcm = poly_lcm(lcm, rep[i].den)
-            col = []
-            for rep in rat_reps:
-                y = rep[i]
-                p = y.num * (lcm // y.den)
-                col.append(p)
-            width = max((p.degree for p in col), default=-1) + 1
-            mats.append([
-                tuple(p.coeff(k) for k in range(width)) for p in col
-            ])
-        fq_rows = [
-            [c for i in range(d) for c in mats[i][j]]
-            for j in range(len(reps))
-        ]
+        fq_rows = [[c for y in rep for c in _tail_pattern(y, window)] for rep in reps]
         if rank_fq(field, fq_rows) != len(reps):
-            raise ValueError(
-                "coset representatives are F_q-linearly dependent"
+            raise InsufficientPrecision(
+                "coset representatives are not certified independent at the "
+                f"common floor x^{-window}",
+                needed_floor=-window - 1,
             )
         return
-    fq_rows = []
-    for rep in reps:
-        row = []
-        for y in rep:
-            row.extend(_tail_pattern(y, window))
-        fq_rows.append(row)
+    # exact data: a window below every denominator degree is not
+    # guaranteed to separate distinct rational tails.  Per coordinate,
+    # clear by the lcm of that coordinate's denominators across reps,
+    # then compare numerator coefficient vectors over F_q
+    if series:
+        reps = [[y.to_rat() for y in rep] for rep in reps]
+    mats = []
+    for i in range(d):
+        lcm = Poly.one(field)
+        for rep in reps:
+            lcm = poly_lcm(lcm, rep[i].den)
+        col = [rep[i].num * (lcm // rep[i].den) for rep in reps]
+        width = max((p.degree for p in col), default=-1) + 1
+        mats.append([
+            tuple(p.coeff(k) for k in range(width)) for p in col
+        ])
+    fq_rows = [
+        [c for i in range(d) for c in mats[i][j]]
+        for j in range(len(reps))
+    ]
     if rank_fq(field, fq_rows) != len(reps):
-        raise InsufficientPrecision(
-            "coset representatives are not certified independent at the "
-            f"common floor x^{-window}",
-            needed_floor=-window - 1,
+        raise ValueError(
+            "coset representatives are F_q-linearly dependent"
         )
 
 
@@ -476,7 +416,7 @@ def frac_orbit(S: PeriodicLattice, C: ConvexBody = None, cap: int = DEFAULT_ORBI
     phi = _alpha_coords(S, rb)
     out = []
     for Q in _poly_range(field, N):
-        coords = [_frac_of(_mul_coord(y, Q)) for y in phi]
+        coords = [y.mul_poly(Q).frac_part() for y in phi]
         out.append((Q, coords, _frac_norm(rb.exps, coords)))
     return out
 
@@ -500,21 +440,22 @@ def fractional_points(S: PeriodicLattice, C: ConvexBody = None):
         else:
             seen = {}
             for _q, coords, norm in orbit:
-                k = tuple(_coord_key(y) for y in coords)
-                if k not in seen:
-                    seen[k] = (coords, norm)
+                seen.setdefault(tuple(coords), (coords, norm))
             pts = list(seen.values())
     else:
         reps = _rep_coords(S, rb)
-        zero = [Rat.from_poly(Poly.zero(field)) for _ in range(S.d)]
+        if reps and _is_series(reps[0]):
+            zero = LaurentSeries.exact_zero(field)
+        else:
+            zero = Rat.from_poly(Poly.zero(field))
         for combo in product(range(field.q), repeat=len(reps)):
-            coords = list(zero)
+            coords = [zero] * S.d
             for k, a in enumerate(combo):
                 if a == 0:
                     continue
                 for i in range(S.d):
-                    coords[i] = _add_coord(coords[i], _scale_coord(reps[k][i], a, field))
-            coords = [_frac_of(y) for y in coords]
+                    coords[i] = coords[i] + reps[k][i].scale(a)
+            coords = [y.frac_part() for y in coords]
             pts.append((coords, _frac_norm(rb.exps, coords)))
     if len(pts) != field.q ** S.period_size:
         raise UndefinedValue(
@@ -522,30 +463,6 @@ def fractional_points(S: PeriodicLattice, C: ConvexBody = None):
         )
     S._points_cache[key] = pts
     return pts
-
-
-def _scale_coord(y, a: int, field: GF):
-    if a == 1:
-        return y
-    if isinstance(y, LaurentSeries):
-        return y.scale(a)
-    c = Poly.const(field, a)
-    return y.mul_poly(c)
-
-
-def _add_coord(u, v):
-    if isinstance(u, LaurentSeries) or isinstance(v, LaurentSeries):
-        if not isinstance(u, LaurentSeries):
-            u = _rat_as_series(u)
-        if not isinstance(v, LaurentSeries):
-            v = _rat_as_series(v)
-    return u + v
-
-
-def _rat_as_series(r: Rat) -> LaurentSeries:
-    if r.den.degree == 0:
-        return LaurentSeries.from_poly(r.num)
-    raise TypeError("mixing truncated series with non-polynomial rationals")
 
 
 # --- geometric invariants ---------------------------------------------------
@@ -557,49 +474,31 @@ def _unit_coords(field: GF, d: int, i: int):
     return [one if j == i else zero for j in range(d)]
 
 
-def _rank_would_increase(field: GF, chosen, cand, d: int) -> bool:
+def _rank_would_increase(chosen, cand, d: int) -> bool:
     """Does cand leave the K_inf-span of chosen columns?"""
     cols = chosen + [cand]
     k = len(cols)
-    if any(isinstance(y, LaurentSeries) for col in cols for y in col):
-        floors = [
-            y.eff_floor()
-            for col in cols
-            for y in col
-            if isinstance(y, LaurentSeries) and not y.exact
-        ]
-        deep = (min(floors) if floors else 0) - 4 * d - 8
-        scols = []
-        for col in cols:
-            sc = []
-            for y in col:
-                if isinstance(y, LaurentSeries):
-                    sc.append(y)
-                elif y.den.degree == 0:
-                    sc.append(LaurentSeries.from_poly(y.num))
-                else:
-                    sc.append(expand_rational(y, deep))
-            scols.append(sc)
-        all_exact_zero = True
-        undecided_floor = None
-        for rows in combinations(range(d), k):
-            minor = [[scols[j][i] for j in range(k)] for i in rows]
-            det = det_series(minor)
-            if det.coeffs:
-                return True
-            if not det.is_exact_zero:
-                all_exact_zero = False
-                f = det.floor
-                if undecided_floor is None or f > undecided_floor:
-                    undecided_floor = f
-        if all_exact_zero:
-            return False
-        raise InsufficientPrecision(
-            "linear independence undecidable at the stored precision",
-            needed_floor=(undecided_floor or 0) - 1,
-        )
-    rows = [[cols[j][i] for j in range(k)] for i in range(d)]
-    return rank_rational(rows) == k
+    if not any(_is_series(col) for col in cols):
+        rows = [[cols[j][i] for j in range(k)] for i in range(d)]
+        return rank_rational(rows) == k
+    # the unit columns are Rat polynomials in every instance
+    cols = [
+        col if _is_series(col) else [LaurentSeries.from_poly(y.num) for y in col]
+        for col in cols
+    ]
+    undecided_floor = None
+    for rows in combinations(range(d), k):
+        det = det_series([[cols[j][i] for j in range(k)] for i in rows])
+        if det.coeffs:
+            return True
+        if not det.exact and (undecided_floor is None or det.floor > undecided_floor):
+            undecided_floor = det.floor
+    if undecided_floor is None:
+        return False
+    raise InsufficientPrecision(
+        "linear independence undecidable at the stored precision",
+        needed_floor=undecided_floor - 1,
+    )
 
 
 def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
@@ -629,7 +528,7 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
     for norm, _kind, _idx, coords in cands:
         if len(chosen) == S.d:
             break
-        if _rank_would_increase(field, chosen, coords, S.d):
+        if _rank_would_increase(chosen, coords, S.d):
             chosen.append(coords)
             exps.append(norm.exp)
             witnesses.append(_ambient_point(rb, coords))
@@ -759,22 +658,8 @@ def d_invariant(S: PeriodicLattice, C: ConvexBody = None, max_d: int = 3, max_N:
     field = S.field
     rb = reduce_lattice(S.lattice, C)
     phi = _alpha_coords(S, rb)
-    truncated = any(isinstance(y, LaurentSeries) for y in phi)
-    if truncated:
-        floors = [
-            y.eff_floor() for y in phi
-            if isinstance(y, LaurentSeries) and not y.exact
-        ]
-        deep = (min(floors) if floors else 0) - 4 * S.d - 8
-        sphi = []
-        for y in phi:
-            if isinstance(y, LaurentSeries):
-                sphi.append(y)
-            elif y.den.degree == 0:
-                sphi.append(LaurentSeries.from_poly(y.num))
-            else:
-                sphi.append(expand_rational(y, deep))
-        phi = sphi
+    series = _is_series(phi)
+    det = det_series if series else det_rat
     qs = [Q for Q in _poly_range(field, S.form.N) if not Q.is_zero]
     best = None
     undecided = False
@@ -782,27 +667,13 @@ def d_invariant(S: PeriodicLattice, C: ConvexBody = None, max_d: int = 3, max_N:
         for subset in combinations(range(S.d), k):
             cols = [phi[j] for j in subset]
             for qtuple in combinations(qs, k):
-                if truncated:
-                    minor = [
-                        [y.mul_poly(Q).frac_part() for y in cols]
-                        for Q in qtuple
-                    ]
-                    det = det_series(minor)
-                    if det.coeffs:
-                        v = QExp(det.top)
-                    elif det.is_exact_zero:
-                        continue
-                    else:
-                        undecided = True
-                        continue
-                else:
-                    minor = [
-                        [_frac_of(y.mul_poly(Q)) for y in cols] for Q in qtuple
-                    ]
-                    det = det_rat(minor)
-                    v = det.val()
-                    if v.is_zero:
-                        continue
+                minor = det([[y.mul_poly(Q).frac_part() for y in cols] for Q in qtuple])
+                if series and not minor.coeffs and not minor.exact:
+                    undecided = True
+                    continue
+                v = minor.val()
+                if v.is_zero:
+                    continue
                 if best is None or v < best:
                     best = v
     if best is None:
@@ -896,11 +767,7 @@ def check_bounds(S: PeriodicLattice, C: ConvexBody = None) -> BoundsReport:
     if isinstance(S.form, AlphaForm) and S.form.irr_verified:
         rb = reduce_lattice(S.lattice, C)
         phi = _alpha_coords(S, rb)
-        hyp = all(
-            (not isinstance(y, LaurentSeries)) and y.den.degree > S.form.N
-            for y in phi
-        )
-        if hyp:
+        if not _is_series(phi) and all(y.den.degree > S.form.N for y in phi):
             dinv = d_invariant(S, C)
             report.sandwich_checked = True
             report.dinv_exp = dinv.exp

@@ -1,11 +1,14 @@
 """End-to-end command line tests, run in-process through cli.main."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fflat import cli
+from fflat import GF, Poly, cli, expand_rational, parse_element
 
 DATA = Path(__file__).parent / "data"
 W = str(DATA / "w.json")
@@ -234,3 +237,142 @@ def test_reps_instance(capsys, tmp_path):
     assert code == 0 and out == "16\n"
     code, out, _ = run(capsys, "minima", str(p))
     assert code == 0 and out == "q^-1 q^-1\n"
+
+
+def test_extension_field_default_modulus(capsys, tmp_path):
+    p = write_instance(tmp_path, "q4.json", {
+        "q": 4, "d": 2, "basis": [["x", "1"], ["0", "x"]],
+        "N": 1, "alpha": ["x^-1", "x^-2"],
+    })
+    code, out, err = run(capsys, "minima", p)
+    assert (code, out, err) == (0, "q^0 q^0\n", "")
+    with_modulus = write_instance(tmp_path, "q4m.json", {
+        "q": 4, "modulus": [1, 1, 1], "d": 2, "basis": [["x", "1"], ["0", "x"]],
+        "N": 1, "alpha": ["x^-1", "x^-2"],
+    })
+    for cmd in ("covrad", "count", "mink-search"):
+        assert run(capsys, cmd, p) == run(capsys, cmd, with_modulus)
+
+
+# --- one arithmetic backend per instance ------------------------------------
+
+# an exact series literal next to a rational that is not a polynomial
+MIXED = {
+    "q": 2, "d": 2, "basis": [["1", "0"], ["0", "1"]], "N": 1,
+    "alpha": [{"floor": -3, "top": -1, "coeffs": [1, 0, 1], "exact": True}, "1/(x+1)"],
+}
+# a row of the ambient-to-reduced change of frame that is all exact
+AMBIENT = {
+    "q": 2, "d": 2, "basis": [["x", "0"], ["0", "x+1"]], "N": 0, "frame": "ambient",
+    "alpha": [
+        {"floor": -10, "top": -2, "coeffs": [1, 1, 0, 1, 1, 0, 1, 1, 0], "exact": False},
+        "1",
+    ],
+}
+
+
+def test_mixed_backend_answers_as_its_rational_twin(capsys, tmp_path):
+    p = write_instance(tmp_path, "mixed.json", MIXED)
+    twin = write_instance(tmp_path, "twin.json", dict(MIXED, alpha=["x^-1 + x^-3", "1/(x+1)"]))
+    for cmd in ("minima", "density", "packrad", "covrad"):
+        assert run(capsys, cmd, p) == run(capsys, cmd, twin)
+    code, out, _ = run(capsys, "mink-search", "--format", "json", p)
+    _, want, _ = run(capsys, "mink-search", "--format", "json", twin)
+    assert code == 0
+    got, want = json.loads(out), json.loads(want)
+    assert got.pop("point")[0] == "x^-1 + x^-3"
+    want.pop("point")
+    assert got == want
+
+
+def test_ambient_frame_exact_row(capsys, tmp_path):
+    p = write_instance(tmp_path, "amb.json", AMBIENT)
+    twin = write_instance(tmp_path, "amb-prec.json", dict(AMBIENT, precision=-10))
+    for argv, want in ((["minima"], "q^0 q^1\n"), (["covrad"], "q^0\n"),
+                       (["count", "--radius", "1"], "8\n")):
+        assert run(capsys, *argv, p) == (0, want, "")
+        assert run(capsys, *argv, twin) == (0, want, "")
+
+
+BACKEND_COMMANDS = (
+    ["reduce"], ["minima"], ["covrad"], ["packrad"], ["density"], ["count"],
+    ["count", "--radius", "1"], ["dinv"], ["mink-search"],
+)
+BACKEND_BASES = (
+    [["1", "0"], ["0", "1"]],
+    [["x", "1"], ["0", "x+1"]],
+    [["x^-1", "0"], ["1", "x"]],
+)
+
+
+@st.composite
+def _coordinate(draw, q: int, fractional: bool):
+    """(rational string, JSON literal) for one coordinate: the literal
+    is the same string, an exact series literal (Laurent polynomials
+    only) or a truncated one."""
+    F = GF(q)
+    k = draw(st.integers(1, 3))
+    tail = draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k))
+    const = 0 if fractional else draw(st.integers(0, q - 1))
+    terms = [f"{c}*x^{-j - 1}" for j, c in enumerate(tail) if c]
+    if const:
+        terms.append(str(const))
+    text = " + ".join(terms) or "0"
+    if draw(st.booleans()):
+        den = draw(st.sampled_from(["x+1", "x^2+x+1", "x^2+1"]))
+        text = f"({text}) / ({den})" if text != "0" else "0"
+    r = parse_element(F, text)
+    form = draw(st.sampled_from(["string", "exact", "truncated"]))
+    laurent = r.den == Poly.monomial(F, 1, r.den.degree)
+    if form == "string" or (form == "exact" and not laurent):
+        return text, text
+    s = expand_rational(r, draw(st.integers(-12, -1)) if form == "truncated" else -64)
+    lit = {"floor": s.floor, "top": s.top, "coeffs": list(s.coeffs),
+           "exact": form == "exact"}
+    return text, lit
+
+
+@st.composite
+def backend_instances(draw):
+    """(instance, all-rational twin) in the alpha or the coset form."""
+    q = draw(st.sampled_from([2, 3]))
+    base = {"q": q, "d": 2, "basis": draw(st.sampled_from(BACKEND_BASES))}
+    if draw(st.booleans()):
+        frame = draw(st.sampled_from(["reduced", "ambient"]))
+        pairs = [draw(_coordinate(q, frame == "reduced")) for _ in range(2)]
+        base.update(N=draw(st.integers(0, 1)), frame=frame)
+        return ({**base, "alpha": [lit for _t, lit in pairs]},
+                {**base, "alpha": [t for t, _lit in pairs]})
+    reps = [[draw(_coordinate(q, True)) for _ in range(2)]
+            for _ in range(draw(st.integers(1, 2)))]
+    return ({**base, "reps": [[lit for _t, lit in rep] for rep in reps]},
+            {**base, "reps": [[t for t, _lit in rep] for rep in reps]})
+
+
+def _run_quiet(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@given(backend_instances())
+def test_backend_rule_property(tmp_path_factory, pair):
+    """Whatever mix of rational strings, exact and truncated series
+    literals an instance uses, every command ends in a documented exit
+    code, and an answer equals the all-rational twin's."""
+    inst, twin = pair
+    tmp = tmp_path_factory.mktemp("backend")
+    p = write_instance(tmp, "inst.json", inst)
+    tp = write_instance(tmp, "twin.json", twin)
+    for cmd in BACKEND_COMMANDS:
+        code, out = _run_quiet([*cmd, "--format", "json", p])
+        assert code in (0, 1, 2, 3, 4)
+        if code != 0:
+            continue
+        tcode, tout = _run_quiet([*cmd, "--format", "json", tp])
+        got, want = json.loads(out), json.loads(tout)
+        if cmd == ["mink-search"]:
+            got.pop("point", None)
+            want.pop("point", None)
+        assert (tcode, got) == (0, want), cmd

@@ -1,5 +1,7 @@
 """Base arithmetic: F_q, polynomials, rationals, series, parsing."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,7 @@ from fflat import (
     frac_part,
     parse_element,
 )
+from fflat.cli import _make_field, random_lattice
 from fflat.errors import InsufficientPrecision
 from fflat.ffcore import (
     format_poly,
@@ -229,6 +232,9 @@ def test_parse_format_grammar(F2, F3, F4):
     g = parse_element(F4, "(t+1)*x + (t)")
     assert g.num.coeff(1) == F4.undigits([1, 1])
     assert g.num.coeff(0) == F4.undigits([0, 1])
+    # a parenthesized constant is a coefficient, as format_rat prints it
+    assert parse_element(F4, "(t + 1)") == parse_element(F4, "(t+1)*x^0")
+    assert parse_element(F4, "((t)) / (x + 1)").num.coeffs == (F4.undigits([0, 1]),)
 
 
 @pytest.mark.parametrize(
@@ -261,6 +267,23 @@ def test_format_parse_round_trip(r):
 @given(poly_f2)
 def test_format_poly_round_trip(p):
     assert parse_element(GF(2), format_poly(p)) == Rat.from_poly(p)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_extension_field_format_parse_round_trip(q):
+    # a constant entry prints as "(t + 1)"; what `reduce` prints must
+    # load back as the same element
+    field = _make_field(q)
+    rng = random.Random(q)
+    for _ in range(10):
+        lat = random_lattice(rng, field, rng.choice([2, 3]))
+        for col in lat.basis_rat():
+            for r in col:
+                assert parse_element(field, format_rat(r)) == r
+        num = Poly(field, [rng.randrange(q) for _ in range(rng.randint(0, 2))])
+        den = Poly(field, [rng.randrange(q) for _ in range(rng.randint(1, 3))] + [1])
+        r = Rat(num, den)
+        assert parse_element(field, format_rat(r)) == r
 
 
 def test_series_literal_json(F2):
