@@ -835,7 +835,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 4
     except (InsufficientPrecision, PrecisionTooCoarse) as e:
-        print(f"error: {e}", file=sys.stderr)
+        floor = getattr(e, "needed_floor", None)
+        hint = "" if floor is None else f" (needs precision <= {floor})"
+        print(f"error: {e}{hint}", file=sys.stderr)
         return 3
     except FFLatError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,9 +1,13 @@
 """Exact linear algebra over F_q, F_q[x], F_q(x) and truncated series.
 
 Matrices are plain lists of rows.  Entries are ints (F_q), Poly, Rat,
-or LaurentSeries depending on the function.  Everything here is exact:
-ranks and determinants over F_q[x] use fraction-free elimination, and
-series determinants carry precision floors soundly.
+or LaurentSeries depending on the function.  Everything here is exact.
+Each coefficient ring has one elimination that the public functions
+read: reduced row echelon form over F_q (rank, kernel vector),
+fraction-free Bareiss elimination over F_q[x] (determinant, rank), and
+over F_q(x) the same after clearing each column's denominators.  Series
+determinants carry precision floors soundly.  popov_reduce detects a
+singular input itself, when a column reduces to zero.
 """
 
 from __future__ import annotations
@@ -15,19 +19,17 @@ from .ffcore import GF, LaurentSeries, Poly, Rat, poly_lcm
 # --- F_q matrices --------------------------------------------------------
 
 
-def rank_fq(field: GF, rows) -> int:
-    """Rank of a matrix over F_q; rows of int-encoded entries."""
+def _rref_fq(field: GF, rows):
+    """Reduced row echelon form over F_q: (matrix, pivot columns); the
+    pivot of column pivots[i] is 1 and sits in row i."""
     m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    ncols = len(m[0])
-    rank = 0
+    pivots = []
+    ncols = len(m[0]) if m else 0
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
@@ -37,10 +39,13 @@ def rank_fq(field: GF, rows) -> int:
             if r != rank and m[r][col]:
                 c = m[r][col]
                 m[r] = [field.sub(a, field.mul(c, b)) for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+        pivots.append(col)
+    return m, pivots
+
+
+def rank_fq(field: GF, rows) -> int:
+    """Rank of a matrix over F_q; rows of int-encoded entries."""
+    return len(_rref_fq(field, rows)[1])
 
 
 def kernel_vector_fq(field: GF, rows):
@@ -48,37 +53,15 @@ def kernel_vector_fq(field: GF, rows):
 
     Deterministic: reduced row echelon form, first free column chosen.
     """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
+    m, pivots = _rref_fq(field, rows)
+    ncols = len(m[0]) if m else 0
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
         return None
-    ncols = len(m[0])
-    pivots = {}  # col -> row
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = field.inv(m[rank][col])
-        m[rank] = [field.mul(inv, v) for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                c = m[r][col]
-                m[r] = [field.sub(a, field.mul(c, b)) for a, b in zip(m[r], m[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    f = free[0]
     vec = [0] * ncols
-    vec[f] = 1
-    for col, row in pivots.items():
-        vec[col] = field.neg(m[row][f])
+    vec[free] = 1
+    for row, col in enumerate(pivots):
+        vec[col] = field.neg(m[row][free])
     return vec
 
 
@@ -87,13 +70,7 @@ def kernel_vector_fq(field: GF, rows):
 
 def mat_mul_poly(A, B):
     n, k, m = len(A), len(B), len(B[0])
-    field = None
-    for row in A:
-        for p in row:
-            field = p.field
-            break
-        break
-    zero = Poly.zero(field)
+    zero = Poly.zero(B[0][0].field)
     out = []
     for i in range(n):
         row = []
@@ -109,38 +86,52 @@ def mat_mul_poly(A, B):
     return out
 
 
-def det_poly(rows) -> Poly:
-    """Determinant over F_q[x] by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    field = rows[0][0].field
-    if n == 1:
-        return rows[0][0]
+def _bareiss(rows):
+    """Fraction-free (Bareiss) forward elimination over F_q[x].
+
+    Returns (matrix, pivot columns, sign of the row permutation).
+    Columns without a pivot are skipped.  Every entry below the pivot
+    rows stays a minor of the input, so each division by the previous
+    pivot is exact and the last pivot of a nonsingular square input is
+    its determinant up to the sign.
+    """
     m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
     sign = 1
-    prev = Poly.one(field)
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            swap = None
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero:
-                    swap = r
-                    break
-            if swap is None:
-                return Poly.zero(field)
-            m[k], m[swap] = m[swap], m[k]
+    prev = None
+    for col in range(ncols):
+        k = len(pivots)
+        if k == nrows:
+            break
+        pivot = next((r for r in range(k, nrows) if not m[r][col].is_zero), None)
+        if pivot is None:
+            continue
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                quo, rem = divmod(num, prev)
-                assert rem.is_zero, "Bareiss division must be exact"
-                m[i][j] = quo
-            m[i][k] = Poly.zero(field)
-        prev = m[k][k]
+        p = m[k][col]
+        for i in range(k + 1, nrows):
+            for j in range(col + 1, ncols):
+                num = m[i][j] * p - m[i][col] * m[k][j]
+                if prev is not None:
+                    num, rem = divmod(num, prev)
+                    assert rem.is_zero, "Bareiss division must be exact"
+                m[i][j] = num
+            m[i][col] = Poly.zero(p.field)
+        prev = p
+        pivots.append(col)
+    return m, pivots, sign
+
+
+def det_poly(rows) -> Poly:
+    """Determinant over F_q[x]: the last Bareiss pivot."""
+    n = len(rows)
+    m, pivots, sign = _bareiss(rows)
+    if len(pivots) < n:
+        return Poly.zero(rows[0][0].field)
     d = m[n - 1][n - 1]
-    if sign < 0:
-        d = d.scale(field.neg(1))
-    return d
+    return d.scale(d.field.neg(1)) if sign < 0 else d
 
 
 def _minor(rows, i, j):
@@ -168,31 +159,16 @@ def adjugate_poly(rows):
     return adj
 
 
-def rank_poly(rows) -> int:
-    """Rank over F_q(x) of a polynomial matrix, fraction-free elimination."""
-    if not rows or not rows[0]:
-        return 0
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if not m[r][col].is_zero:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        piv = m[rank][col]
-        for r in range(rank + 1, nrows):
-            if not m[r][col].is_zero:
-                c = m[r][col]
-                m[r] = [a * piv - c * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _clear_denominators(rows):
+    """Scale each column of a matrix over F_q(x) by the lcm of its
+    denominators: (polynomial matrix, column lcms)."""
+    lcms = []
+    for j in range(len(rows[0])):
+        l = Poly.one(rows[0][j].field)
+        for r in rows:
+            l = poly_lcm(l, r[j].den)
+        lcms.append(l)
+    return [[e.num * (l // e.den) for e, l in zip(r, lcms)] for r in rows], lcms
 
 
 def rank_rational(rows) -> int:
@@ -203,38 +179,16 @@ def rank_rational(rows) -> int:
     """
     if not rows or not rows[0]:
         return 0
-    field = rows[0][0].field
-    ncols = len(rows[0])
-    cols = []
-    for j in range(ncols):
-        dens = [rows[i][j].den for i in range(len(rows))]
-        l = Poly.one(field)
-        for dpoly in dens:
-            l = poly_lcm(l, dpoly)
-        col = []
-        for i in range(len(rows)):
-            e = rows[i][j]
-            col.append(e.num * (l // e.den))
-        cols.append(col)
-    prows = [[cols[j][i] for j in range(ncols)] for i in range(len(rows))]
-    return rank_poly(prows)
+    return len(_bareiss(_clear_denominators(rows)[0])[1])
 
 
 def det_rat(rows) -> Rat:
     """Determinant of a square matrix over F_q(x)."""
-    n = len(rows)
-    field = rows[0][0].field
-    scale = Rat.from_poly(Poly.one(field))
-    cols = []
-    for j in range(n):
-        l = Poly.one(field)
-        for i in range(n):
-            l = poly_lcm(l, rows[i][j].den)
-        col = [rows[i][j].num * (l // rows[i][j].den) for i in range(n)]
-        cols.append(col)
-        scale = scale * Rat(Poly.one(field), l)
-    prows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return scale * Rat.from_poly(det_poly(prows))
+    prows, lcms = _clear_denominators(rows)
+    den = Poly.one(rows[0][0].field)
+    for l in lcms:
+        den = den * l
+    return Rat(det_poly(prows), den)
 
 
 def det_series(rows) -> LaurentSeries:
@@ -277,12 +231,11 @@ def popov_reduce(rows):
     of L is used to cancel leading terms: with delta = max{deg col_i :
     c_i != 0}, the column of degree delta with c_i != 0 (lowest index on
     ties) is replaced by sum_i c_i x^(delta - deg col_i) col_i, which
-    strictly lowers that column's degree.
+    strictly lowers that column's degree.  So the loop ends, and a
+    singular M ends in a zero column: SingularInput.
     """
     n = len(rows)
     field = rows[0][0].field
-    if det_poly(rows).is_zero:
-        raise SingularInput("matrix has zero determinant, no reduced basis")
     m = [list(r) for r in rows]
     u = [
         [Poly.one(field) if i == j else Poly.zero(field) for j in range(n)]
@@ -290,6 +243,8 @@ def popov_reduce(rows):
     ]
     degs = [_col_degree(m, j) for j in range(n)]
     while True:
+        if min(degs) < 0:
+            raise SingularInput("matrix has zero determinant, no reduced basis")
         lead = [[m[i][j].coeff(degs[j]) for j in range(n)] for i in range(n)]
         c = kernel_vector_fq(field, lead)
         if c is None:

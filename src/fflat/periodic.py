@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 from .errors import (
     CapExceeded,
@@ -29,7 +29,13 @@ from .errors import (
     NRational,
     UndefinedValue,
 )
-from .exactlinalg import det_rat, det_series, rank_fq, rank_rational
+from .exactlinalg import (
+    _clear_denominators,
+    det_rat,
+    det_series,
+    rank_fq,
+    rank_rational,
+)
 from .ffcore import (
     GF,
     LaurentSeries,
@@ -129,11 +135,13 @@ def _lift(vals, d: int):
 
 def _as_series(vals, d: int):
     """Series and Rat coordinates as series: a polynomial exactly, any
-    other rational expanded 4d + 8 exponents below the lowest truncated
-    floor (or below x^0), so that the expansion is not what limits the
+    other rational expanded 4d + 8 + D exponents below the lowest
+    truncated floor (or below x^0), D the largest denominator degree
+    among the rationals, so that the expansion is not what limits the
     precision of what is computed from it."""
     floors = [v.floor for v in vals if isinstance(v, LaurentSeries) and not v.exact]
-    deep = (min(floors) if floors else 0) - 4 * d - 8
+    dens = [v.den.degree for v in vals if isinstance(v, Rat)]
+    deep = (min(floors) if floors else 0) - 4 * d - 8 - max(dens, default=0)
     return [
         v if isinstance(v, LaurentSeries)
         else LaurentSeries.from_poly(v.num) if v.den.degree == 0
@@ -373,19 +381,11 @@ def _certify_fq_independent(field: GF, d: int, reps):
     # then compare numerator coefficient vectors over F_q
     if series:
         reps = [[y.to_rat() for y in rep] for rep in reps]
-    mats = []
-    for i in range(d):
-        lcm = Poly.one(field)
-        for rep in reps:
-            lcm = poly_lcm(lcm, rep[i].den)
-        col = [rep[i].num * (lcm // rep[i].den) for rep in reps]
-        width = max((p.degree for p in col), default=-1) + 1
-        mats.append([
-            tuple(p.coeff(k) for k in range(width)) for p in col
-        ])
+    prows, _lcms = _clear_denominators(reps)
+    widths = [max(row[i].degree for row in prows) + 1 for i in range(d)]
     fq_rows = [
-        [c for i in range(d) for c in mats[i][j]]
-        for j in range(len(reps))
+        [p.coeff(k) for p, width in zip(row, widths) for k in range(width)]
+        for row in prows
     ]
     if rank_fq(field, fq_rows) != len(reps):
         raise ValueError(
@@ -474,8 +474,10 @@ def _unit_coords(field: GF, d: int, i: int):
     return [one if j == i else zero for j in range(d)]
 
 
-def _rank_would_increase(chosen, cand, d: int) -> bool:
-    """Does cand leave the K_inf-span of chosen columns?"""
+def _rank_would_increase(chosen, cand, d: int):
+    """Does cand leave the K_inf-span of chosen columns?  True, False,
+    or, when truncated minors cannot tell, the InsufficientPrecision
+    to raise if it stays undecided."""
     cols = chosen + [cand]
     k = len(cols)
     if not any(_is_series(col) for col in cols):
@@ -495,7 +497,7 @@ def _rank_would_increase(chosen, cand, d: int) -> bool:
             undecided_floor = det.floor
     if undecided_floor is None:
         return False
-    raise InsufficientPrecision(
+    return InsufficientPrecision(
         "linear independence undecidable at the stored precision",
         needed_floor=undecided_floor - 1,
     )
@@ -508,7 +510,10 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
     reduced basis vectors: by the ultrametric splitting of f + w into
     its fractional and lattice parts, every ball's span is generated by
     those.  Greedy by ascending norm, keeping candidates that enlarge
-    the span.
+    the span.  The pick order within one norm does not change the
+    minima, so a candidate whose independence a truncated minor cannot
+    decide is retried once the rest of its norm level is picked, and
+    only one still undecided then, with fewer than d picked, raises.
     """
     if C is None:
         C = S.base_body()
@@ -525,13 +530,23 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
     exps = []
     chosen = []
     witnesses = []
-    for norm, _kind, _idx, coords in cands:
-        if len(chosen) == S.d:
-            break
-        if _rank_would_increase(chosen, coords, S.d):
-            chosen.append(coords)
-            exps.append(norm.exp)
-            witnesses.append(_ambient_point(rb, coords))
+    for norm, level in groupby(cands, key=lambda t: t[0]):
+        pending = [t[3] for t in level]
+        while pending and len(chosen) < S.d:
+            undecided = []
+            for coords in pending:
+                if len(chosen) == S.d:
+                    break
+                verdict = _rank_would_increase(chosen, coords, S.d)
+                if verdict is True:
+                    chosen.append(coords)
+                    exps.append(norm.exp)
+                    witnesses.append(_ambient_point(rb, coords))
+                elif verdict is not False:
+                    undecided.append(coords)
+            if len(undecided) == len(pending) and len(chosen) < S.d:
+                raise verdict
+            pending = undecided
     if len(exps) != S.d:
         raise UndefinedValue("could not find d independent points")
     return exps, witnesses

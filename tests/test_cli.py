@@ -181,6 +181,7 @@ class TestErrorPaths:
         p = write_instance(tmp_path, "coarse.json", doc)
         code, _, err = run(capsys, "covrad", p)
         assert code == 3 and err.startswith("error:")
+        assert err.rstrip().endswith("(needs precision <= -3)")
 
     def test_precision_boundary_is_enough(self, capsys, tmp_path):
         doc = json.loads(Path(W).read_text())
@@ -290,6 +291,39 @@ def test_ambient_frame_exact_row(capsys, tmp_path):
     twin = write_instance(tmp_path, "amb-prec.json", dict(AMBIENT, precision=-10))
     for argv, want in ((["minima"], "q^0 q^1\n"), (["covrad"], "q^0\n"),
                        (["count", "--radius", "1"], "8\n")):
+        assert run(capsys, *argv, p) == (0, want, "")
+        assert run(capsys, *argv, twin) == (0, want, "")
+
+
+# truncated coordinates whose K-dependent candidates no truncated minor
+# can decide; other candidates of the same norm are certified independent
+UNDECIDED_RANK = {
+    "q": 3, "d": 2, "basis": [["1", "0"], ["0", "1"]], "N": 1,
+    "alpha": ["1/(x^2+1)", "x/(x^2+x+2)"],
+}
+
+
+@pytest.mark.parametrize("floor", [-20, -60, -150])
+def test_undecided_rank_answers_as_its_exact_twin(capsys, tmp_path, floor):
+    p = write_instance(tmp_path, "trunc.json", dict(UNDECIDED_RANK, precision=floor))
+    twin = write_instance(tmp_path, "twin.json", UNDECIDED_RANK)
+    for cmd, want in (("minima", "q^-1 q^-1\n"), ("density", "1\n")):
+        assert run(capsys, cmd, p) == (0, want, "")
+        assert run(capsys, cmd, twin) == (0, want, "")
+
+
+# a rational coordinate whose expansion starts far below the fixed margin
+DEEP_DENOMINATOR = {
+    "q": 2, "d": 2, "basis": [["1", "0"], ["0", "1"]], "N": 4,
+    "alpha": [{"floor": -1, "top": -1, "coeffs": [1], "exact": True}, "1/(x^30+x+1)"],
+}
+
+
+def test_lifting_margin_covers_denominator_degree(capsys, tmp_path):
+    p = write_instance(tmp_path, "deep.json", DEEP_DENOMINATOR)
+    twin = write_instance(tmp_path, "twin.json", dict(DEEP_DENOMINATOR, alpha=["x^-1", "1/(x^30+x+1)"]))
+    for argv, want in ((["covrad"], "q^-1\n"), (["minima"], "q^-29 q^-1\n"),
+                       (["count", "--radius", "1"], "512\n")):
         assert run(capsys, *argv, p) == (0, want, "")
         assert run(capsys, *argv, twin) == (0, want, "")
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import signal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from fflat.exactlinalg import (
     adjugate_poly,
     det_poly,
     det_rat,
+    kernel_vector_fq,
     mat_mul_poly,
     popov_reduce,
     rank_fq,
@@ -19,6 +21,7 @@ from fflat.exactlinalg import (
 
 F2 = GF(2)
 F3 = GF(3)
+F4 = GF(2, 2, (1, 1, 1))
 
 
 def test_rank_fq_examples():
@@ -155,6 +158,54 @@ def test_popov_rejects_singular():
     x = Poly.x(F2)
     with pytest.raises(SingularInput):
         popov_reduce([[x, x], [x, x]])
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), failing with TimeoutError after `seconds`."""
+    def bail(*_):
+        raise TimeoutError(f"{fn.__name__} did not return within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, bail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["q2", "q3", "q4"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("shape", ["zero", "repeated", "x-times"])
+def test_popov_singular_column_shapes(field, d, shape):
+    """popov_reduce finds singularity itself: the loop lowers a column's
+    degree at every step, so it must end in a zero column."""
+    rng = random.Random(f"{field.q}-{d}-{shape}")
+    x = Poly.x(field)
+    for _ in range(5):
+        M = _rand_poly_matrix(rng, field, d)
+        i, j = rng.sample(range(d), 2)
+        for row in M:
+            row[j] = {"zero": Poly.zero(field), "repeated": row[i], "x-times": x * row[i]}[shape]
+        with pytest.raises(SingularInput):
+            _within(10, popov_reduce, M)
+
+
+@given(
+    st.sampled_from([F2, F3, F4]), st.integers(1, 5), st.integers(1, 5), st.integers(0, 10**6)
+)
+def test_kernel_vector_fq_matches_rank(field, m, n, seed):
+    rng = random.Random(seed)
+    M = [[rng.randrange(field.q) for _ in range(n)] for _ in range(m)]
+    v = kernel_vector_fq(field, M)
+    assert (v is None) == (rank_fq(field, M) == n)
+    if v is not None:
+        assert any(v)
+        for row in M:
+            acc = 0
+            for a, b in zip(row, v):
+                acc = field.add(acc, field.mul(a, b))
+            assert acc == 0
 
 
 @pytest.mark.parametrize("field", [F2, F3], ids=["q2", "q3"])
