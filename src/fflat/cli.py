@@ -466,6 +466,13 @@ def random_alpha_lattice(rng, field: GF, d: int, N: int, lat: Lattice) -> Period
 
 
 def random_coset_lattice(rng, field: GF, d: int, n: int, lat: Lattice) -> PeriodicLattice:
+    """n random independent representatives with denominators x^1 .. x^3;
+    these span at most 3d dimensions over F_q, so n <= 3d."""
+    if n > 3 * d:
+        raise ValueError(
+            f"{n} independent representatives need n <= 3d = {3 * d}: "
+            "denominators x^1 .. x^3 span at most 3d dimensions"
+        )
     while True:
         reps = []
         for _ in range(n):

@@ -3,6 +3,9 @@
 Everything here is derived directly from definitions: point sets are
 materialized, minima are read off growing balls, the covering radius
 is certified by coefficient-pattern coverage at explicit depth.  The
+fundamental-domain points are built point by point from the definition
+of S (frac(Q * alpha), sums of scaled coset representatives), not
+taken from the walk over generators that periodic uses.  The
 closed-form routines elsewhere must agree exactly; these exist so that
 agreement is checkable.
 """
@@ -12,16 +15,20 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import BudgetExceeded, PrecisionTooCoarse
-from .ffcore import LaurentSeries, Poly, QExp, qpow_fraction
+from .ffcore import LaurentSeries, Poly, QExp, Rat, qpow_fraction
 from .lattice import ConvexBody, reduce_lattice
 from .periodic import (
     AlphaForm,
     PeriodicLattice,
+    _alpha_coords,
     _ambient_point,
+    _frac_norm,
+    _is_series,
+    _rep_coords,
     _tail_pattern,
-    fractional_points,
 )
 from .exactlinalg import rank_rational
 
@@ -71,6 +78,46 @@ def _poly_upto(field, deg: int):
         yield Poly(field, tuple(coeffs))
 
 
+def _points_by_definition(S: PeriodicLattice, C: ConvexBody):
+    """(coords, norm) of every fundamental-domain point of S, in the
+    rb-frame of C, built from the definition: frac(Q * alpha) for each
+    deg Q <= N in counting order (for N-rational alpha the first
+    occurrence of each point), or sum_k combo[k] * rep_k for each digit
+    combination, combo[0] most significant.  Computed once per body."""
+    key = ("oracle", C.cache_key())
+    hit = S._points_cache.get(key)
+    if hit is not None:
+        return hit
+    field = S.field
+    rb = reduce_lattice(S.lattice, C)
+    pts = []
+    if isinstance(S.form, AlphaForm):
+        phi = _alpha_coords(S, rb)
+        seen = set()
+        for Q in _poly_upto(field, S.form.N):
+            coords = [y.mul_poly(Q).frac_part() for y in phi]
+            if not S.form.irr_verified:
+                if tuple(coords) in seen:
+                    continue
+                seen.add(tuple(coords))
+            pts.append(coords)
+    else:
+        reps = _rep_coords(S, rb)
+        if reps and _is_series(reps[0]):
+            zero = LaurentSeries.exact_zero(field)
+        else:
+            zero = Rat.from_poly(Poly.zero(field))
+        for combo in product(range(field.q), repeat=len(reps)):
+            coords = [zero] * S.d
+            for rep, a in zip(reps, combo):
+                if a:
+                    coords = [c + y.scale(a) for c, y in zip(coords, rep)]
+            pts.append([y.frac_part() for y in coords])
+    out = [(coords, _frac_norm(rb.exps, coords)) for coords in pts]
+    S._points_cache[key] = out
+    return out
+
+
 def enumerate_points(S: PeriodicLattice, R: int, C: ConvexBody = None,
                      budget: int = None, coords_only: bool = False):
     """All points of S with norm <= q^R, as ambient vectors.
@@ -91,7 +138,7 @@ def enumerate_points(S: PeriodicLattice, R: int, C: ConvexBody = None,
     rb = reduce_lattice(S.lattice, C)
     one_ball = QExp(R)
     reps_in = [
-        coords for coords, norm in fractional_points(S, C) if norm <= one_ball
+        coords for coords, norm in _points_by_definition(S, C) if norm <= one_ball
     ]
     total = len(reps_in)
     for e in rb.exps:
@@ -128,7 +175,7 @@ def succmin_oracle(S: PeriodicLattice, C: ConvexBody = None,
     field = S.field
     rb = reduce_lattice(S.lattice, C)
     lows = [rb.exps[0]]
-    for coords, norm in fractional_points(S, C):
+    for coords, norm in _points_by_definition(S, C):
         if not norm.is_zero:
             lows.append(norm.exp)
     R = min(lows) - 1
@@ -167,7 +214,7 @@ def covrad_oracle(S: PeriodicLattice, C: ConvexBody = None, M: int = None,
     if M is None:
         N = S.form.N if isinstance(S.form, AlphaForm) else S.period_size
         M = N + abs(e_1) + abs(e_d) + 4
-    pts = fractional_points(S, C)
+    pts = _points_by_definition(S, C)
     if len(pts) * S.d * M > budget:
         raise BudgetExceeded(
             f"coverage scan needs {len(pts) * S.d * M} pattern entries, "

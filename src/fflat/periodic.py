@@ -15,13 +15,21 @@ set modulo Lambda.
 The coordinates of one periodic lattice share one arithmetic backend,
 chosen at construction (_lift): Rat when no input coordinate is a
 series, LaurentSeries for all of them when one is.
+
+The fundamental-domain points form the F_q-span of n generators
+(_generators): frac(x^k * alpha) for 0 <= k <= N, or the coset
+representatives.  fractional_points lists them by walking that span
+(_span), one addition per point and coordinate.  With Rat coordinates
+a point is a vector of numerators over one denominator per coordinate
+(the lcm over the generators), its norm is read off the degrees, and
+its reduced Rat coordinates are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby
 
 from .errors import (
     CapExceeded,
@@ -106,17 +114,19 @@ class PeriodicLattice:
 # --- coordinate plumbing ---------------------------------------------------
 
 
+def _counting_poly(field: GF, n: int) -> Poly:
+    """The polynomial whose coefficients, lowest degree first, are the
+    base-q digits of n, least significant first."""
+    coeffs = []
+    while n:
+        n, c = divmod(n, field.q)
+        coeffs.append(c)
+    return Poly(field, coeffs)
+
+
 def _poly_range(field: GF, N: int):
     """All polynomials of degree <= N, ascending base-q counting order."""
-    q = field.q
-    total = q ** (N + 1)
-    for n in range(total):
-        coeffs = []
-        v = n
-        for _ in range(N + 1):
-            coeffs.append(v % q)
-            v //= q
-        yield Poly(field, tuple(coeffs))
+    return (_counting_poly(field, n) for n in range(field.q ** (N + 1)))
 
 
 def _is_series(coords) -> bool:
@@ -308,10 +318,8 @@ def make_alpha_lattice(
                     f"alpha is N-rational for N={N}: witness degree {lcm.degree}",
                     witness=lcm,
                 )
-            count = len({
-                tuple(y.mul_poly(Q).frac_part() for y in phi)
-                for Q in _poly_range(field, N)
-            })
+            nums, _lcms = _clear_denominators(_x_multiples(phi, N))
+            count = len(set(_span(field, nums, (Poly.zero(field),) * lat.d)))
             size = 0
             while field.q ** size < count:
                 size += 1
@@ -320,12 +328,12 @@ def make_alpha_lattice(
             form = AlphaForm(phi, N, irr_verified=False)
             return PeriodicLattice(lat, form, size)
     else:
-        for Q in _poly_range(field, N):
-            if Q.is_zero:
+        # point n of the walk is frac(Q * phi), Q's digits those of n
+        zero = (LaurentSeries.exact_zero(field),) * lat.d
+        for n, reps in enumerate(_span(field, _x_multiples(phi, N), zero)):
+            if n == 0 or any(r.coeffs for r in reps):
                 continue
-            reps = [y.mul_poly(Q).frac_part() for y in phi]
-            if any(r.coeffs for r in reps):
-                continue
+            Q = _counting_poly(field, n)
             undecided = [r.floor for r in reps if not r.exact]
             if undecided:
                 raise InsufficientPrecision(
@@ -421,9 +429,80 @@ def frac_orbit(S: PeriodicLattice, C: ConvexBody = None, cap: int = DEFAULT_ORBI
     return out
 
 
+def _x_multiples(phi, N: int):
+    """frac(x^k * phi) for k = N .. 0: the alpha form's generators, the
+    coefficient of x^N of Q being the most significant counting digit."""
+    x = Poly.x(phi[0].field)
+    gens = [list(phi)]
+    for _ in range(N):
+        gens.append([y.mul_poly(x).frac_part() for y in gens[-1]])
+    return gens[::-1]
+
+
+def _generators(S: PeriodicLattice, rb: ReducedBasis):
+    """The generators of the fundamental-domain points in the rb frame,
+    most significant counting digit first (see _span)."""
+    if isinstance(S.form, AlphaForm):
+        return _x_multiples(_alpha_coords(S, rb), S.form.N)
+    return _rep_coords(S, rb)
+
+
+def _span(field: GF, gens, zero):
+    """Every F_q-combination of the generator vectors, in counting order:
+    the digit of gens[0] is the most significant.  Vector entries need
+    + and .scale(a); each point costs one addition per entry."""
+    pts = [zero]
+    for g in gens:
+        multiples = [[y.scale(a) for y in g] for a in range(1, field.q)]
+        nxt = []
+        for p in pts:
+            nxt.append(p)
+            nxt.extend(tuple(y + z for y, z in zip(p, m)) for m in multiples)
+        pts = nxt
+    return pts
+
+
+def _common_denominators(field: GF, d: int, gens):
+    """Rat generators over one denominator L_i per coordinate, the lcm
+    over the generators: (numerator rows, the L_i)."""
+    if not gens:
+        return [], [Poly.one(field)] * d
+    return _clear_denominators(gens)
+
+
+class _RatPoint:
+    """The coordinates n_i / L_i of one point, read as reduced Rats,
+    which are built on first read."""
+
+    __slots__ = ("nums", "dens", "_rats")
+
+    def __init__(self, nums, dens):
+        self.nums = nums
+        self.dens = dens
+        self._rats = None
+
+    def _read(self):
+        if self._rats is None:
+            self._rats = [Rat(n, L) for n, L in zip(self.nums, self.dens)]
+        return self._rats
+
+    def __getitem__(self, i):
+        return self._read()[i]
+
+    def __iter__(self):
+        return iter(self._read())
+
+
+def _rat_point_norm(exps, nums, dens) -> QExp:
+    """max_i |n_i / L_i| q^(e_i), from degrees alone."""
+    norms = [n.degree - L.degree + e for e, n, L in zip(exps, nums, dens) if n.coeffs]
+    return QExp(max(norms)) if norms else QEXP_ZERO
+
+
 def fractional_points(S: PeriodicLattice, C: ConvexBody = None):
     """All points of the fundamental domain intersected with S, as
-    rb-frame coordinate vectors with norms; exactly q^period_size."""
+    rb-frame coordinate vectors with norms; exactly q^period_size, in
+    counting order (for N-rational alpha, first occurrences only)."""
     if C is None:
         C = S.base_body()
     key = C.cache_key()
@@ -432,31 +511,16 @@ def fractional_points(S: PeriodicLattice, C: ConvexBody = None):
         return hit
     field = S.field
     rb = reduce_lattice(S.lattice, C)
-    pts = []
-    if isinstance(S.form, AlphaForm):
-        orbit = frac_orbit(S, C)
-        if S.form.irr_verified:
-            pts = [(coords, norm) for (_q, coords, norm) in orbit]
-        else:
-            seen = {}
-            for _q, coords, norm in orbit:
-                seen.setdefault(tuple(coords), (coords, norm))
-            pts = list(seen.values())
+    gens = _generators(S, rb)
+    if gens and _is_series(gens[0]):
+        zero = (LaurentSeries.exact_zero(field),) * S.d
+        pts = [(coords, _frac_norm(rb.exps, coords)) for coords in _span(field, gens, zero)]
     else:
-        reps = _rep_coords(S, rb)
-        if reps and _is_series(reps[0]):
-            zero = LaurentSeries.exact_zero(field)
-        else:
-            zero = Rat.from_poly(Poly.zero(field))
-        for combo in product(range(field.q), repeat=len(reps)):
-            coords = [zero] * S.d
-            for k, a in enumerate(combo):
-                if a == 0:
-                    continue
-                for i in range(S.d):
-                    coords[i] = coords[i] + reps[k][i].scale(a)
-            coords = [y.frac_part() for y in coords]
-            pts.append((coords, _frac_norm(rb.exps, coords)))
+        rows, dens = _common_denominators(field, S.d, gens)
+        nums = _span(field, rows, (Poly.zero(field),) * S.d)
+        if isinstance(S.form, AlphaForm) and not S.form.irr_verified:
+            nums = list(dict.fromkeys(nums))
+        pts = [(_RatPoint(n, dens), _rat_point_norm(rb.exps, n, dens)) for n in nums]
     if len(pts) != field.q ** S.period_size:
         raise UndefinedValue(
             f"expected q^{S.period_size} fundamental-domain points, got {len(pts)}"
@@ -614,8 +678,10 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
     """Exact convex-body test: measure the thickened body and search.
 
     m(C + D cap S) = m(C) * #classes of fundamental-domain points
-    modulo the group C, computed from coefficient patterns at depth
-    max(e_i - 1, 0) per coordinate.  When the measure exceeds
+    modulo the group C.  A class is a coefficient pattern at depth
+    max(e_i - 1, 0) per coordinate; the pattern is F_q-linear in the
+    point, so the classes are the image of the generators' patterns
+    and number q^rank.  When the measure exceeds
     det(Lambda)/q^(period_size + d), search for a nonzero point of S in
     C; the search over nonzero fundamental-domain points plus the first
     reduced vector is exhaustive by the ultrametric splitting, so a
@@ -627,15 +693,13 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
     rb = reduce_lattice(S.lattice, C)
     pts = fractional_points(S, C)
     depths = [max(e - 1, 0) for e in rb.exps]
-    classes = set()
-    for coords, _norm in pts:
-        classes.add(tuple(_tail_pattern(y, dep) for y, dep in zip(coords, depths)))
-    ncl = len(classes)
-    classes_log = 0
-    while S.field.q ** classes_log < ncl:
-        classes_log += 1
-    if S.field.q ** classes_log != ncl:
-        raise UndefinedValue("class count is not a power of q")
+    # least significant generator first, so that a truncated pattern
+    # fails where the first failing point in counting order would
+    patterns = [
+        [c for y, dep in zip(g, depths) for c in _tail_pattern(y, dep)]
+        for g in reversed(_generators(S, rb))
+    ]
+    classes_log = rank_fq(S.field, patterns)
     measure_exp = C.log_volume.exp + classes_log
     threshold_exp = S.lattice.log_det - S.period_size - S.d
     if not measure_exp > threshold_exp:

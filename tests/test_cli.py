@@ -3,12 +3,14 @@
 import contextlib
 import io
 import json
+import random
+import signal
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fflat import GF, Poly, cli, expand_rational, parse_element
+from fflat import GF, Lattice, Poly, cli, expand_rational, parse_element
 
 DATA = Path(__file__).parent / "data"
 W = str(DATA / "w.json")
@@ -201,6 +203,28 @@ class TestErrorPaths:
         )
         code, _, err = run(capsys, "covrad", p)
         assert code == 1 and err.startswith("error:")
+
+    def test_series_n_rational_exits_1(self, capsys, tmp_path):
+        exact = {"floor": -2, "top": -1, "coeffs": [1, 1], "exact": True}
+        unit = {"floor": -1, "top": -1, "coeffs": [1], "exact": True}
+        p = write_instance(tmp_path, "nrat.json", {
+            "q": 2, "d": 2, "basis": [["1", "0"], ["0", "1"]], "N": 2,
+            "alpha": [exact, unit],
+        })
+        code, out, err = run(capsys, "minima", p)
+        assert (code, out, err) == (1, "", "error: alpha is N-rational for N=2\n")
+
+    def test_series_too_coarse_for_certificate_exits_3(self, capsys, tmp_path):
+        p = write_instance(tmp_path, "coarse.json", {
+            "q": 3, "d": 2, "basis": [["1", "0"], ["0", "1"]], "N": 2,
+            "alpha": ["x^-2 + x^-7", "2*x^-4 + x^-5"], "precision": -3,
+        })
+        code, out, err = run(capsys, "minima", p)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: cannot certify N-irrationality: representative of "
+            "Q=(0, 0, 1) has no known nonzero coefficient (needs precision <= -2)\n"
+        )
 
     def test_bad_grid_axis(self, capsys):
         code, _, err = run(capsys, "verify", "--grid", "z=1")
@@ -410,3 +434,21 @@ def test_backend_rule_property(tmp_path_factory, pair):
             got.pop("point", None)
             want.pop("point", None)
         assert (tcode, got) == (0, want), cmd
+
+
+def test_random_coset_lattice_rejects_more_reps_than_3d():
+    """Denominators x^1 .. x^3 span at most 3d dimensions, so n = 7 reps
+    at d = 2 can never be independent: refuse at once, not loop."""
+    F = GF(2)
+
+    def bail(*_):
+        raise TimeoutError("random_coset_lattice did not return within 10 s")
+
+    old = signal.signal(signal.SIGALRM, bail)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with pytest.raises(ValueError):
+            cli.random_coset_lattice(random.Random(0), F, 2, 7, Lattice.standard(F, 2))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

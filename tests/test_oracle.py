@@ -4,7 +4,9 @@ These are deliberately naive and exist so the fast implementations have
 something independent to disagree with.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +153,20 @@ def test_oracle_with_nonunit_body(W):
     _, wits = succ_minima_periodic(W, C)
     for e, w in zip(exps, wits):
         assert norm_in_body(w, C) == QExp(e)
+
+
+# closed forms and the walk the oracles check; importing one would make
+# an oracle agree with what it is meant to test
+CLOSED_FORMS = {
+    "fractional_points", "_generators", "succ_minima_periodic", "count_points",
+    "minkowski_search", "covrad_periodic", "rank_condition",
+}
+
+
+def test_oracle_imports_no_closed_form():
+    import fflat.oracle
+
+    tree = ast.parse(Path(fflat.oracle.__file__).read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not names & CLOSED_FORMS

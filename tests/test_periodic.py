@@ -7,6 +7,7 @@ alpha = (x^-1, x^-2) in reduced coordinates, N = 1.
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from fflat import (
     GF,
@@ -29,13 +30,17 @@ from fflat import (
     packing_density,
     packing_radius,
     parse_element,
+    reduce_lattice,
     succ_minima_periodic,
 )
 from fflat.errors import CapExceeded
-from fflat.periodic import PeriodicLattice
+from fflat.ffcore import Poly, Rat, expand_rational
+from fflat.oracle import _points_by_definition
+from fflat.periodic import PeriodicLattice, _tail_pattern
 
 F2 = GF(2)
 F3 = GF(3)
+F4 = GF(2, 2, (1, 1, 1))
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +251,25 @@ class TestTruncatedAlpha:
         assert count_points(Wt, radius=0) == 16
         assert minkowski_search(Wt, ConvexBody.ball(F2, 2, -1)).status == "point"
 
+    def test_series_n_rational_witness(self):
+        # exact series (x^-1 + 2x^-2, x^-2) over F_3: the first nonzero Q in
+        # counting order with frac(Q alpha) = 0 is x^2, point 9 of the walk
+        a1 = LaurentSeries.from_pairs(F3, {-1: 1, -2: 2}, -2, exact=True)
+        a2 = LaurentSeries.from_pairs(F3, {-2: 1}, -2, exact=True)
+        with pytest.raises(NRational) as ei:
+            make_alpha_lattice(Lattice.standard(F3, 2), [a1, a2], 2)
+        assert ei.value.witness.coeffs == (0, 0, 1)
+
+    def test_series_too_coarse_names_first_q(self):
+        # (x^-2 + O(x^-4), O(x^-4)) over F_3: frac(x^2 alpha) is O(x^-2),
+        # while every Q of lower degree leaves x^-2 or x^-1 known nonzero
+        a1 = LaurentSeries.from_pairs(F3, {-2: 1}, -3, exact=False)
+        a2 = LaurentSeries.from_pairs(F3, {}, -3, exact=False)
+        with pytest.raises(InsufficientPrecision) as ei:
+            make_alpha_lattice(Lattice.standard(F3, 2), [a1, a2], 2)
+        assert "Q=(0, 0, 1)" in str(ei.value)
+        assert ei.value.needed_floor == -2
+
     def test_all_unknown_coordinate_refused(self, lam):
         bad = LaurentSeries.from_pairs(F2, {}, -2, exact=False)
         with pytest.raises(InsufficientPrecision):
@@ -276,3 +300,89 @@ def test_periodic_lattice_accessors(W):
     assert isinstance(W, PeriodicLattice)
     assert W.field.q == 2 and W.d == 2
     assert W.base_body().log_volume == QExp(0)
+
+
+# --- the walk over the generators against the definition ---------------
+
+
+@st.composite
+def _frac_coord(draw, F, series):
+    """A fractional Rat with a monic denominator of degree 1..3, or its
+    expansion truncated at a floor between x^-14 and x^-3."""
+    k = draw(st.integers(1, 3))
+    digits = st.lists(st.integers(0, F.q - 1), min_size=k, max_size=k)
+    y = Rat(Poly(F, draw(digits)), Poly(F, (*draw(digits), 1)))
+    if series:
+        floor = draw(st.integers(-14, -3))
+        return expand_rational(y, floor).truncated(floor)
+    return y
+
+
+@st.composite
+def span_instances(draw):
+    """(periodic lattice, body or None for the unit body) over q in
+    {2, 3, 4}, d in {2, 3}: the alpha form, N-rational alpha admitted,
+    or the coset form, with Rat, truncated-series or mixed coordinates."""
+    F = draw(st.sampled_from([F2, F3, F4]))
+    d = draw(st.sampled_from([2, 3]))
+    diag = [draw(st.sampled_from(["1", "x", "x^-1", "x+1", "x^3", "x^2+1"])) for _ in range(d)]
+    basis = [[diag[i] if i == j else ("0" if i > j else draw(st.sampled_from(["0", "1", "x"])))
+              for j in range(d)] for i in range(d)]
+    lat = Lattice(F, basis)
+    mode = draw(st.sampled_from(["rat", "series", "mixed"]))
+
+    def coords():
+        return [draw(_frac_coord(F, mode == "series" or (mode == "mixed" and draw(st.booleans()))))
+                for _ in range(d)]
+
+    try:
+        if draw(st.booleans()):
+            N = draw(st.integers(0, 2 if F.q < 4 else 1))
+            S = make_alpha_lattice(lat, coords(), N, require_irrational=False)
+        else:
+            n = draw(st.integers(1, 4 if F.q == 2 else 3))
+            S = make_coset_lattice(lat, [coords() for _ in range(n)])
+    except (NRational, InsufficientPrecision, ValueError):
+        assume(False)
+    C = draw(st.sampled_from([None, 0, 2]))
+    return S, None if C is None else ConvexBody.ball(F, d, C)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InsufficientPrecision as e:
+        return ("InsufficientPrecision", e.needed_floor)
+
+
+def _listed(pts):
+    if isinstance(pts, tuple):
+        return pts
+    return [(list(coords), norm) for coords, norm in pts]
+
+
+@given(span_instances())
+def test_walk_lists_the_points_of_the_definition(inst):
+    """fractional_points (a walk over the generators) lists the points
+    the oracle builds from the definition: the same coordinates, norms
+    and order, or the same precision error; and mink-search counts as
+    many classes as there are tail patterns among them."""
+    S, C = inst
+    body = S.base_body() if C is None else C
+    want = _outcome(_points_by_definition, S, body)
+    assert _listed(_outcome(fractional_points, S, C)) == _listed(want)
+
+    def by_patterns():
+        rb = reduce_lattice(S.lattice, body)
+        depths = [max(e - 1, 0) for e in rb.exps]
+        pats = {tuple(_tail_pattern(y, dep) for y, dep in zip(coords, depths))
+                for coords, _n in want}
+        log = 0
+        while S.field.q ** log < len(pats):
+            log += 1
+        assert S.field.q ** log == len(pats)
+        return log
+
+    got = _outcome(lambda: minkowski_search(S, C).classes_log)
+    if not isinstance(want, tuple):
+        assert got == _outcome(by_patterns)
