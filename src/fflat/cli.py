@@ -10,6 +10,7 @@ reduced fractions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -40,7 +41,6 @@ from .hankel import covrad_bounds, covrad_periodic, rank_condition
 from .lattice import (
     ConvexBody,
     Lattice,
-    covrad_lattice,
     norm_in_body,
     reduce_lattice,
 )
@@ -307,12 +307,7 @@ def _cmd_minima(inst: Instance, args) -> int:
 def _cmd_covrad(inst: Instance, args) -> int:
     C = inst.body_or_unit()
     S = inst.periodic
-    if inst.kind == "alpha":
-        val = covrad_periodic(S, C)
-    elif inst.kind == "plain":
-        val = covrad_lattice(inst.lattice, C)
-    else:
-        val = covrad_oracle(S, C)
+    val = covrad_periodic(S, C)
     lines = [_fmt_qexp(val)]
     obj = {"exp": val.exp}
     code = 0
@@ -785,7 +780,8 @@ def _cmd_verify(args) -> int:
 # --- entry point -------------------------------------------------------------
 
 
-def _build_parser():
+@functools.cache
+def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -832,7 +828,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             return _cmd_verify(args)

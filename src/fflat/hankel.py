@@ -1,11 +1,15 @@
-"""Hankel matrices of Laurent tails and the covering radius of
-Lambda(alpha, q^N) by rank search over stacked Hankel systems.
+"""Hankel matrices of Laurent tails and the covering radius of a
+periodic lattice by a rank scan over tail patterns.
 
-Solvability of the simultaneous approximation systems at quality level
-l is equivalent to the stacked matrix having full row rank; the
-covering radius drops out of the largest l where that holds.  The
-set of good l is downward-closed (removing rows of a full-row-rank
-matrix keeps full row rank), so an ascending scan stopping at the
+S covers every point of K_inf^d to within q^-l iff its
+fundamental-domain points realize every tail pattern at depths
+max(l + e_i, 0).  The pattern is F_q-linear in the point, so that holds
+iff the pattern matrix of the generators (periodic._pattern_matrix) at
+those depths has rank equal to their sum.  For the alpha form that
+matrix is the paper's stacked Hankel system transposed: the
+coefficient of x^-t in frac(x^k y) is that of x^-(t+k) in y.  The set
+of good l is downward-closed (dropping columns of a full-column-rank
+matrix keeps its rank full), so an ascending scan stopping at the
 first failure is exact.
 """
 
@@ -15,9 +19,9 @@ from fractions import Fraction
 
 from .errors import InsufficientPrecision
 from .exactlinalg import rank_fq
-from .ffcore import LaurentSeries, QExp, Rat, expand_rational
+from .ffcore import LaurentSeries, QExp, Rat
 from .lattice import ConvexBody, Lattice, reduce_lattice
-from .periodic import AlphaForm, PeriodicLattice, _alpha_coords
+from .periodic import PeriodicLattice, _pattern_matrix, _tail_pattern
 
 
 def hankel(alpha, m: int, n: int):
@@ -25,85 +29,59 @@ def hankel(alpha, m: int, n: int):
     x^-(i+j-1) in the fractional part of alpha (1-indexed)."""
     if m <= 0 or n <= 0:
         return []
-    depth = m + n - 1
-    if isinstance(alpha, Rat):
-        s = expand_rational(alpha.frac_part(), -depth)
-    elif isinstance(alpha, LaurentSeries):
-        s = alpha.frac_part()
-        if not s.exact and s.floor > -depth:
-            raise InsufficientPrecision(
-                f"Hankel matrix of order {m}x{n} needs coefficients down "
-                f"to x^-{depth}",
-                needed_floor=-depth,
-            )
-    else:
+    if not isinstance(alpha, (Rat, LaurentSeries)):
         raise TypeError(f"unsupported tail type {type(alpha).__name__}")
-    return [
-        [s.coeff_exp(-(i + j - 1)) for j in range(1, n + 1)]
-        for i in range(1, m + 1)
-    ]
+    tail = _tail_pattern(alpha.frac_part(), m + n - 1)
+    return [list(tail[i:i + n]) for i in range(m)]
 
 
-def _stack(phi, exps, ell: int, n: int):
-    rows = []
-    for y, e in zip(phi, exps):
-        rows.extend(hankel(y, ell + e, n))
-    return rows
+def _depths(exps, ell: int):
+    return [max(ell + e, 0) for e in exps]
 
 
 def rank_condition(S: PeriodicLattice, C: ConvexBody, ell: int) -> bool:
-    """Does the stacked Hankel system at level ell have full row rank?"""
-    if not isinstance(S.form, AlphaForm):
-        raise TypeError("rank condition requires an AlphaForm periodic lattice")
+    """Do the generators realize every tail pattern at level ell, that
+    is, does their pattern matrix at depths max(ell + e_i, 0) have rank
+    want = sum of the depths?  The q^period_size fundamental-domain
+    points bound that rank, so a level with want above the period size
+    fails without reading a coefficient."""
     if C is None:
         C = S.base_body()
     rb = reduce_lattice(S.lattice, C)
-    phi = _alpha_coords(S, rb)
-    want = sum(max(ell + e, 0) for e in rb.exps)
-    rows = _stack(phi, rb.exps, ell, S.form.N + 1)
-    return rank_fq(S.field, rows) == want
+    depths = _depths(rb.exps, ell)
+    want = sum(depths)
+    if want > S.period_size:
+        return False
+    return rank_fq(S.field, _pattern_matrix(S, rb, depths)) == want
 
 
 def covrad_periodic(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
-    """Covering radius of an AlphaForm periodic lattice for C.
+    """Covering radius of S for C, either form (a plain lattice is the
+    coset form without representatives).
 
-    Scans l upward from -e_d (where the stack is empty and the rank
-    condition holds trivially) and returns q^-(1+gamma) for gamma the
-    level before the first failure.  The scan cannot pass the level
-    where the required rank exceeds the column count N+1, so it
-    terminates.  Negative gamma is meaningful and does occur: lattices
-    with spread-out minima cover some tails only at radii above 1.
+    Scans l upward from -e_d, where want is 0 and the rank condition
+    holds trivially, and returns q^-l for the first failing l; the scan
+    ends at the latest where want exceeds the period size.  Negative l
+    is meaningful and does occur: lattices with spread-out minima cover
+    some tails only at radii above 1.  A level whose coefficients lie
+    below a truncation floor refuses with the floor of the deepest
+    level the scan can reach, which is enough for every level below it.
     """
-    if not isinstance(S.form, AlphaForm):
-        raise TypeError("covrad_periodic requires an AlphaForm periodic lattice")
     if C is None:
         C = S.base_body()
-    field = S.field
-    N = S.form.N
     rb = reduce_lattice(S.lattice, C)
-    exps = rb.exps
-    e_d = exps[-1]
-    cap = -e_d
-    while sum(max(cap + 1 + e, 0) for e in exps) <= N + 1:
-        cap += 1
-    depth = cap + e_d + N + 1
-    phi = _alpha_coords(S, rb)
-    for y, e in zip(phi, exps):
-        need = cap + 1 + e + N
-        if isinstance(y, LaurentSeries) and not y.exact and y.floor > -need:
-            raise InsufficientPrecision(
-                f"covering radius scan needs coefficients down to x^-{depth}",
-                needed_floor=-depth,
-            )
-    ell = -e_d
-    while True:
-        want = sum(max(ell + e, 0) for e in exps)
-        rows = _stack(phi, exps, ell, N + 1)
-        if rank_fq(field, rows) != want:
-            return QExp(-(1 + (ell - 1)))
-        ell += 1
-        if ell > cap + 1:
-            raise AssertionError("rank condition cannot hold past the cap")
+    ell = -rb.exps[-1]
+    try:
+        while rank_condition(S, C, ell + 1):
+            ell += 1
+    except InsufficientPrecision:
+        # the deepest reachable level needs more than the refused one,
+        # so its pattern matrix raises too, naming its own floor
+        while sum(_depths(rb.exps, ell + 2)) <= S.period_size:
+            ell += 1
+        _pattern_matrix(S, rb, _depths(rb.exps, ell + 1))
+        raise
+    return QExp(-(ell + 1))
 
 
 def covrad_bounds(lat: Lattice, N: int, C: ConvexBody = None):

@@ -23,6 +23,10 @@ representatives.  fractional_points lists them by walking that span
 a point is a vector of numerators over one denominator per coordinate
 (the lcm over the generators), its norm is read off the degrees, and
 its reduced Rat coordinates are built only when a caller reads them.
+
+Tail patterns are F_q-linear in the point, so the rank of the
+generators' pattern matrix (_pattern_matrix) counts the patterns of
+all points: the Minkowski classes and the covering radius levels.
 """
 
 from __future__ import annotations
@@ -409,26 +413,6 @@ def from_lattice(lat: Lattice) -> PeriodicLattice:
 # --- fractional point sets --------------------------------------------------
 
 
-def frac_orbit(S: PeriodicLattice, C: ConvexBody = None, cap: int = DEFAULT_ORBIT_CAP):
-    """(Q, coords, norm) for every Q with deg Q <= N; coords in the
-    rb-frame of C, norm = max_i |coord_i| q^(e_i)."""
-    if not isinstance(S.form, AlphaForm):
-        raise TypeError("frac_orbit requires an AlphaForm periodic lattice")
-    if C is None:
-        C = S.base_body()
-    field = S.field
-    N = S.form.N
-    if field.q ** (N + 1) > cap:
-        raise CapExceeded(f"orbit size q^{N + 1} exceeds cap {cap}")
-    rb = reduce_lattice(S.lattice, C)
-    phi = _alpha_coords(S, rb)
-    out = []
-    for Q in _poly_range(field, N):
-        coords = [y.mul_poly(Q).frac_part() for y in phi]
-        out.append((Q, coords, _frac_norm(rb.exps, coords)))
-    return out
-
-
 def _x_multiples(phi, N: int):
     """frac(x^k * phi) for k = N .. 0: the alpha form's generators, the
     coefficient of x^N of Q being the most significant counting digit."""
@@ -445,6 +429,35 @@ def _generators(S: PeriodicLattice, rb: ReducedBasis):
     if isinstance(S.form, AlphaForm):
         return _x_multiples(_alpha_coords(S, rb), S.form.N)
     return _rep_coords(S, rb)
+
+
+def _pattern_matrix(S: PeriodicLattice, rb: ReducedBasis, depths):
+    """The generators' tail patterns in the rb frame, one row per
+    generator, least significant first: the coefficients of x^-1 ..
+    x^-depths[i] of each coordinate i in turn.  Row k of the alpha form,
+    frac(x^k * phi), reads x^-(t+k) of phi (the stacked Hankel matrices
+    transposed), so a refusal names phi's floor -(max depth + N).
+    """
+    alpha = isinstance(S.form, AlphaForm)
+    reach = S.form.N if alpha else 0
+    vecs = [_alpha_coords(S, rb)] if alpha else _rep_coords(S, rb)[::-1]
+    try:
+        tails = [
+            [_tail_pattern(y, dep + reach) if dep else () for y, dep in zip(v, depths)]
+            for v in vecs
+        ]
+    except InsufficientPrecision:
+        floor = -(max(depths) + reach)
+        raise InsufficientPrecision(
+            f"tail pattern needs coefficients down to x^{floor}",
+            needed_floor=floor,
+        ) from None
+    if not alpha:
+        return [[c for tail in row for c in tail] for row in tails]
+    return [
+        [c for tail, dep in zip(tails[0], depths) for c in tail[k:k + dep]]
+        for k in range(reach + 1)
+    ]
 
 
 def _span(field: GF, gens, zero):
@@ -693,13 +706,7 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
     rb = reduce_lattice(S.lattice, C)
     pts = fractional_points(S, C)
     depths = [max(e - 1, 0) for e in rb.exps]
-    # least significant generator first, so that a truncated pattern
-    # fails where the first failing point in counting order would
-    patterns = [
-        [c for y, dep in zip(g, depths) for c in _tail_pattern(y, dep)]
-        for g in reversed(_generators(S, rb))
-    ]
-    classes_log = rank_fq(S.field, patterns)
+    classes_log = rank_fq(S.field, _pattern_matrix(S, rb, depths))
     measure_exp = C.log_volume.exp + classes_log
     threshold_exp = S.lattice.log_det - S.period_size - S.d
     if not measure_exp > threshold_exp:

@@ -18,6 +18,18 @@ POPOV2 = str(DATA / "popov2.json")
 MINKGAP = str(DATA / "minkgap.json")
 
 
+# e = (0, 3): the covering radius scan reads alpha_2 alone, to x^-3
+SPREAD = {
+    "q": 2, "d": 2, "basis": [["1", "0"], ["0", "x^3"]], "N": 1,
+    "alpha": ["1/(x^5+x^2+1)", "x/(x^3+x+1)"],
+}
+# e = (6, 6): mink-search's class pattern has depth 5 per coordinate
+MINK_DEEP = {
+    "q": 2, "d": 2, "basis": [["x^6", "0"], ["0", "x^6"]], "N": 2,
+    "alpha": ["1/(x^5+x+1)", "1/(x^7+x^2+1)"],
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     cap = capsys.readouterr()
@@ -178,19 +190,31 @@ class TestErrorPaths:
         assert code == 4 and err.startswith("error:")
 
     def test_precision_too_coarse_exits_3(self, capsys, tmp_path):
-        doc = json.loads(Path(W).read_text())
-        doc["precision"] = -2
-        p = write_instance(tmp_path, "coarse.json", doc)
+        # the scan's last level before want > 2 reads x^-3 of alpha_2
+        p = write_instance(tmp_path, "coarse.json", dict(SPREAD, precision=-2))
         code, _, err = run(capsys, "covrad", p)
         assert code == 3 and err.startswith("error:")
         assert err.rstrip().endswith("(needs precision <= -3)")
+        p = write_instance(tmp_path, "fine.json", dict(SPREAD, precision=-3))
+        assert run(capsys, "covrad", p) == (0, "q^0\n", "")
 
     def test_precision_boundary_is_enough(self, capsys, tmp_path):
-        doc = json.loads(Path(W).read_text())
-        doc["precision"] = -3
-        p = write_instance(tmp_path, "fine.json", doc)
-        code, out, _ = run(capsys, "covrad", p)
-        assert code == 0 and out == "q^-2\n"
+        # at -2 too: W's level needing x^-3 asks rank 4 of 2 generators
+        for floor in (-3, -2):
+            doc = json.loads(Path(W).read_text())
+            doc["precision"] = floor
+            p = write_instance(tmp_path, "fine.json", doc)
+            code, out, _ = run(capsys, "covrad", p)
+            assert code == 0 and out == "q^-2\n"
+
+    def test_mink_search_hint_is_in_alpha_frame(self, capsys, tmp_path):
+        # the class pattern reads x^-(5 + k) of alpha for generators k <= 2
+        for floor, code in ((-5, 3), (-6, 3), (-7, 0)):
+            p = write_instance(tmp_path, "mk.json", dict(MINK_DEEP, precision=floor))
+            got, _, err = run(capsys, "mink-search", p)
+            assert got == code
+            if code == 3:
+                assert err.rstrip().endswith("(needs precision <= -7)")
 
     def test_rational_alpha_exits_1(self, capsys, tmp_path):
         p = write_instance(

@@ -1,9 +1,11 @@
-"""Covering radii of periodic lattices through Hankel matrix ranks."""
+"""Covering radii of periodic lattices through tail-pattern ranks,
+which for the alpha form are Hankel matrix ranks."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fflat import (
     GF,
@@ -11,17 +13,29 @@ from fflat import (
     InsufficientPrecision,
     Lattice,
     LaurentSeries,
+    NRational,
     Poly,
     QExp,
     Rat,
     covrad_bounds,
     covrad_oracle,
     covrad_periodic,
+    from_lattice,
     hankel,
     make_alpha_lattice,
+    make_coset_lattice,
     parse_element,
     rank_condition,
 )
+from fflat.cli import (
+    _apply_precision,
+    random_alpha_lattice,
+    random_body,
+    random_coset_lattice,
+    random_lattice,
+)
+from fflat.lattice import covrad_lattice, reduce_lattice
+from fflat.periodic import _alpha_coords, _pattern_matrix
 
 F2 = GF(2)
 F3 = GF(3)
@@ -143,12 +157,23 @@ class TestCoefficientLocality:
         assert covrad_periodic(trunc) == covrad_periodic(exact)
 
     def test_truncation_above_needed_depth_is_refused(self):
+        # e = (0, 3): the level before want > 2 reads x^-3 of alpha_2
+        lam = Lattice(F2, [["1", "0"], ["0", "x^3"]])
+        alpha = [parse_element(F2, "1/(x^5+x^2+1)"), parse_element(F2, "x/(x^3+x+1)")]
+        trunc = make_alpha_lattice(lam, [_apply_precision(F2, a, -2) for a in alpha], 1)
+        with pytest.raises(InsufficientPrecision) as ei:
+            covrad_periodic(trunc)
+        assert ei.value.needed_floor == -3
+        fine = make_alpha_lattice(lam, [_apply_precision(F2, a, -3) for a in alpha], 1)
+        assert covrad_periodic(fine) == QExp(0)
+
+    def test_level_past_the_generator_count_reads_nothing(self):
+        # W's third level would read x^-3 but asks rank 4 of 2 generators
         lam = Lattice.standard(F2, 2)
         a1 = LaurentSeries.from_pairs(F2, {-1: 1}, -2, exact=False)
         a2 = LaurentSeries.from_pairs(F2, {-2: 1}, -2, exact=False)
         trunc = make_alpha_lattice(lam, [a1, a2], 1)
-        with pytest.raises(InsufficientPrecision):
-            covrad_periodic(trunc)
+        assert covrad_periodic(trunc) == QExp(-2)
 
     def test_deep_perturbation_is_invisible(self):
         lam = Lattice.standard(F2, 2)
@@ -179,3 +204,97 @@ class TestCovradBounds:
         lo, hi = covrad_bounds(lam, 1)
         got = covrad_periodic(W)
         assert lo <= Fraction(got.exp) and got.exp <= hi.exp
+
+
+class TestHankelIdentity:
+    def test_stacked_hankel_is_the_transposed_alpha_pattern(self):
+        rng = random.Random(5)
+        for field in (F2, F3):
+            for d in (2, 3):
+                for _ in range(6):
+                    lat = random_lattice(rng, field, d, -1, 2)
+                    N = rng.randint(0, 3)
+                    S = random_alpha_lattice(rng, field, d, N, lat)
+                    rb = reduce_lattice(lat, S.base_body())
+                    depths = [rng.randint(0, 4) for _ in range(d)]
+                    stacked = [
+                        row for y, dep in zip(_alpha_coords(S, rb), depths)
+                        for row in hankel(y, dep, N + 1)
+                    ]
+                    pattern = _pattern_matrix(S, rb, depths)
+                    assert len(pattern) == N + 1
+                    assert stacked == [list(col) for col in zip(*pattern)]
+
+
+class TestCovradEveryForm:
+    def test_agrees_with_oracle_and_lattice_on_random_bodies(self):
+        rng = random.Random(17)
+        for field in (F2, F3):
+            for d in (2, 3):
+                for _ in range(5):
+                    lat = random_lattice(rng, field, d, -1, 2)
+                    C = random_body(rng, field, d, -1, 1) if rng.random() < 0.7 else None
+                    plain = covrad_periodic(from_lattice(lat), C)
+                    assert plain == covrad_lattice(lat, C or ConvexBody.identity(field, d))
+                    cosets = random_coset_lattice(rng, field, d, rng.randint(1, 4 if field.q == 2 else 3), lat)
+                    assert covrad_periodic(cosets, C) == covrad_oracle(cosets, C)
+                    alpha = random_alpha_lattice(rng, field, d, rng.randint(0, 1), lat)
+                    assert covrad_periodic(alpha, C) == covrad_oracle(alpha, C, M=12)
+
+    def test_rank_condition_on_cosets(self):
+        lam = Lattice.standard(F2, 2)
+        S = make_coset_lattice(lam, [["x^-1", "0"], ["0", "x^-1"]])
+        C = ConvexBody.identity(F2, 2)
+        assert rank_condition(S, C, 1)
+        assert not rank_condition(S, C, 2)
+        assert covrad_periodic(S) == QExp(-2) == covrad_oracle(S)
+
+
+@st.composite
+def truncated_instances(draw):
+    """(build, floor): build(None) is an exact alpha-form or coset
+    instance over q in {2, 3}, d in {2, 3}, build(f) its twin with every
+    coordinate truncated at x^f, both in the reduced frame."""
+    F = draw(st.sampled_from([F2, F3]))
+    d = draw(st.sampled_from([2, 3]))
+    diag = [draw(st.sampled_from(["1", "x^2", "x^3", "x^4", "x^-1"])) for _ in range(d)]
+    basis = [[diag[i] if i == j else ("0" if i > j else draw(st.sampled_from(["0", "1", "x"])))
+              for j in range(d)] for i in range(d)]
+    lat = Lattice(F, basis)
+
+    def coord():
+        k = draw(st.integers(1, 6))
+        digits = st.lists(st.integers(0, F.q - 1), min_size=k, max_size=k)
+        return Rat(Poly(F, draw(digits)), Poly(F, (*draw(digits), 1)))
+
+    def cut(vals, floor):
+        return vals if floor is None else [_apply_precision(F, y, floor) for y in vals]
+
+    if draw(st.booleans()):
+        N = draw(st.integers(1, 3))
+        alpha = [coord() for _ in range(d)]
+        def build(floor):
+            return make_alpha_lattice(lat, cut(alpha, floor), N)
+    else:
+        reps = [[coord() for _ in range(d)] for _ in range(draw(st.integers(1, 4)))]
+        def build(floor):
+            return make_coset_lattice(lat, [cut(rep, floor) for rep in reps])
+    return build, draw(st.integers(-7, -1))
+
+
+@settings(max_examples=300)
+@given(truncated_instances())
+def test_refused_covrad_names_a_floor_that_suffices(inst):
+    build, floor = inst
+    try:
+        exact = build(None)
+        trunc = build(floor)
+    except (NRational, InsufficientPrecision, ValueError):
+        assume(False)
+    want = covrad_periodic(exact)
+    try:
+        got = covrad_periodic(trunc)
+    except InsufficientPrecision as e:
+        assert e.needed_floor < floor
+        got = covrad_periodic(build(e.needed_floor))
+    assert got == want

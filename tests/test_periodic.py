@@ -11,6 +11,7 @@ from hypothesis import assume, given, strategies as st
 
 from fflat import (
     GF,
+    AlphaForm,
     ConvexBody,
     InsufficientPrecision,
     Lattice,
@@ -20,7 +21,6 @@ from fflat import (
     check_bounds,
     count_points,
     d_invariant,
-    frac_orbit,
     fractional_points,
     from_lattice,
     make_alpha_lattice,
@@ -63,18 +63,19 @@ class TestWFamily:
         assert len(fractional_points(W)) == 4
 
     def test_orbit_reps_and_norms(self, W):
-        orb = frac_orbit(W)
-        assert [Q.coeffs for Q, _c, _n in orb] == [(), (1,), (0, 1), (1, 1)]
-        want = {
-            (): ("0", "0"),
-            (1,): ("x^-1", "x^-2"),
-            (0, 1): ("0", "x^-1"),
-            (1, 1): ("x^-1", "x^-1+x^-2"),
-        }
-        for Q, coords, norm in orb:
-            exp = [parse_element(F2, e) for e in want[Q.coeffs]]
+        # frac(Q * alpha) for Q = 0, 1, x, x + 1: counting order
+        want = [
+            ("0", "0"),
+            ("x^-1", "x^-2"),
+            ("0", "x^-1"),
+            ("x^-1", "x^-1+x^-2"),
+        ]
+        pts = fractional_points(W)
+        assert len(pts) == len(want)
+        for n, ((coords, norm), strs) in enumerate(zip(pts, want)):
+            exp = [parse_element(F2, e) for e in strs]
             assert [_rat_key(y) for y in coords] == [_rat_key(y) for y in exp]
-            if Q.is_zero:
+            if n == 0:
                 assert norm.is_zero
             else:
                 assert norm == QExp(-1)
@@ -235,10 +236,6 @@ class TestCosetForm:
         exps, _ = succ_minima_periodic(S)
         assert exps == [0, 0]
 
-    def test_frac_orbit_needs_alpha_form(self, lam):
-        with pytest.raises(TypeError):
-            frac_orbit(from_lattice(lam))
-
 
 class TestTruncatedAlpha:
     def test_series_alpha_matches_exact(self, lam):
@@ -375,8 +372,14 @@ def test_walk_lists_the_points_of_the_definition(inst):
     def by_patterns():
         rb = reduce_lattice(S.lattice, body)
         depths = [max(e - 1, 0) for e in rb.exps]
-        pats = {tuple(_tail_pattern(y, dep) for y, dep in zip(coords, depths))
-                for coords, _n in want}
+        try:
+            pats = {tuple(_tail_pattern(y, dep) for y, dep in zip(coords, depths))
+                    for coords, _n in want}
+        except InsufficientPrecision:
+            # frac(Q * alpha), deg Q <= N, at depth D reads alpha to
+            # x^-(D + N); the refusal names alpha's floor, not a point's
+            reach = S.form.N if isinstance(S.form, AlphaForm) else 0
+            raise InsufficientPrecision("", needed_floor=-(max(depths) + reach)) from None
         log = 0
         while S.field.q ** log < len(pats):
             log += 1
