@@ -158,12 +158,7 @@ def _parse_matrix(field, obj, d: int, name: str):
 def _apply_precision(field, value, floor: int):
     if isinstance(value, LaurentSeries):
         return value
-    s = expand_rational(value, floor)
-    pairs = {}
-    if s.coeffs:
-        for i, c in enumerate(s.coeffs):
-            pairs[s.top - i] = c
-    return LaurentSeries.from_pairs(field, pairs, floor, exact=False)
+    return expand_rational(value, floor).truncated(floor)
 
 
 def load_instance(path: str) -> Instance:

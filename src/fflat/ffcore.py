@@ -251,11 +251,6 @@ class QExp:
     def __hash__(self):
         return hash(("QExp", self.exp))
 
-    def as_fraction(self, q: int) -> Fraction:
-        if self.exp is None:
-            return Fraction(0)
-        return qpow_fraction(q, self.exp)
-
     def __repr__(self):
         return "0" if self.exp is None else f"q^{self.exp}"
 
@@ -506,16 +501,8 @@ class Rat:
         """Multiply by the constant c of F_q."""
         return Rat(self.num.scale(c), self.den, _canonical=True)
 
-    def divmod_parts(self):
-        """(polynomial part, fractional part); num = quo*den + rem."""
-        quo, rem = divmod(self.num, self.den)
-        return quo, Rat(rem, self.den)
-
-    def poly_part(self) -> Poly:
-        return self.divmod_parts()[0]
-
     def frac_part(self) -> "Rat":
-        return self.divmod_parts()[1]
+        return Rat(self.num % self.den, self.den)
 
     def val(self) -> QExp:
         """Absolute value exponent: deg num - deg den, or 0 for the zero."""
@@ -763,18 +750,6 @@ class LaurentSeries:
             return self
         start = self.top - (-1)
         return LaurentSeries(self.field, self.coeffs[start:], self.floor, self.exact)
-
-    def poly_part(self) -> Poly:
-        """The part with exponents >= 0 as a Poly."""
-        if not self.exact and self.floor > 0:
-            raise InsufficientPrecision(
-                f"polynomial part unknown: truncated at x^{self.floor} > x^0",
-                needed_floor=0,
-            )
-        if self.top < 0:
-            return Poly.zero(self.field)
-        cs = [self.coeff_exp(n) for n in range(0, self.top + 1)]
-        return Poly(self.field, cs)
 
     def truncated(self, new_floor: int) -> "LaurentSeries":
         """Forget everything below new_floor; result is never exact."""

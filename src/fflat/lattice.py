@@ -196,14 +196,6 @@ class ReducedBasis:
     def d(self) -> int:
         return self.lattice.d
 
-    def vectors_rat(self):
-        """Reduced basis vectors as columns of Rat entries."""
-        xs = Poly.monomial(self.lattice.field, 1, self.ashift)
-        return [
-            [Rat(self.VP[i][j], xs) for i in range(self.d)]
-            for j in range(self.d)
-        ]
-
     def norm_from_coords(self, coeffs) -> QExp:
         """C-norm of sum coeffs[i] * v^(i), coeffs polynomials."""
         best = None

@@ -13,7 +13,6 @@ agreement is checkable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -38,19 +37,6 @@ def default_budget() -> int:
     if raw is not None:
         return int(raw)
     return 1 << 21
-
-
-@dataclass
-class Window:
-    """Enumeration window: ball radius, grid depth, size budget."""
-
-    R: int = 0
-    M: int = 8
-    budget: int = None
-
-    def __post_init__(self):
-        if self.budget is None:
-            self.budget = default_budget()
 
 
 def _exact_coords(coords):

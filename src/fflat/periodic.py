@@ -27,6 +27,12 @@ its reduced Rat coordinates are built only when a caller reads them.
 Tail patterns are F_q-linear in the point, so the rank of the
 generators' pattern matrix (_pattern_matrix) counts the patterns of
 all points: the Minkowski classes and the covering radius levels.
+The same patterns are the construction certificate (_first_spanned):
+N-irrationality of truncated alpha and independence of the coset
+representatives both say that no generator lies in the span of the
+earlier ones on the coefficients they all know.  Exact alpha keeps the
+closed form of that rank, the degree of its denominators' lcm.  So
+construction enumerates no point.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .errors import (
 )
 from .exactlinalg import (
     _clear_denominators,
+    _rref_fq,
     det_rat,
     det_series,
     rank_fq,
@@ -56,13 +63,15 @@ from .ffcore import (
     QExp,
     Rat,
     expand_rational,
+    format_poly,
     parse_element,
     poly_lcm,
     qpow_fraction,
 )
 from .lattice import ConvexBody, Lattice, ReducedBasis, reduce_lattice
 
-DEFAULT_ORBIT_CAP = 1 << 20
+# the alpha form refuses more than this many fundamental-domain points
+_ORBIT_CAP = 1 << 20
 
 
 # --- forms and the periodic lattice type ----------------------------------
@@ -118,19 +127,16 @@ class PeriodicLattice:
 # --- coordinate plumbing ---------------------------------------------------
 
 
-def _counting_poly(field: GF, n: int) -> Poly:
-    """The polynomial whose coefficients, lowest degree first, are the
-    base-q digits of n, least significant first."""
-    coeffs = []
-    while n:
-        n, c = divmod(n, field.q)
-        coeffs.append(c)
-    return Poly(field, coeffs)
-
-
 def _poly_range(field: GF, N: int):
-    """All polynomials of degree <= N, ascending base-q counting order."""
-    return (_counting_poly(field, n) for n in range(field.q ** (N + 1)))
+    """All polynomials of degree <= N, ascending base-q counting order:
+    the coefficients of the n-th, lowest degree first, are the base-q
+    digits of n, least significant first."""
+    for n in range(field.q ** (N + 1)):
+        coeffs = []
+        while n:
+            n, c = divmod(n, field.q)
+            coeffs.append(c)
+        yield Poly(field, coeffs)
 
 
 def _is_series(coords) -> bool:
@@ -282,29 +288,31 @@ def make_alpha_lattice(
     alpha,
     N: int,
     frame: str = "reduced",
-    cap: int = DEFAULT_ORBIT_CAP,
     require_irrational: bool = True,
 ) -> PeriodicLattice:
     """Build Lambda(alpha, q^N), verifying N-irrationality.
 
     alpha is reduced modulo Lambda into the fundamental domain, which
-    leaves the point set unchanged.  For rational coordinates the
-    N-irrationality test is exact: alpha is N-rational iff the lcm of
-    the reduced-coordinate denominators has degree <= N, and that lcm
-    is returned as the witness.  For series coordinates (one series
-    among the inputs makes every coordinate a series) every nonzero Q
-    with deg Q <= N must produce a representative with a certified
-    nonzero coefficient.
+    leaves the point set unchanged.  For exact coordinates (rational, or
+    exact series read as rationals) the test is the closed form: alpha
+    is N-rational iff the lcm of the reduced-coordinate denominators has
+    degree <= N, and that lcm is the witness.  When a coordinate is
+    truncated (one series among the inputs makes every coordinate a
+    series), no generator frac(x^m * alpha), m <= N, may lie in the span
+    of the earlier ones on the coefficients they all know
+    (_first_spanned); otherwise some Q of degree m leaves
+    frac(Q * alpha) no known nonzero coefficient.
 
-    require_irrational=False admits N-rational rational alpha (for
-    degenerate cases such as alpha = 0); the period size is then the
-    exact log-count of distinct representatives.
+    require_irrational=False admits N-rational alpha with Rat
+    coordinates (for degenerate cases such as alpha = 0); the period
+    size is then the degree of the lcm, the log-count of distinct
+    representatives.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     field = lat.field
-    if field.q ** (N + 1) > cap:
-        raise CapExceeded(f"orbit size q^{N + 1} exceeds cap {cap}")
+    if field.q ** (N + 1) > _ORBIT_CAP:
+        raise CapExceeded(f"orbit size q^{N + 1} exceeds cap {_ORBIT_CAP}")
     coords = _lift(_parse_coords(lat, alpha), lat.d)
     if frame == "ambient":
         rb0 = reduce_lattice(lat, ConvexBody.identity(field, lat.d))
@@ -312,53 +320,36 @@ def make_alpha_lattice(
     elif frame != "reduced":
         raise ValueError("frame must be 'ambient' or 'reduced'")
     phi = [y.frac_part() for y in coords]
-    if not _is_series(phi):
-        lcm = Poly.one(field)
-        for y in phi:
-            lcm = poly_lcm(lcm, y.den)
+    floors = _truncated_floors([phi])
+    if floors:
+        m = _first_spanned(field, [phi], N)
+        if m is not None:
+            raise InsufficientPrecision(
+                f"cannot certify N-irrationality: some Q of degree {m} leaves "
+                "frac(Q*alpha) no known nonzero coefficient",
+                needed_floor=min(floors) - 1,
+            )
+    else:
+        lcm = _common_den(field, phi)
         if lcm.degree <= N:
-            if require_irrational:
+            if require_irrational or _is_series(phi):
                 raise NRational(
-                    f"alpha is N-rational for N={N}: witness degree {lcm.degree}",
+                    f"alpha is N-rational for N={N}: witness {format_poly(lcm)}",
                     witness=lcm,
                 )
-            nums, _lcms = _clear_denominators(_x_multiples(phi, N))
-            count = len(set(_span(field, nums, (Poly.zero(field),) * lat.d)))
-            size = 0
-            while field.q ** size < count:
-                size += 1
-            if field.q ** size != count:
-                raise UndefinedValue("orbit size is not a power of q")
-            form = AlphaForm(phi, N, irr_verified=False)
-            return PeriodicLattice(lat, form, size)
-    else:
-        # point n of the walk is frac(Q * phi), Q's digits those of n
-        zero = (LaurentSeries.exact_zero(field),) * lat.d
-        for n, reps in enumerate(_span(field, _x_multiples(phi, N), zero)):
-            if n == 0 or any(r.coeffs for r in reps):
-                continue
-            Q = _counting_poly(field, n)
-            undecided = [r.floor for r in reps if not r.exact]
-            if undecided:
-                raise InsufficientPrecision(
-                    "cannot certify N-irrationality: representative of "
-                    f"Q={Q.coeffs} has no known nonzero coefficient",
-                    needed_floor=undecided[-1] - 1,
-                )
-            raise NRational(
-                f"alpha is N-rational for N={N}", witness=Q
-            )
-    form = AlphaForm(phi, N, irr_verified=True)
-    return PeriodicLattice(lat, form, N + 1)
+            return PeriodicLattice(lat, AlphaForm(phi, N, irr_verified=False), lcm.degree)
+    return PeriodicLattice(lat, AlphaForm(phi, N, irr_verified=True), N + 1)
 
 
 def make_coset_lattice(lat: Lattice, reps) -> PeriodicLattice:
     """Build Lambda + span of fractional representatives.
 
     reps are given in canonical reduced-basis coordinates, entries with
-    negative valuation only.  F_q-independence (as coefficient vectors
-    modulo Lambda) is certified exactly for rational entries and at the
-    common precision floor for truncated ones.
+    negative valuation only.  They must be F_q-independent modulo
+    Lambda: no representative may lie in the span of the earlier ones on
+    the coefficients they all know (_first_spanned).  A dependence among
+    exact entries is a ValueError; one that truncation may hide is
+    InsufficientPrecision.
     """
     d = lat.d
     flat = _lift([y for rep in reps for y in _parse_coords(lat, rep)], d)
@@ -368,41 +359,74 @@ def make_coset_lattice(lat: Lattice, reps) -> PeriodicLattice:
             "fundamental domain (negative exponents only)"
         )
     parsed = [flat[i:i + d] for i in range(0, len(flat), d)]
-    if parsed:
-        _certify_fq_independent(lat.field, d, parsed)
+    m = _first_spanned(lat.field, parsed, 0) if parsed else None
+    if m is not None:
+        if _truncated_floors(parsed[:m + 1]):
+            raise InsufficientPrecision(
+                f"coset representative {m} is not certified independent of "
+                "the earlier ones at the known coefficients",
+                needed_floor=min(_truncated_floors(parsed)) - 1,
+            )
+        raise ValueError("coset representatives are F_q-linearly dependent")
     return PeriodicLattice(lat, CosetForm(parsed), len(parsed))
 
 
-def _certify_fq_independent(field: GF, d: int, reps):
-    """Reps must be F_q-independent as coefficient vectors."""
-    series = _is_series(reps[0])
-    floors = [y.floor for rep in reps for y in rep if not y.exact] if series else []
-    if floors:
-        window = -min(floors)
-        fq_rows = [[c for y in rep for c in _tail_pattern(y, window)] for rep in reps]
-        if rank_fq(field, fq_rows) != len(reps):
-            raise InsufficientPrecision(
-                "coset representatives are not certified independent at the "
-                f"common floor x^{-window}",
-                needed_floor=-window - 1,
-            )
-        return
-    # exact data: a window below every denominator degree is not
-    # guaranteed to separate distinct rational tails.  Per coordinate,
-    # clear by the lcm of that coordinate's denominators across reps,
-    # then compare numerator coefficient vectors over F_q
-    if series:
-        reps = [[y.to_rat() for y in rep] for rep in reps]
-    prows, _lcms = _clear_denominators(reps)
-    widths = [max(row[i].degree for row in prows) + 1 for i in range(d)]
-    fq_rows = [
-        [p.coeff(k) for p, width in zip(row, widths) for k in range(width)]
-        for row in prows
+def _truncated_floors(vecs):
+    return [y.floor for v in vecs for y in v if isinstance(y, LaurentSeries) and not y.exact]
+
+
+def _common_den(field: GF, ys) -> Poly:
+    """The lcm of the denominators of exact coordinates, Rats or exact
+    series."""
+    lcm = Poly.one(field)
+    for y in ys:
+        lcm = poly_lcm(lcm, (y.to_rat() if isinstance(y, LaurentSeries) else y).den)
+    return lcm
+
+
+def _first_spanned(field: GF, vecs, reach: int):
+    """The construction certificate: the index of the first generator
+    that the earlier ones span, or None.
+
+    The generators, least significant first, are frac(x^k * v) for the
+    one vector v and k = 0..reach (the alpha form), or the vectors
+    themselves (reach 0).  Generator m counts as spanned when it lies in
+    the F_q-span of generators 0..m-1 on the tail coefficients that all
+    of them know: a truncated coordinate is read down to the highest
+    floor among them, an exact one down to the degree of its common
+    denominator, which separates all combinations of exact tails.  A
+    spanned generator m is exactly a combination with top digit m that
+    has no known nonzero coefficient.  Generators that share a window
+    are decided by one elimination: with the generators as columns, the
+    pivot columns are those that the earlier columns do not span.
+    """
+    d = len(vecs[0])
+    trunc = [
+        [y.floor if isinstance(y, LaurentSeries) and not y.exact else None for y in v]
+        for v in vecs
     ]
-    if rank_fq(field, fq_rows) != len(reps):
-        raise ValueError(
-            "coset representatives are F_q-linearly dependent"
-        )
+    dens = [
+        _common_den(field, [v[i] for v, fl in zip(vecs, trunc) if fl[i] is None]).degree
+        for i in range(d)
+    ]
+
+    def window(m):
+        shift = min(m, reach)
+        out = []
+        for i in range(d):
+            fs = [fl[i] for fl in trunc[:m + 1] if fl[i] is not None]
+            out.append(max(-(max(fs) + shift), 0) if fs else dens[i])
+        return tuple(out)
+
+    for depths, run in groupby(range(len(vecs) + reach), key=window):
+        run = list(run)
+        hi = run[-1]
+        rows = _patterns(vecs[:hi + 1], min(hi, reach), depths)
+        pivots = _rref_fq(field, list(zip(*rows)))[1]
+        spanned = [m for m in run if m not in pivots]
+        if spanned:
+            return spanned[0]
+    return None
 
 
 def from_lattice(lat: Lattice) -> PeriodicLattice:
@@ -431,33 +455,40 @@ def _generators(S: PeriodicLattice, rb: ReducedBasis):
     return _rep_coords(S, rb)
 
 
+def _patterns(vecs, reach: int, depths):
+    """Tail pattern rows of the generators frac(x^k * v), k = 0..reach,
+    for each vector v in turn: row k reads the coefficients x^-(t+k) of
+    each coordinate v_i, t = 1..depths[i] (the stacked Hankel matrices
+    transposed), so no series is multiplied."""
+    tails = [
+        [_tail_pattern(y, dep + reach) if dep else () for y, dep in zip(v, depths)]
+        for v in vecs
+    ]
+    return [
+        [c for tail, dep in zip(row, depths) for c in tail[k:k + dep]]
+        for row in tails
+        for k in range(reach + 1)
+    ]
+
+
 def _pattern_matrix(S: PeriodicLattice, rb: ReducedBasis, depths):
     """The generators' tail patterns in the rb frame, one row per
     generator, least significant first: the coefficients of x^-1 ..
-    x^-depths[i] of each coordinate i in turn.  Row k of the alpha form,
-    frac(x^k * phi), reads x^-(t+k) of phi (the stacked Hankel matrices
-    transposed), so a refusal names phi's floor -(max depth + N).
+    x^-depths[i] of each coordinate i in turn (see _patterns).  The
+    alpha form reads phi down to x^-(max depth + N), and a refusal names
+    that floor.
     """
     alpha = isinstance(S.form, AlphaForm)
     reach = S.form.N if alpha else 0
     vecs = [_alpha_coords(S, rb)] if alpha else _rep_coords(S, rb)[::-1]
     try:
-        tails = [
-            [_tail_pattern(y, dep + reach) if dep else () for y, dep in zip(v, depths)]
-            for v in vecs
-        ]
+        return _patterns(vecs, reach, depths)
     except InsufficientPrecision:
         floor = -(max(depths) + reach)
         raise InsufficientPrecision(
             f"tail pattern needs coefficients down to x^{floor}",
             needed_floor=floor,
         ) from None
-    if not alpha:
-        return [[c for tail in row for c in tail] for row in tails]
-    return [
-        [c for tail, dep in zip(tails[0], depths) for c in tail[k:k + dep]]
-        for k in range(reach + 1)
-    ]
 
 
 def _span(field: GF, gens, zero):

@@ -236,7 +236,7 @@ class TestErrorPaths:
             "alpha": [exact, unit],
         })
         code, out, err = run(capsys, "minima", p)
-        assert (code, out, err) == (1, "", "error: alpha is N-rational for N=2\n")
+        assert (code, out, err) == (1, "", "error: alpha is N-rational for N=2: witness x^2\n")
 
     def test_series_too_coarse_for_certificate_exits_3(self, capsys, tmp_path):
         p = write_instance(tmp_path, "coarse.json", {
@@ -246,8 +246,8 @@ class TestErrorPaths:
         code, out, err = run(capsys, "minima", p)
         assert (code, out) == (3, "")
         assert err == (
-            "error: cannot certify N-irrationality: representative of "
-            "Q=(0, 0, 1) has no known nonzero coefficient (needs precision <= -2)\n"
+            "error: cannot certify N-irrationality: some Q of degree 2 leaves "
+            "frac(Q*alpha) no known nonzero coefficient (needs precision <= -4)\n"
         )
 
     def test_bad_grid_axis(self, capsys):
@@ -372,6 +372,67 @@ def test_lifting_margin_covers_denominator_degree(capsys, tmp_path):
     twin = write_instance(tmp_path, "twin.json", dict(DEEP_DENOMINATOR, alpha=["x^-1", "1/(x^30+x+1)"]))
     for argv, want in ((["covrad"], "q^-1\n"), (["minima"], "q^-29 q^-1\n"),
                        (["count", "--radius", "1"], "512\n")):
+        assert run(capsys, *argv, p) == (0, want, "")
+        assert run(capsys, *argv, twin) == (0, want, "")
+
+
+# the certificate's hints lead to a floor that builds: each refusal
+# names the next floor below alpha's own, in alpha's (reduced) frame
+CERT_CHAIN = {
+    "q": 3, "d": 3, "basis": [["x^1", "0", "x+1"], ["0", "x^1", "0"], ["0", "0", "x^3"]],
+    "N": 3, "alpha": ["(2)/(x^3+x^2+x)", "(2)/(x+2)", "(1)/(x^2)"],
+}
+
+
+def test_certificate_hints_lead_to_a_floor_that_builds(capsys, tmp_path):
+    for floor, degree in ((-2, 2), (-3, 3), (-4, 3)):
+        p = write_instance(tmp_path, "chain.json", dict(CERT_CHAIN, precision=floor))
+        code, out, err = run(capsys, "covrad", p)
+        assert (code, out) == (3, "")
+        assert f"some Q of degree {degree} " in err
+        assert err.rstrip().endswith(f"(needs precision <= {floor - 1})")
+    p = write_instance(tmp_path, "chain.json", dict(CERT_CHAIN, precision=-5))
+    assert run(capsys, "covrad", p) == (0, "q^0\n", "")
+    twin = write_instance(tmp_path, "twin.json", CERT_CHAIN)
+    assert run(capsys, "covrad", twin) == (0, "q^0\n", "")
+
+
+def test_monomial_alpha_with_a_vanishing_low_generator(capsys, tmp_path):
+    # frac(alpha) has no known coefficient in the window x^-1, x^-2 of
+    # frac(x^2 alpha), yet no Q of degree <= 2 clears frac(Q alpha)
+    p = write_instance(tmp_path, "mono.json", {
+        "q": 2, "d": 2, "basis": [["1", "0"], ["0", "1"]], "N": 2,
+        "alpha": ["x^-3", "x^-4"], "precision": -4,
+    })
+    assert run(capsys, "covrad", p) == (0, "q^-1\n", "")
+    assert run(capsys, "count", "--radius", "0", p) == (0, "32\n", "")
+
+
+def _series(floor, pairs):
+    top = max(pairs)
+    return {"floor": floor, "top": top, "exact": False,
+            "coeffs": [pairs.get(e, 0) for e in range(top, floor - 1, -1)]}
+
+
+# coset reps truncated at unequal floors: each literal is read down to
+# the highest floor among the reps, not to the lowest
+UNEQUAL_FLOORS = (
+    ({"q": 2, "d": 2, "basis": [["1", "0"], ["0", "1"]],
+      "reps": [[_series(-4, {-1: 1, -4: 1}), "1/(x+1)"]]},
+     [["x^-1 + x^-4", "1/(x+1)"]],
+     ((["minima"], "q^-1 q^0\n"), (["covrad"], "q^-1\n"), (["count", "--radius", "1"], "32\n"))),
+    ({"q": 2, "d": 2, "basis": [["1", "0"], ["0", "1"]],
+      "reps": [[_series(-4, {-1: 1, -4: 1}), "0"], [_series(-6, {-2: 1, -6: 1}), "x^-1"]]},
+     [["x^-1 + x^-4", "0"], ["x^-2 + x^-6", "x^-1"]],
+     ((["minima"], "q^-1 q^-1\n"), (["covrad"], "q^-2\n"), (["count", "--radius", "1"], "64\n"))),
+)
+
+
+@pytest.mark.parametrize("inst, twin_reps, answers", UNEQUAL_FLOORS)
+def test_coset_reps_at_unequal_floors_answer_as_their_twin(capsys, tmp_path, inst, twin_reps, answers):
+    p = write_instance(tmp_path, "reps.json", inst)
+    twin = write_instance(tmp_path, "twin.json", dict(inst, reps=twin_reps))
+    for argv, want in answers:
         assert run(capsys, *argv, p) == (0, want, "")
         assert run(capsys, *argv, twin) == (0, want, "")
 

@@ -5,9 +5,10 @@ alpha = (x^-1, x^-2) in reduced coordinates, N = 1.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fflat import (
     GF,
@@ -259,18 +260,107 @@ class TestTruncatedAlpha:
 
     def test_series_too_coarse_names_first_q(self):
         # (x^-2 + O(x^-4), O(x^-4)) over F_3: frac(x^2 alpha) is O(x^-2),
-        # while every Q of lower degree leaves x^-2 or x^-1 known nonzero
+        # while every Q of lower degree leaves x^-2 or x^-1 known nonzero;
+        # the refusal names the degree and the next floor of alpha itself
         a1 = LaurentSeries.from_pairs(F3, {-2: 1}, -3, exact=False)
         a2 = LaurentSeries.from_pairs(F3, {}, -3, exact=False)
         with pytest.raises(InsufficientPrecision) as ei:
             make_alpha_lattice(Lattice.standard(F3, 2), [a1, a2], 2)
-        assert "Q=(0, 0, 1)" in str(ei.value)
-        assert ei.value.needed_floor == -2
+        assert "Q of degree 2" in str(ei.value)
+        assert ei.value.needed_floor == -4
 
     def test_all_unknown_coordinate_refused(self, lam):
         bad = LaurentSeries.from_pairs(F2, {}, -2, exact=False)
         with pytest.raises(InsufficientPrecision):
             make_alpha_lattice(lam, [bad, bad], 0)
+
+
+# --- the construction certificate against the walk it replaced ---------
+
+
+def _walk_verdict(phi, N: int):
+    """The reference certificate, by enumeration: every nonzero Q with
+    deg Q <= N must leave frac(Q * phi) a known nonzero coefficient.
+    "certified", or for the first Q in counting order that does not,
+    "refused" (some coordinate is truncated) or "n-rational"."""
+    F = phi[0].field
+    for digits in product(range(F.q), repeat=N + 1):
+        Q = Poly(F, digits[::-1])
+        if Q.is_zero:
+            continue
+        reps = [y.mul_poly(Q).frac_part() for y in phi]
+        if not any(r.coeffs for r in reps):
+            return "n-rational" if all(r.exact for r in reps) else "refused"
+    return "certified"
+
+
+@st.composite
+def _alpha_series(draw):
+    """(field, phi, N) over q in {2, 3, 4}, d in {2, 3}, N <= 4: every
+    coordinate a series (sparse, an expanded rational or an exact
+    Laurent polynomial), truncated near the floor that N needs."""
+    F = draw(st.sampled_from([F2, F3, F4]))
+    d = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(0, 4))
+    base = -N - draw(st.integers(1, 4))
+    digit = st.integers(1, F.q - 1)
+    phi = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["sparse", "rational", "exact"]))
+        floor = base - draw(st.sampled_from([0, 0, 1, 2]))
+        if kind == "rational":
+            y = draw(_frac_coord(F, False))
+            phi.append(expand_rational(y, floor).truncated(floor))
+            continue
+        # terms near the floor vanish from the short windows of the
+        # high generators, where a uniform depth would refuse
+        top = draw(st.sampled_from([-1, min(floor + 2, -1)]))
+        exps = draw(st.lists(st.integers(floor, top), max_size=3, unique=True))
+        pairs = {e: draw(digit) for e in exps}
+        if kind == "exact":
+            phi.append(LaurentSeries.from_pairs(F, pairs, min(pairs, default=1), exact=True))
+        else:
+            phi.append(LaurentSeries.from_pairs(F, pairs, floor, exact=False))
+    return F, phi, N
+
+
+@settings(max_examples=300)
+@given(_alpha_series())
+def test_certificate_matches_the_walk(inst):
+    F, phi, N = inst
+    want = _walk_verdict(phi, N)
+    floors = [y.floor for y in phi if not y.exact]
+    try:
+        S = make_alpha_lattice(Lattice.standard(F, len(phi)), phi, N)
+    except InsufficientPrecision as e:
+        assert want == "refused"
+        assert all(e.needed_floor < f for f in floors)
+        return
+    except NRational as e:
+        assert want == "n-rational"
+        Q = e.witness
+        assert 0 <= Q.degree <= N
+        assert not any(y.mul_poly(Q).frac_part().coeffs for y in phi)
+        return
+    assert want == "certified"
+    assert S.period_size == N + 1
+
+
+@given(st.data())
+def test_certified_truncated_cosets_have_certified_twins(data):
+    F = data.draw(st.sampled_from([F2, F3]))
+    d = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(1, 4))
+    exact = [[data.draw(_frac_coord(F, False)) for _ in range(d)] for _ in range(n)]
+    floor = st.integers(-8, -2)
+    truncated = [[expand_rational(y, f).truncated(f) for y in rep for f in [data.draw(floor)]]
+                 for rep in exact]
+    lam = Lattice.standard(F, d)
+    try:
+        S = make_coset_lattice(lam, truncated)
+    except InsufficientPrecision:
+        return
+    assert make_coset_lattice(lam, exact).period_size == S.period_size == n
 
 
 def test_check_bounds_random_f3():
