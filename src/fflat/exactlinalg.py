@@ -33,12 +33,12 @@ def _rref_fq(field: GF, rows):
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = field.inv(m[rank][col])
-        m[rank] = [field.mul(inv, v) for v in m[rank]]
+        m[rank] = field.scale_coeffs(m[rank], field.inv(m[rank][col]))
         for r in range(len(m)):
             if r != rank and m[r][col]:
-                c = m[r][col]
-                m[r] = [field.sub(a, field.mul(c, b)) for a, b in zip(m[r], m[rank])]
+                m[r] = field.add_coeffs(
+                    m[r], field.scale_coeffs(m[rank], field.neg(m[r][col]))
+                )
         pivots.append(col)
     return m, pivots
 

@@ -4,8 +4,11 @@ Conventions used throughout the package:
 
 * Field elements are plain ints in [0, q).  For q = p^k the int encodes
   the coefficient vector of the residue class in t, lowest digit first:
-  n = a_0 + a_1*p + ... + a_{k-1}*p^(k-1).  Arithmetic is computed
-  directly in F_p[t] modulo the defining polynomial; no tables.
+  n = a_0 + a_1*p + ... + a_{k-1}*p^(k-1).  Over F_p, polynomial and
+  series loops add plain int products and reduce mod p once per output
+  coefficient.  Extension fields with q <= 2^8 look elements up in
+  log/antilog/Zech tables built when the GF is constructed; larger ones
+  compute in F_p[t] modulo the defining polynomial.
 * Polynomials store coefficient tuples lowest degree first with no
   trailing zeros.  The zero polynomial has an empty tuple and degree -1.
 * Rational functions are kept canonical: gcd(num, den) = 1, den monic.
@@ -55,15 +58,25 @@ def _fp_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+# extension fields up to this size compute with log/antilog/Zech tables;
+# larger ones keep the digit arithmetic, whose set-up costs nothing
+_TABLE_MAX_Q = 2**8
+
+
 class GF:
     """The finite field F_q, q = p^k, with int-encoded elements.
 
     `modulus` is the defining polynomial over F_p (lowest first, monic,
     length k+1); it is required exactly when k > 1 and is checked for
     irreducibility by trial division.
+
+    Besides the element operations, GF has kernels on coefficient
+    sequences (`add_coeffs`, `neg_coeffs`, `scale_coeffs`, `mul_coeffs`,
+    `divmod_coeffs`), which Poly and LaurentSeries call, so that the
+    choice of arithmetic lives here alone.
     """
 
-    __slots__ = ("p", "k", "q", "modulus")
+    __slots__ = ("p", "k", "q", "modulus", "_residues", "_log", "_exp", "_zech")
 
     def __init__(self, p: int, k: int = 1, modulus=None):
         if not _is_prime(p) or p > 17:
@@ -92,6 +105,11 @@ class GF:
         self.k = k
         self.q = q
         self.modulus = modulus
+        # byte c -> c mod p, for products packed one coefficient a byte
+        self._residues = bytes(c % p for c in range(256))
+        self._log = self._exp = self._zech = None
+        if k > 1 and q <= _TABLE_MAX_Q:
+            self._build_tables()
 
     @staticmethod
     def _irreducible(m: list[int], p: int) -> bool:
@@ -108,6 +126,26 @@ class GF:
                 if not _fp_mod(m, cand, p):
                     return False
         return True
+
+    def _build_tables(self):
+        """Powers of a primitive element g (found by search: t need not
+        be primitive), their logs, and the Zech logs log(1 + g^m), with
+        None standing for the log of 0."""
+        n = self.q - 1
+        for g in range(self.p, self.q):
+            exp = [1]
+            x = g
+            while x != 1:
+                exp.append(x)
+                x = self._digit_mul(x, g)
+            if len(exp) == n:
+                break
+        log = [None] * self.q
+        for i, x in enumerate(exp):
+            log[x] = i
+        self._exp = exp
+        self._log = log
+        self._zech = [log[self._digit_add(1, x)] for x in exp]
 
     # -- encoding --
 
@@ -131,28 +169,16 @@ class GF:
     def elements(self) -> range:
         return range(self.q)
 
-    # -- arithmetic on encoded elements --
+    # -- digit arithmetic in F_p[t] modulo the defining polynomial --
 
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
+    def _digit_add(self, a: int, b: int) -> int:
         da, db = self.digits(a), self.digits(b)
         return self.undigits((x + y) % self.p for x, y in zip(da, db))
 
-    def sub(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a - b) % self.p
-        da, db = self.digits(a), self.digits(b)
-        return self.undigits((x - y) % self.p for x, y in zip(da, db))
-
-    def neg(self, a: int) -> int:
-        if self.k == 1:
-            return -a % self.p
+    def _digit_neg(self, a: int) -> int:
         return self.undigits(-x % self.p for x in self.digits(a))
 
-    def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return a * b % self.p
+    def _digit_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         da, db = self.digits(a), self.digits(b)
@@ -164,12 +190,55 @@ class GF:
         prod = _fp_mod(prod, list(self.modulus), self.p)
         return self.undigits(prod + [0] * (self.k - len(prod)))
 
+    # -- arithmetic on encoded elements --
+
+    def add(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a + b) % self.p
+        if self._log is None:
+            return self._digit_add(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        # g^i + g^j = g^i (1 + g^(j-i))
+        n = self.q - 1
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % n]
+        return 0 if z is None else self._exp[(la + z) % n]
+
+    def sub(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a - b) % self.p
+        return self.add(a, self.neg(b))
+
+    def neg(self, a: int) -> int:
+        if self.k == 1:
+            return -a % self.p
+        if self._log is None:
+            return self._digit_neg(a)
+        if not a:
+            return 0
+        # -1 = p - 1 in the encoding
+        return self._exp[(self._log[a] + self._log[self.p - 1]) % (self.q - 1)]
+
+    def mul(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return a * b % self.p
+        if self._log is None:
+            return self._digit_mul(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_q")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        if self._log is None:
+            return self.pow(a, self.q - 2)
+        return self._exp[-self._log[a] % (self.q - 1)]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -182,6 +251,99 @@ class GF:
             a = self.mul(a, a)
             n >>= 1
         return r
+
+    # -- kernels on coefficient sequences --
+    #
+    # Over F_p the loops take plain int sums and products and reduce
+    # each output coefficient once; over F_p^k they call the element
+    # operations above.
+
+    def add_coeffs(self, a, b) -> list[int]:
+        """a + b entry by entry, aligned at index 0; the shorter one is
+        read as padded with zeros."""
+        if len(a) < len(b):
+            a, b = b, a
+        if self.k == 1:
+            p = self.p
+            out = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            add = self.add
+            out = [add(x, y) for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return out
+
+    def neg_coeffs(self, a) -> list[int]:
+        if self.k == 1:
+            p = self.p
+            return [-x % p for x in a]
+        neg = self.neg
+        return [neg(x) for x in a]
+
+    def scale_coeffs(self, a, c: int) -> list[int]:
+        if self.k == 1:
+            p = self.p
+            return [x * c % p for x in a]
+        mul = self.mul
+        return [mul(x, c) for x in a]
+
+    def mul_coeffs(self, a, b, size: int | None = None) -> list[int]:
+        """The first `size` coefficients of the product of a and b (all
+        of them by default): out[m] = sum of a[i] * b[m - i]."""
+        n = len(a) + len(b) - 1
+        if size is None:
+            size = n
+        if self.k == 1 and min(len(a), len(b)) * (self.p - 1) ** 2 < 256:
+            # Kronecker substitution: read a and b as integers with one
+            # coefficient a byte; no sum of products overflows its byte
+            prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+            return list(prod.to_bytes(n, "little")[:size].translate(self._residues))
+        out = [0] * size
+        if self.k == 1:
+            for i, x in enumerate(a[:size]):
+                if x:
+                    for m, y in enumerate(b[: size - i], i):
+                        out[m] += x * y
+            p = self.p
+            return [c % p for c in out]
+        add, mul = self.add, self.mul
+        for i, x in enumerate(a[:size]):
+            if x:
+                for m, y in enumerate(b[: size - i], i):
+                    if y:
+                        out[m] = add(out[m], mul(x, y))
+        return out
+
+    def divmod_coeffs(self, a, b):
+        """Quotient and remainder of a by b as polynomials, lowest
+        coefficient first; b has a nonzero last entry.  The remainder
+        has at most len(b) - 1 entries; either list may end in zeros."""
+        db = len(b) - 1
+        if len(a) <= db:
+            return [], list(a)
+        if db == 0:
+            return self.scale_coeffs(a, self.inv(b[0])), []
+        rem = list(a)
+        quo = [0] * (len(rem) - db)
+        inv_lead = self.inv(b[-1])
+        low = b[:-1]
+        if self.k == 1:
+            p = self.p
+            for i in range(len(rem) - 1, db - 1, -1):
+                c = rem[i] * inv_lead % p
+                if c:
+                    quo[i - db] = c
+                    for m, bc in enumerate(low, i - db):
+                        rem[m] -= c * bc
+            return quo, [c % p for c in rem[:db]]
+        add, mul = self.add, self.mul
+        for i in range(len(rem) - 1, db - 1, -1):
+            if rem[i]:
+                c = mul(rem[i], inv_lead)
+                quo[i - db] = c
+                c = self.neg(c)
+                for m, bc in enumerate(low, i - db):
+                    rem[m] = add(rem[m], mul(c, bc))
+        return quo, rem[:db]
 
     def __eq__(self, other):
         return (
@@ -329,8 +491,7 @@ class Poly:
         if self.is_zero or self.is_monic:
             return self
         f = self.field
-        inv = f.inv(self.lc())
-        return Poly(f, [f.mul(c, inv) for c in self.coeffs])
+        return Poly(f, f.scale_coeffs(self.coeffs, f.inv(self.lc())))
 
     def scale(self, c: int) -> "Poly":
         f = self.field
@@ -338,7 +499,7 @@ class Poly:
             return Poly.zero(f)
         if c == 1:
             return self
-        return Poly(f, [f.mul(a, c) for a in self.coeffs])
+        return Poly(f, f.scale_coeffs(self.coeffs, c))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k, k >= 0."""
@@ -348,17 +509,11 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
+        return Poly(f, f.add_coeffs(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Poly":
         f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs])
+        return Poly(f, f.neg_coeffs(self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -368,30 +523,17 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(f)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = f.add(out[i + j], f.mul(x, y))
-        return Poly(f, out)
+        if len(b) == 1:
+            return self.scale(b[0])
+        if len(a) == 1:
+            return other.scale(a[0])
+        return Poly(f, f.mul_coeffs(a, b))
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = f.inv(other.lc())
-        quo = [0] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            c = f.mul(c, inv_lead)
-            quo[i - db] = c
-            for j, bc in enumerate(other.coeffs):
-                rem[i - db + j] = f.sub(rem[i - db + j], f.mul(c, bc))
+        quo, rem = f.divmod_coeffs(self.coeffs, other.coeffs)
         return Poly(f, quo), Poly(f, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -502,7 +644,8 @@ class Rat:
         return Rat(self.num.scale(c), self.den, _canonical=True)
 
     def frac_part(self) -> "Rat":
-        return Rat(self.num % self.den, self.den)
+        # gcd(num mod den, den) = gcd(num, den) = 1
+        return Rat(self.num % self.den, self.den, _canonical=True)
 
     def val(self) -> QExp:
         """Absolute value exponent: deg num - deg den, or 0 for the zero."""
@@ -653,17 +796,19 @@ class LaurentSeries:
                 return self
             floor = min(self.floor, other.floor)
         top = max(self.top, other.top, floor - 1)
-        cs = [
-            f.add(self.coeff_exp(n), other.coeff_exp(n))
-            for n in range(top, floor - 1, -1)
-        ]
+        cs = f.add_coeffs(self._window(top, floor), other._window(top, floor))
         return LaurentSeries(f, cs, floor, exact)
+
+    def _window(self, top: int, floor: int) -> list[int]:
+        """Coefficients of x^top down to x^floor, for top >= self.top
+        and floor at or above what the series knows."""
+        width = top - floor + 1
+        cs = [0] * (top - self.top) + list(self.coeffs[:width])
+        return cs[:width] + [0] * (width - len(cs))
 
     def __neg__(self) -> "LaurentSeries":
         f = self.field
-        return LaurentSeries(
-            f, [f.neg(c) for c in self.coeffs], self.floor, self.exact
-        )
+        return LaurentSeries(f, f.neg_coeffs(self.coeffs), self.floor, self.exact)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -674,9 +819,7 @@ class LaurentSeries:
             return LaurentSeries.exact_zero(f)
         if c == 1:
             return self
-        return LaurentSeries(
-            f, [f.mul(a, c) for a in self.coeffs], self.floor, self.exact
-        )
+        return LaurentSeries(f, f.scale_coeffs(self.coeffs, c), self.floor, self.exact)
 
     def mul_xpow(self, k: int) -> "LaurentSeries":
         if self.is_exact_zero:
@@ -702,19 +845,8 @@ class LaurentSeries:
         top = self.top + other.top
         if top < floor:
             return LaurentSeries(f, (), floor, exact)
-        # convolution over the known window
-        out = [0] * (top - floor + 1)
-        sa_top, sb_top = self.top, other.top
-        for i, ca in enumerate(self.coeffs):
-            if ca == 0:
-                continue
-            ea = sa_top - i
-            for j, cb in enumerate(other.coeffs):
-                if cb == 0:
-                    continue
-                n = ea + (sb_top - j)
-                if n >= floor:
-                    out[top - n] = f.add(out[top - n], f.mul(ca, cb))
+        # highest first on both sides: entry m of the product is x^(top - m)
+        out = f.mul_coeffs(self.coeffs, other.coeffs, top - floor + 1)
         return LaurentSeries(f, out, floor, exact)
 
     def mul_poly(self, p: Poly) -> "LaurentSeries":
@@ -739,7 +871,7 @@ class LaurentSeries:
         if s.is_known_zero:
             return LaurentSeries(self.field, (), s.floor - den.degree, False)
         recip_floor = s.floor - den.degree - s.top
-        recip = expand_rational(Rat(Poly.one(self.field), den), recip_floor)
+        recip = expand_rational(Rat(Poly.one(self.field), den, _canonical=True), recip_floor)
         return s * recip
 
     # -- decomposition --
@@ -768,7 +900,8 @@ class LaurentSeries:
         p = Poly(self.field, tuple(reversed(self.coeffs)))
         if lo >= 0:
             return Rat.from_poly(p.shift(lo))
-        return Rat(p, Poly.monomial(self.field, 1, -lo))
+        # p(0) is the coefficient at the floor, nonzero for an exact series
+        return Rat(p, Poly.monomial(self.field, 1, -lo), _canonical=True)
 
     def __eq__(self, other):
         # normalization makes (coeffs, floor, exact) canonical per value/knowledge
@@ -799,19 +932,15 @@ def expand_rational(f: Rat, floor: int) -> LaurentSeries:
     if top < floor:
         # every coefficient in the window is known zero, value hides below
         return LaurentSeries(field, (), floor, False)
-    # work with num * x^s so each subtraction stays polynomial
+    # num * x^s = quo * den + rem with |rem / den| < 1, so the
+    # coefficient of x^n in f is that of x^(n + s) in quo for n >= -s;
+    # the expansion stops (is exact) iff rem = 0 and quo has no term
+    # below x^(floor + s)
     s = max(0, -floor)
-    cur = num.shift(s)
-    dd = den.degree
-    coeffs = []
-    for n in range(top, floor - 1, -1):
-        c = cur.coeff(dd + n + s)
-        coeffs.append(c)
-        if c:
-            cur = cur - den.scale(c).shift(n + s)
-        if cur.is_zero:
-            return LaurentSeries(field, coeffs, n, True)
-    return LaurentSeries(field, coeffs, floor, False)
+    quo, rem = field.divmod_coeffs((0,) * s + num.coeffs, den.coeffs)
+    low = floor + s
+    exact = not any(rem) and not any(quo[:low])
+    return LaurentSeries(field, quo[low:][::-1], floor, exact)
 
 
 def frac_part(s):
@@ -1051,7 +1180,8 @@ def _laurent_terms_to_rat(field: GF, terms: dict) -> Rat:
     p = Poly(field, cs)
     if lo == 0:
         return Rat.from_poly(p)
-    return Rat(p, Poly.monomial(field, 1, -lo))
+    # p(0) is the nonzero coefficient of x^lo, so x does not divide p
+    return Rat(p, Poly.monomial(field, 1, -lo), _canonical=True)
 
 
 def parse_element(field: GF, text: str) -> Rat:

@@ -20,6 +20,7 @@ from .ffcore import (
     Rat,
     expand_rational,
     parse_element,
+    poly_lcm,
 )
 
 
@@ -252,18 +253,25 @@ class ReducedBasis:
         return out
 
     def ambient_from_coords(self, coords):
-        """sum coords[i] v^(i) as a list of Rat (coords Poly or Rat)."""
+        """sum coords[i] v^(i) as a list of Rat (coords Poly or Rat).
+
+        Each ambient coordinate is one numerator over lcm(coordinate
+        denominators) * x^ashift, reduced once.
+        """
         field = self.lattice.field
-        xs = Poly.monomial(field, 1, self.ashift)
+        coords = [Rat.from_poly(c) if isinstance(c, Poly) else c for c in coords]
+        lcm = Poly.one(field)
+        for c in coords:
+            if c.den.degree > 0:
+                lcm = poly_lcm(lcm, c.den)
+        nums = [c.num * (lcm // c.den) for c in coords]
+        den = lcm.shift(self.ashift)
         out = []
         for i in range(self.d):
-            acc = Rat.from_poly(Poly.zero(field))
+            acc = Poly.zero(field)
             for j in range(self.d):
-                c = coords[j]
-                if isinstance(c, Poly):
-                    c = Rat.from_poly(c)
-                acc = acc + c * Rat(self.VP[i][j], xs)
-            out.append(acc)
+                acc = acc + nums[j] * self.VP[i][j]
+            out.append(Rat(acc, den))
         return out
 
 

@@ -111,6 +111,24 @@ class TestQueries:
         code, _, err = run(capsys, "dinv", p)
         assert code == 4 and err.startswith("error:")
 
+    # fields above 2^8 keep the digit arithmetic (no tables to build);
+    # the default moduli, and a basis whose reduction does work
+    @pytest.mark.parametrize("q, basis, want", [
+        (2**16,
+         [["x^2 + (t)*x + 1", "x^3 + (t^3)*x^2 + (t^9 + 1)*x + (t^12)"],
+          ["x + (t^15)", "x^2 + (t^15 + t^3)*x + 1"]],
+         '{"basis": [["(t^9 + t^4 + t^2)*x + (t^12 + t^3 + t)", "(t^3 + t)*x^2 + (t^9)*x + (t^12)"], '
+         '["(t)*x + (t^7 + t^2 + t)", "(t^3)*x + 1"]], "exps": [1, 2]}\n'),
+        (3**10,
+         [["x^2 + (t)*x + 1", "x^3 + (2*t^3)*x^2 + (t^9 + 1)*x + (t^8)"],
+          ["x + (t^9)", "x^2 + (t^7 + 2*t)*x + 1"]],
+         '{"basis": [["(t^9 + t^4 + t^2)*x + (t^8 + t^3 + t)", "(2*t^3 + 2*t)*x^2 + (t^9)*x + (t^8)"], '
+         '["(2*t^9 + t^7 + t^3)*x + (t^4)", "(2*t^9 + t^7 + 2*t)*x + 1"]], "exps": [1, 2]}\n'),
+    ], ids=["q2^16", "q3^10"])
+    def test_reduce_large_extension_field(self, capsys, tmp_path, q, basis, want):
+        path = write_instance(tmp_path, "big.json", {"q": q, "d": 2, "basis": basis})
+        assert run(capsys, "reduce", "--format", "json", path) == (0, want, "")
+
     def test_covrad_bounds(self, capsys):
         code, out, _ = run(capsys, "covrad", "--bounds", W)
         assert code == 0

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fflat import (
     GF,
@@ -57,6 +57,73 @@ def test_field_axioms_exhaustive(field):
                 )
 
 
+def _digit_reference(field):
+    """add, neg, mul and inv computed on base-p digit vectors modulo the
+    defining polynomial: the element encoding itself, kept apart from
+    GF's tables and kernels."""
+    p, k, m = field.p, field.k, field.modulus
+    digits = [[a // p**i % p for i in range(k)] for a in range(field.q)]
+
+    def undigits(ds):
+        return sum(d % p * p**i for i, d in enumerate(ds))
+
+    def add(a, b):
+        return undigits(x + y for x, y in zip(digits[a], digits[b]))
+
+    def neg(a):
+        return undigits(-x for x in digits[a])
+
+    def mul(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(digits[a]):
+            for j, y in enumerate(digits[b], i):
+                prod[j] += x * y
+        for top in range(2 * k - 2, k - 1, -1):  # m is monic
+            c = prod[top] % p
+            for i, mc in enumerate(m, top - k):
+                prod[i] -= c * mc
+        return undigits(prod[:k])
+
+    def inv(a):
+        r, e = 1, field.q - 2
+        while e:
+            if e & 1:
+                r = mul(r, a)
+            a, e = mul(a, a), e >> 1
+        return r
+
+    return add, neg, mul, inv
+
+
+# x^4+x^3+x^2+x+1 over F_2: t has order 5, so the log tables must take
+# another primitive element
+NON_PRIMITIVE_T = GF(2, 4, (1, 1, 1, 1, 1))
+
+
+def test_non_primitive_t_has_order_5():
+    _add, _neg, mul, _inv = _digit_reference(NON_PRIMITIVE_T)
+    t2 = mul(2, 2)
+    assert mul(mul(t2, t2), 2) == 1
+
+
+@pytest.mark.parametrize(
+    "field",
+    FIELDS + [GF(3, 2, (2, 2, 1)), NON_PRIMITIVE_T, _make_field(2**8), _make_field(3**5)],
+    ids=lambda f: f"q{f.q}_{''.join(map(str, f.modulus))}",
+)
+def test_field_arithmetic_equals_digit_reference(field):
+    add, neg, mul, inv = _digit_reference(field)
+    els = range(field.q)
+    for a in els:
+        assert field.neg(a) == neg(a)
+        if a:
+            assert field.inv(a) == inv(a)
+        for b in els:
+            assert field.add(a, b) == add(a, b)
+            assert field.sub(a, b) == add(a, neg(b))
+            assert field.mul(a, b) == mul(a, b)
+
+
 def test_field_construction_rejects():
     with pytest.raises(ParseError):
         GF(4)  # not prime
@@ -80,20 +147,67 @@ poly_f3 = st.builds(
 )
 
 
+# the prime-field kernels at characteristics on both sides of the packed
+# (Kronecker) product, which takes min(len) * (p-1)^2 < 256, up to
+# lengths where p = 5 leaves it
+KERNEL_PRIMES = (2, 3, 5, 17)
+
+
+@st.composite
+def prime_poly_pairs(draw):
+    field = GF(draw(st.sampled_from(KERNEL_PRIMES)))
+    coeffs = st.lists(st.integers(0, field.p - 1), max_size=24)
+    return Poly(field, draw(coeffs)), Poly(field, draw(coeffs))
+
+
+def _schoolbook(a, b):
+    p = a.field.p
+    out = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = (out[i + j] + x * y) % p
+    return Poly(a.field, out)
+
+
+@settings(max_examples=200)
+@given(prime_poly_pairs())
+def test_prime_mul_is_schoolbook(ab):
+    a, b = ab
+    assert a * b == _schoolbook(a, b)
+
+
+@settings(max_examples=200)
+@given(prime_poly_pairs(), st.integers(-8, 8), st.integers(-8, 8), st.integers(0, 30))
+def test_prime_series_products_embed_poly_products(ab, s, t, cut):
+    a, b = ab
+    sa = LaurentSeries.from_poly(a).mul_xpow(s)
+    sb = LaurentSeries.from_poly(b).mul_xpow(t)
+    exact = LaurentSeries.from_poly(a * b).mul_xpow(s + t)
+    assert sa * sb == exact
+    # a truncated factor: the product knows exactly the coefficients of
+    # the exact product above its floor
+    ta = sa.truncated(sa.top - cut) if not a.is_zero else sa
+    prod = ta * sb
+    for e in range(prod.top, prod.floor - 1, -1):
+        assert prod.coeff_exp(e) == exact.coeff_exp(e)
+
+
+@settings(max_examples=200)
+@given(prime_poly_pairs())
+def test_poly_divmod_is_long_division(ab):
+    a, b = ab
+    if b.is_zero:
+        return
+    q, r = divmod(a, b)
+    assert _schoolbook(q, b) + r == a
+    assert r.degree < b.degree
+
+
 @given(a=poly_f2, b=poly_f2, c=poly_f2)
 def test_poly_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
-
-
-@given(a=poly_f3, b=poly_f3)
-def test_poly_divmod_is_long_division(a, b):
-    if b.is_zero:
-        return
-    q, r = divmod(a, b)
-    assert q * b + r == a
-    assert r.is_zero or r.degree < b.degree
 
 
 @given(a=poly_f2, b=poly_f2)
@@ -257,6 +371,16 @@ rat_f3 = st.builds(
     poly_f3,
     poly_f3.filter(lambda p: not p.is_zero),
 )
+
+
+@given(rat_f3, st.dictionaries(st.integers(-6, 6), st.integers(1, 2), max_size=5))
+def test_results_built_without_a_gcd_are_in_lowest_terms(r, terms):
+    # frac_part, to_rat and the parser skip the gcd; reducing their
+    # results again must change nothing
+    laurent = LaurentSeries.from_pairs(GF(3), terms, -7, exact=True)
+    text = " + ".join(f"{c}*x^{e}" for e, c in terms.items()) or "0"
+    for got in (r.frac_part(), laurent.to_rat(), parse_element(GF(3), text)):
+        assert got == Rat(got.num, got.den)
 
 
 @given(rat_f3)

@@ -152,3 +152,34 @@ def test_norm_mixed_rat_and_series():
     ]
     # h^-1 v = (x^-2, x^-1 + ...): sup exponent -1
     assert norm_in_body(v, C) == QExp(-1)
+
+
+def test_ambient_from_coords_is_the_sum_of_its_terms():
+    # reference: sum_j c_j * x^-ashift VP[i][j], term by term in Rat
+    # arithmetic; coordinates are Poly or Rat, the denominators of degree
+    # 1 and 2 often shared or with common factors
+    rng = random.Random(11)
+    for field in (F2, F3, GF(2, 2, (1, 1, 1))):
+        for d in (2, 3):
+            lat = random_lattice(rng, field, d)
+            rb = reduce_lattice(lat, random_body(rng, field, d))
+            xs = Poly.monomial(field, 1, rb.ashift)
+
+            def rand_poly(lo, hi):
+                return Poly(field, [rng.randrange(field.q) for _ in range(rng.randint(lo, hi))])
+
+            for _ in range(20):
+                cs = []
+                for _ in range(d):
+                    num = rand_poly(0, 4)
+                    e = rng.randint(1, 2)
+                    den = Poly.monomial(field, 1, e) + rand_poly(0, e)
+                    cs.append(num if rng.random() < 0.3 else Rat(num, den))
+                want = []
+                for i in range(d):
+                    acc = Rat.from_poly(Poly.zero(field))
+                    for j, c in enumerate(cs):
+                        c = Rat.from_poly(c) if isinstance(c, Poly) else c
+                        acc = acc + c * Rat(rb.VP[i][j], xs)
+                    want.append(acc)
+                assert rb.ambient_from_coords(cs) == want
