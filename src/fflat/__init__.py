@@ -53,6 +53,7 @@ from .periodic import (
 )
 from .hankel import covrad_bounds, covrad_periodic, hankel, rank_condition
 from .oracle import (
+    count_oracle,
     covrad_oracle,
     density_oracle,
     enumerate_points,

@@ -358,6 +358,47 @@ class GF:
         return f"GF({self.q})" if self.k == 1 else f"GF({self.p}^{self.k})"
 
 
+def _prime_power(q: int):
+    if q < 2:
+        raise ParseError(f"q: must be a prime power >= 2, got {q}")
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            break
+        p += 1
+    else:
+        return q, 1
+    k = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise ParseError(f"q: {q} is not a prime power")
+    return p, k
+
+
+def field_of_order(q: int, modulus=None) -> GF:
+    """F_q; for q = p^k, k > 1, without a modulus the first irreducible
+    one in base-p counting order."""
+    p, k = _prime_power(q)
+    if k == 1 or modulus is not None:
+        return GF(p, k, modulus)
+    for n in range(p ** k, 2 * p ** k):
+        digits = []
+        v = n
+        for _ in range(k + 1):
+            digits.append(v % p)
+            v //= p
+        if digits[-1] != 1:
+            continue
+        try:
+            return GF(p, k, tuple(digits))
+        except ParseError:
+            continue
+    raise ParseError(f"no modulus found for q={q}")
+
+
 # --- exponents in the value group q^Z union {0} ------------------------
 
 

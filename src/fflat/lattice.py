@@ -9,6 +9,8 @@ Columns are basis vectors throughout.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import InsufficientPrecision, SingularInput
 from .exactlinalg import adjugate_poly, det_poly, mat_mul_poly, popov_reduce
 from .ffcore import (
@@ -97,7 +99,10 @@ class ConvexBody:
         self._key = None
 
     @classmethod
+    @functools.cache
     def identity(cls, field: GF, d: int) -> "ConvexBody":
+        """The unit body O^d, built once per (field, d): nothing mutates
+        a body, and its adjugate and cache key are idempotent lazy caches."""
         one = Poly.one(field)
         zero = Poly.zero(field)
         return cls(field, [[one if i == j else zero for j in range(d)] for i in range(d)])

@@ -1,13 +1,15 @@
 """Brute-force reference implementations of the geometric invariants.
 
-Everything here is derived directly from definitions: point sets are
-materialized, minima are read off growing balls, the covering radius
-is certified by coefficient-pattern coverage at explicit depth.  The
-fundamental-domain points are built point by point from the definition
-of S (frac(Q * alpha), sums of scaled coset representatives), not
-taken from the walk over generators that periodic uses.  The
-closed-form routines elsewhere must agree exactly; these exist so that
-agreement is checkable.
+Everything here is derived directly from definitions: minima are read
+off growing balls, the covering radius is certified by
+coefficient-pattern coverage at explicit depth.  The fundamental-domain
+points are built point by point from the definition of S
+(frac(Q * alpha), sums of scaled coset representatives), not taken from
+the walk over generators that periodic uses.  A window of S is counted
+by the rep/lattice splitting (a rep in the ball times the lattice
+shifts that keep it there); its points are built only where the rank
+test of the minima needs them.  The closed-form routines elsewhere
+must agree exactly; these exist so that agreement is checkable.
 """
 
 from __future__ import annotations
@@ -40,13 +42,18 @@ def default_budget() -> int:
 
 
 def _exact_coords(coords):
-    out = []
-    for y in coords:
-        if isinstance(y, LaurentSeries):
-            out.append(y.to_rat())
-        else:
-            out.append(y)
-    return out
+    """A rep's coordinates as Rat; a rep with a truncated coordinate
+    stays in series (every coordinate of an instance shares one
+    backend)."""
+    if any(isinstance(y, LaurentSeries) and not y.exact for y in coords):
+        return coords
+    return [y.to_rat() if isinstance(y, LaurentSeries) else y for y in coords]
+
+
+def _add_poly(y, a: Poly):
+    if isinstance(y, LaurentSeries):
+        return y + LaurentSeries.from_poly(a)
+    return y.add_poly(a)
 
 
 def _poly_upto(field, deg: int):
@@ -104,23 +111,20 @@ def _points_by_definition(S: PeriodicLattice, C: ConvexBody):
     return out
 
 
-def enumerate_points(S: PeriodicLattice, R: int, C: ConvexBody = None,
-                     budget: int = None, coords_only: bool = False):
-    """All points of S with norm <= q^R, as ambient vectors.
+def _window(S: PeriodicLattice, R: int, C: ConvexBody, budget: int):
+    """(rb, reps_in, total) for the points of S with norm <= q^R.
 
     Every point splits uniquely as rep + lattice vector; in reduced
     coordinates the two parts occupy disjoint exponent ranges, so the
     point is in the ball iff the rep is and each polynomial coefficient
-    a_i has deg a_i <= R - e_i.
-
-    coords_only skips the change of frame and returns reduced-basis
-    coordinate vectors; the point set is the same up to that bijection.
+    a_i has deg a_i <= R - e_i.  reps_in are the reps in the ball, and
+    total = |reps_in| * prod q^max(R - e_i + 1, 0) is the window size,
+    checked against the budget.
     """
     if budget is None:
         budget = default_budget()
     if C is None:
         C = S.base_body()
-    field = S.field
     rb = reduce_lattice(S.lattice, C)
     one_ball = QExp(R)
     reps_in = [
@@ -128,11 +132,33 @@ def enumerate_points(S: PeriodicLattice, R: int, C: ConvexBody = None,
     ]
     total = len(reps_in)
     for e in rb.exps:
-        total *= field.q ** max(R - e + 1, 0)
+        total *= S.field.q ** max(R - e + 1, 0)
     if total > budget:
         raise BudgetExceeded(
             f"window holds {total} points, budget is {budget}"
         )
+    return rb, reps_in, total
+
+
+def count_oracle(S: PeriodicLattice, R: int, C: ConvexBody = None,
+                 budget: int = None) -> int:
+    """Number of points of S with norm <= q^R, counted by the
+    rep/lattice splitting without building them; always equal to
+    len(enumerate_points(S, R, C, budget))."""
+    return _window(S, R, C, budget)[2]
+
+
+def enumerate_points(S: PeriodicLattice, R: int, C: ConvexBody = None,
+                     budget: int = None, coords_only: bool = False):
+    """All points of S with norm <= q^R, as ambient vectors: each rep
+    in the ball plus every lattice shift allowed by the splitting (see
+    `_window`).
+
+    coords_only skips the change of frame and returns reduced-basis
+    coordinate vectors; the point set is the same up to that bijection.
+    """
+    rb, reps_in, _total = _window(S, R, C, budget)
+    field = S.field
     shifts = [list(_poly_upto(field, R - e)) for e in rb.exps]
     out = []
     for coords in reps_in:
@@ -143,7 +169,7 @@ def enumerate_points(S: PeriodicLattice, R: int, C: ConvexBody = None,
             for c in stack:
                 for a in shifts[i]:
                     cc = list(c)
-                    cc[i] = cc[i].add_poly(a)
+                    cc[i] = _add_poly(cc[i], a)
                     nxt.append(cc)
             stack = nxt
         if coords_only:
@@ -155,10 +181,19 @@ def enumerate_points(S: PeriodicLattice, R: int, C: ConvexBody = None,
 
 def succmin_oracle(S: PeriodicLattice, C: ConvexBody = None,
                    budget: int = None):
-    """Successive minima exponents read off growing balls."""
+    """Successive minima exponents read off growing balls.
+
+    The answer is kept on S per body and budget (a smaller budget must
+    still raise), and each call returns a fresh list.
+    """
+    if budget is None:
+        budget = default_budget()
     if C is None:
         C = S.base_body()
-    field = S.field
+    key = ("oracle", "succmin", C.cache_key(), budget)
+    hit = S._points_cache.get(key)
+    if hit is not None:
+        return list(hit)
     rb = reduce_lattice(S.lattice, C)
     lows = [rb.exps[0]]
     for coords, norm in _points_by_definition(S, C):
@@ -174,7 +209,8 @@ def succmin_oracle(S: PeriodicLattice, C: ConvexBody = None,
         while len(exps) < r:
             exps.append(R)
         R += 1
-    return exps
+    S._points_cache[key] = exps
+    return list(exps)
 
 
 def covrad_oracle(S: PeriodicLattice, C: ConvexBody = None, M: int = None,
@@ -248,6 +284,6 @@ def density_oracle(S: PeriodicLattice, C: ConvexBody = None, R: int = None,
             f"window radius {R} below stationarity threshold {floor_R}"
         )
     e1 = succmin_oracle(S, C, budget=budget)[0]
-    count = len(enumerate_points(S, R, budget=budget, coords_only=True))
+    count = count_oracle(S, R, budget=budget)
     scale = S.d * (e1 - 1) + C.log_volume.exp - S.d * R
     return Fraction(count) * qpow_fraction(field.q, scale)

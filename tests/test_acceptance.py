@@ -36,10 +36,9 @@ from fflat import (
     succ_minima_periodic,
 )
 from fflat.exactlinalg import det_poly, mat_mul_poly, popov_reduce
-from fflat.ffcore import Poly
-from fflat.cli import (
+from fflat.ffcore import Poly, field_of_order as _make_field
+from fflat.battery import (
     _feasible_radius_grid,
-    _make_field,
     _random_instance,
     random_alpha_lattice,
     random_body,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from fflat import GF, Lattice, Poly, cli, expand_rational, parse_element
+from fflat import GF, Lattice, Poly, battery, cli, expand_rational, parse_element
 
 DATA = Path(__file__).parent / "data"
 W = str(DATA / "w.json")
@@ -551,7 +551,7 @@ def test_random_coset_lattice_rejects_more_reps_than_3d():
     signal.setitimer(signal.ITIMER_REAL, 10)
     try:
         with pytest.raises(ValueError):
-            cli.random_coset_lattice(random.Random(0), F, 2, 7, Lattice.standard(F, 2))
+            battery.random_coset_lattice(random.Random(0), F, 2, 7, Lattice.standard(F, 2))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)

@@ -17,9 +17,10 @@ from fflat import (
     frac_part,
     parse_element,
 )
-from fflat.cli import _make_field, random_lattice
+from fflat.battery import random_lattice
 from fflat.errors import InsufficientPrecision
 from fflat.ffcore import (
+    field_of_order as _make_field,
     format_poly,
     format_rat,
     format_series,

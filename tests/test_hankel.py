@@ -27,13 +27,13 @@ from fflat import (
     parse_element,
     rank_condition,
 )
-from fflat.cli import (
-    _apply_precision,
+from fflat.battery import (
     random_alpha_lattice,
     random_body,
     random_coset_lattice,
     random_lattice,
 )
+from fflat.cli import _apply_precision
 from fflat.lattice import covrad_lattice, reduce_lattice
 from fflat.periodic import _alpha_coords, _pattern_matrix
 

@@ -20,7 +20,7 @@ from fflat import (
     reduce_lattice,
 )
 from fflat.lattice import det_lattice
-from fflat.cli import random_body, random_lattice
+from fflat.battery import random_body, random_lattice
 
 F2 = GF(2)
 F3 = GF(3)
@@ -46,6 +46,30 @@ def test_body_log_volume():
     assert ConvexBody.ball(F2, 3, 2).log_volume == QExp(6)
     B = ConvexBody(F2, [["1/x", "0"], ["0", "x^2"]])
     assert B.log_volume == QExp(1)
+
+
+def test_identity_body_is_built_once_per_field_and_dimension():
+    assert ConvexBody.identity(F2, 2) is ConvexBody.identity(F2, 2)
+    assert ConvexBody.identity(F2, 2) is not ConvexBody.identity(F2, 3)
+    assert ConvexBody.identity(F2, 2) is not ConvexBody.identity(F3, 2)
+    # GF equality includes the modulus: two models of F_9 keep their bodies
+    t2_1 = GF(3, 2, (1, 0, 1))
+    t2_t_2 = GF(3, 2, (2, 1, 1))
+    a, b = ConvexBody.identity(t2_1, 2), ConvexBody.identity(t2_t_2, 2)
+    assert a is not b
+    assert (a.field, b.field) == (t2_1, t2_t_2)
+    assert a.cache_key() == ConvexBody(t2_1, [["1", "0"], ["0", "1"]]).cache_key()
+
+
+def test_identity_body_reduces_w_as_before():
+    # the lattice of the W instance (tests/data/w.json): reduced at once
+    # by the shared unit body and by one built afresh, on fresh lattices
+    for C in (ConvexBody.identity(F2, 2), ConvexBody(F2, [["1", "0"], ["0", "1"]]),
+              ConvexBody.identity(F2, 2)):
+        rb = reduce_lattice(Lattice.standard(F2, 2), C)
+        assert rb.exps == [0, 0]
+        assert rb.ashift == 0
+        assert rb.VP == [[Poly.one(F2), Poly.zero(F2)], [Poly.zero(F2), Poly.one(F2)]]
 
 
 def test_body_rejects_singular():

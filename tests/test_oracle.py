@@ -9,26 +9,34 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from fflat import (
     GF,
     ConvexBody,
+    InsufficientPrecision,
     Lattice,
+    NRational,
     QExp,
+    count_oracle,
     covrad_oracle,
     density_oracle,
     enumerate_points,
     from_lattice,
     make_alpha_lattice,
+    make_coset_lattice,
     norm_in_body,
     packing_density,
+    reduce_lattice,
     succ_minima_periodic,
     succmin_oracle,
 )
 from fflat.errors import BudgetExceeded, PrecisionTooCoarse
+from test_periodic import _frac_coord
 
 F2 = GF(2)
 F3 = GF(3)
+F4 = GF(2, 2, (1, 1, 1))
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +104,107 @@ class TestSuccminOracle:
             assert succmin_oracle(S) == exps
             for e, w in zip(exps, wits):
                 assert norm_in_body(w, C) == QExp(e)
+
+
+# windows above this size are shrunk by lowering R, so that building
+# every point stays cheap
+WINDOW_CAP = 1024
+
+
+@st.composite
+def windows(draw):
+    """(S, R, C or None) over q in {2, 3, 4}, d in {2, 3}: the alpha form
+    (N-rational alpha admitted), the coset form or a plain lattice, with
+    Rat or truncated coordinates; R from e_1 - 2 to e_d + 1 of the
+    reduced basis for C, lowered while the window holds more than
+    WINDOW_CAP points."""
+    F = draw(st.sampled_from([F2, F3, F4]))
+    d = draw(st.sampled_from([2, 3]))
+    diag = [draw(st.sampled_from(["1", "x", "x^-1", "x+1"])) for _ in range(d)]
+    basis = [[diag[i] if i == j else ("0" if i > j else draw(st.sampled_from(["0", "1", "x"])))
+              for j in range(d)] for i in range(d)]
+    lat = Lattice(F, basis)
+    series = draw(st.booleans())
+
+    def coords():
+        return [draw(_frac_coord(F, series)) for _ in range(d)]
+
+    kind = draw(st.sampled_from(["alpha", "coset", "plain"]))
+    try:
+        if kind == "alpha":
+            S = make_alpha_lattice(lat, coords(), draw(st.integers(0, 1)),
+                                   require_irrational=False)
+        elif kind == "coset":
+            S = make_coset_lattice(lat, [coords() for _ in range(draw(st.integers(1, 2)))])
+        else:
+            S = from_lattice(lat)
+    except (NRational, InsufficientPrecision, ValueError):
+        assume(False)
+    C = draw(st.sampled_from([None, -1, 1]))
+    C = None if C is None else ConvexBody.ball(F, d, C)
+    exps = reduce_lattice(lat, S.base_body() if C is None else C).exps
+    R = draw(st.integers(exps[0] - 2, exps[-1] + 1))
+    try:
+        while R > exps[0] - 2 and count_oracle(S, R, C) > WINDOW_CAP:
+            R -= 1
+    except InsufficientPrecision:
+        pass
+    return S, R, C
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except InsufficientPrecision as e:
+        return ("InsufficientPrecision", e.needed_floor)
+
+
+@given(windows())
+def test_count_oracle_counts_the_enumerated_window(inst):
+    """count_oracle is the length of the window enumerate_points builds,
+    or the same precision error; both refuse a budget one below the
+    window and answer at the window's size."""
+    S, R, C = inst
+    total = _outcome(count_oracle, S, R, C)
+    if isinstance(total, tuple):
+        assert _outcome(enumerate_points, S, R, C, coords_only=True) == total
+        return
+    assert len(enumerate_points(S, R, C, coords_only=True)) == total
+    for fn in (count_oracle, enumerate_points):
+        with pytest.raises(BudgetExceeded):
+            fn(S, R, C, budget=total - 1)
+    assert count_oracle(S, R, C, budget=total) == total
+    assert len(enumerate_points(S, R, C, budget=total, coords_only=True)) == total
+
+
+class TestSuccminMemo:
+    def _w(self):
+        return make_alpha_lattice(Lattice.standard(F2, 2), ["x^-1", "x^-2"], 1)
+
+    def test_small_budget_still_raises_after_an_answer(self):
+        S = self._w()
+        exps = succmin_oracle(S)
+        # the last ball grown is radius q^exps[-1]
+        need = count_oracle(S, exps[-1])
+        with pytest.raises(BudgetExceeded):
+            succmin_oracle(S, budget=need - 1)
+        assert succmin_oracle(S, budget=need) == exps
+
+    def test_returned_list_is_fresh(self):
+        S = self._w()
+        first = succmin_oracle(S)
+        first.append(99)
+        first[0] = 42
+        assert succmin_oracle(S) == [-1, -1]
+
+    def test_each_body_gets_its_own_answer(self):
+        S = self._w()
+        C = ConvexBody.ball(F2, 2, -1)
+        assert succmin_oracle(S) == [-1, -1]
+        got = succmin_oracle(S, C)
+        assert got == succmin_oracle(self._w(), C)
+        assert got == succ_minima_periodic(S, C)[0]
+        assert got != [-1, -1]
 
 
 class TestCovradOracle:
