@@ -184,7 +184,9 @@ def succmin_oracle(S: PeriodicLattice, C: ConvexBody = None,
     """Successive minima exponents read off growing balls.
 
     The answer is kept on S per body and budget (a smaller budget must
-    still raise), and each call returns a fresh list.
+    still raise), and each call returns a fresh list.  A truncated
+    instance raises PrecisionTooCoarse: the rank test needs exact
+    coordinates.
     """
     if budget is None:
         budget = default_budget()
@@ -195,8 +197,14 @@ def succmin_oracle(S: PeriodicLattice, C: ConvexBody = None,
     if hit is not None:
         return list(hit)
     rb = reduce_lattice(S.lattice, C)
+    pts = _points_by_definition(S, C)
+    if any(isinstance(y, LaurentSeries) and not y.exact for coords, _n in pts for y in coords):
+        raise PrecisionTooCoarse(
+            "the successive-minima oracle needs exact coordinates (its rank "
+            "test is over F_q(x)); this instance has truncated series coordinates"
+        )
     lows = [rb.exps[0]]
-    for coords, norm in _points_by_definition(S, C):
+    for coords, norm in pts:
         if not norm.is_zero:
             lows.append(norm.exp)
     R = min(lows) - 1

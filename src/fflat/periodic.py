@@ -16,18 +16,25 @@ The coordinates of one periodic lattice share one arithmetic backend,
 chosen at construction (_lift): Rat when no input coordinate is a
 series, LaurentSeries for all of them when one is.
 
-The fundamental-domain points form the F_q-span of n generators
-(_generators): frac(x^k * alpha) for 0 <= k <= N, or the coset
-representatives.  fractional_points lists them by walking that span
-(_span), one addition per point and coordinate.  With Rat coordinates
-a point is a vector of numerators over one denominator per coordinate
-(the lcm over the generators), its norm is read off the degrees, and
-its reduced Rat coordinates are built only when a caller reads them.
+The fundamental-domain points form the F_q-span of n = period_size
+independent generators (_generators): frac(x^k * alpha) for 0 <= k < n,
+or the coset representatives.  fractional_points lists them by walking
+that span (_span), one addition per point and coordinate; the
+successive minima, packing radius and density read that list.  With
+Rat coordinates a point is a vector of numerators over one denominator
+per coordinate (the lcm over the generators), its norm is read off the
+degrees, and its reduced Rat coordinates are built only when a caller
+reads them.
 
 Tail patterns are F_q-linear in the point, so the rank of the
 generators' pattern matrix (_pattern_matrix) counts the patterns of
-all points: the Minkowski classes and the covering radius levels.
-The same patterns are the construction certificate (_first_spanned):
+all points: the Minkowski classes and the covering radius levels.  A
+point has norm <= 1 iff its pattern at depths max(e_i - 1, 0) vanishes,
+so one elimination of that matrix gives both the count and the
+mink-search point (_norm_one_kernel); neither lists the points, except
+that count falls back to the list where truncation hides a pattern
+coefficient.  The same patterns are the construction certificate
+(_first_spanned):
 N-irrationality of truncated alpha and independence of the coset
 representatives both say that no generator lies in the span of the
 earlier ones on the coefficients they all know.  Exact alpha keeps the
@@ -52,7 +59,6 @@ from .exactlinalg import (
     _rref_fq,
     det_rat,
     det_series,
-    rank_fq,
     rank_rational,
 )
 from .ffcore import (
@@ -437,21 +443,26 @@ def from_lattice(lat: Lattice) -> PeriodicLattice:
 # --- fractional point sets --------------------------------------------------
 
 
-def _x_multiples(phi, N: int):
-    """frac(x^k * phi) for k = N .. 0: the alpha form's generators, the
-    coefficient of x^N of Q being the most significant counting digit."""
+def _x_multiples(phi, n: int):
+    """frac(x^k * phi) for k = n - 1 .. 0: the alpha form's generators,
+    the coefficient of x^(n - 1) of Q being the most significant
+    counting digit."""
     x = Poly.x(phi[0].field)
     gens = [list(phi)]
-    for _ in range(N):
+    for _ in range(n - 1):
         gens.append([y.mul_poly(x).frac_part() for y in gens[-1]])
-    return gens[::-1]
+    return gens[:n][::-1]
 
 
 def _generators(S: PeriodicLattice, rb: ReducedBasis):
     """The generators of the fundamental-domain points in the rb frame,
-    most significant counting digit first (see _span)."""
+    most significant counting digit first (see _span).  For alpha these
+    are frac(x^k * alpha), k < period_size: N + 1 of them, or, for
+    N-rational alpha, deg L of them (L the lcm of the denominators),
+    since frac(Q * alpha) depends only on Q mod L and the first
+    occurrences in counting order are exactly the Q of degree < deg L."""
     if isinstance(S.form, AlphaForm):
-        return _x_multiples(_alpha_coords(S, rb), S.form.N)
+        return _x_multiples(_alpha_coords(S, rb), S.period_size)
     return _rep_coords(S, rb)
 
 
@@ -473,21 +484,28 @@ def _patterns(vecs, reach: int, depths):
 
 def _pattern_matrix(S: PeriodicLattice, rb: ReducedBasis, depths):
     """The generators' tail patterns in the rb frame, one row per
-    generator, least significant first: the coefficients of x^-1 ..
-    x^-depths[i] of each coordinate i in turn (see _patterns).  The
-    alpha form reads phi down to x^-(max depth + N), and a refusal names
-    that floor.
+    generator (see _generators), least significant first: the
+    coefficients of x^-1 .. x^-depths[i] of each coordinate i in turn
+    (see _patterns).  The alpha form reads phi down to x^-(max depth +
+    period_size - 1).  A refusal names that floor, moved down by as much
+    as the change to the rb frame raised the truncation floors, so that
+    it is a floor for the instance's own coordinates.
     """
-    alpha = isinstance(S.form, AlphaForm)
-    reach = S.form.N if alpha else 0
-    vecs = [_alpha_coords(S, rb)] if alpha else _rep_coords(S, rb)[::-1]
+    if isinstance(S.form, AlphaForm):
+        reach = S.period_size - 1
+        vecs = [_alpha_coords(S, rb)] if S.period_size else []
+    else:
+        reach = 0
+        vecs = _rep_coords(S, rb)[::-1]
     try:
         return _patterns(vecs, reach, depths)
     except InsufficientPrecision:
         floor = -(max(depths) + reach)
+        canon = [S.form.phi] if isinstance(S.form, AlphaForm) else S.form.reps
+        loss = max(_truncated_floors(vecs)) - max(_truncated_floors(canon))
         raise InsufficientPrecision(
             f"tail pattern needs coefficients down to x^{floor}",
-            needed_floor=floor,
+            needed_floor=floor - max(loss, 0),
         ) from None
 
 
@@ -546,7 +564,8 @@ def _rat_point_norm(exps, nums, dens) -> QExp:
 def fractional_points(S: PeriodicLattice, C: ConvexBody = None):
     """All points of the fundamental domain intersected with S, as
     rb-frame coordinate vectors with norms; exactly q^period_size, in
-    counting order (for N-rational alpha, first occurrences only)."""
+    counting order (for N-rational alpha, first occurrences only, see
+    _generators)."""
     if C is None:
         C = S.base_body()
     key = C.cache_key()
@@ -562,8 +581,6 @@ def fractional_points(S: PeriodicLattice, C: ConvexBody = None):
     else:
         rows, dens = _common_denominators(field, S.d, gens)
         nums = _span(field, rows, (Poly.zero(field),) * S.d)
-        if isinstance(S.form, AlphaForm) and not S.form.irr_verified:
-            nums = list(dict.fromkeys(nums))
         pts = [(_RatPoint(n, dens), _rat_point_norm(rb.exps, n, dens)) for n in nums]
     if len(pts) != field.q ** S.period_size:
         raise UndefinedValue(
@@ -676,12 +693,56 @@ def packing_density(S: PeriodicLattice, C: ConvexBody = None) -> Fraction:
     return qpow_fraction(S.field.q, exp)
 
 
+def _norm_one_kernel(S: PeriodicLattice, rb: ReducedBasis):
+    """The fundamental-domain points of norm <= 1 in the rb frame, from
+    one elimination: (r, digits).
+
+    A point has norm <= 1 iff the coefficients x^-1 .. x^-(e_i - 1) of
+    each coordinate i vanish, and those are F_q-linear in the point, so
+    the points of norm <= 1 are the image of the left kernel of the
+    pattern matrix at depths max(e_i - 1, 0); the generators are
+    independent, so there are q^(period_size - r) of them, r the rank.
+    digits (least significant generator first) is the first nonzero
+    kernel vector in counting order, or None: with the generators as
+    columns, the first free column f is the least significant top digit
+    any kernel vector can have, and the kernel vectors with top digit f
+    are the multiples of the one that is 1 at f and -m[row][f] at the
+    pivots.
+    """
+    depths = [max(e - 1, 0) for e in rb.exps]
+    m, pivots = _rref_fq(S.field, list(zip(*_pattern_matrix(S, rb, depths))))
+    free = next((f for f in range(S.period_size) if f not in pivots), None)
+    if free is None:
+        return len(pivots), None
+    digits = [0] * S.period_size
+    digits[free] = 1
+    for row, col in enumerate(pivots):
+        digits[col] = S.field.neg(m[row][free])
+    return len(pivots), digits
+
+
+def _combination(S: PeriodicLattice, rb: ReducedBasis, digits):
+    """sum_k digits[k] * g_k over the generators, least significant
+    first: one fundamental-domain point, in the rb frame."""
+    point = None
+    for a, g in zip(digits, _generators(S, rb)[::-1]):
+        if a:
+            term = [y.scale(a) for y in g]
+            point = term if point is None else [p + t for p, t in zip(point, term)]
+    return point
+
+
 def count_points(S: PeriodicLattice, C: ConvexBody = None, radius: int = None) -> int:
     """|C intersect S| (or a sup-norm ball of radius q^radius).
 
     Splitting across the fundamental domain: a point f + w lies in C
     iff both parts do, and the lattice part count factors through the
-    reduced basis as prod_i q^max(1 - e_i, 0).
+    reduced basis as prod_i q^max(1 - e_i, 0).  The fractional parts of
+    norm <= 1 number q^(period_size - r), r the rank of the pattern
+    matrix (see _norm_one_kernel).  When truncation hides a pattern
+    coefficient, the points are listed instead, since a known nonzero
+    coefficient above it can still decide a norm; when that fails too,
+    the pattern's refusal is raised, naming a floor that suffices.
     """
     if radius is not None:
         if C is not None:
@@ -690,9 +751,15 @@ def count_points(S: PeriodicLattice, C: ConvexBody = None, radius: int = None) -
     elif C is None:
         C = S.base_body()
     rb = reduce_lattice(S.lattice, C)
-    one = QExp(0)
-    inside = sum(1 for (_c, norm) in fractional_points(S, C) if norm <= one)
-    total = inside
+    try:
+        total = S.field.q ** (S.period_size - _norm_one_kernel(S, rb)[0])
+    except InsufficientPrecision as refusal:
+        one = QExp(0)
+        try:
+            total = sum(1 for (_c, norm) in fractional_points(S, C) if norm <= one)
+        except InsufficientPrecision:
+            # the pattern's floor is the one that suffices
+            raise refusal from None
     for e in rb.exps:
         total *= S.field.q ** max(1 - e, 0)
     return total
@@ -727,29 +794,28 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
     point, so the classes are the image of the generators' patterns
     and number q^rank.  When the measure exceeds
     det(Lambda)/q^(period_size + d), search for a nonzero point of S in
-    C; the search over nonzero fundamental-domain points plus the first
-    reduced vector is exhaustive by the ultrametric splitting, so a
-    no_point outcome is a certified counterexample to the measure
-    hypothesis guaranteeing a point.
+    C: the first nonzero fundamental-domain point of norm <= 1 in
+    counting order, the kernel vector of the same elimination (see
+    _norm_one_kernel), else the first reduced vector.  That is
+    exhaustive by the ultrametric splitting, so a no_point outcome is a
+    certified counterexample to the measure hypothesis guaranteeing a
+    point.
     """
     if C is None:
         C = S.base_body()
     rb = reduce_lattice(S.lattice, C)
-    pts = fractional_points(S, C)
-    depths = [max(e - 1, 0) for e in rb.exps]
-    classes_log = rank_fq(S.field, _pattern_matrix(S, rb, depths))
+    classes_log, digits = _norm_one_kernel(S, rb)
     measure_exp = C.log_volume.exp + classes_log
     threshold_exp = S.lattice.log_det - S.period_size - S.d
     if not measure_exp > threshold_exp:
         return MinkowskiReport("inapplicable", measure_exp, threshold_exp, classes_log)
-    one = QExp(0)
-    for coords, norm in pts:
-        if not norm.is_zero and norm <= one:
-            rep = MinkowskiReport("point", measure_exp, threshold_exp, classes_log)
-            rep.point = _ambient_point(rb, coords)
-            rep.point_norm = norm
-            rep.point_source = "fractional"
-            return rep
+    if digits is not None:
+        coords = _combination(S, rb, digits)
+        rep = MinkowskiReport("point", measure_exp, threshold_exp, classes_log)
+        rep.point = _ambient_point(rb, coords)
+        rep.point_norm = _frac_norm(rb.exps, coords)
+        rep.point_source = "fractional"
+        return rep
     if rb.exps[0] <= 0:
         coords = _unit_coords(S.field, S.d, 0)
         rep = MinkowskiReport("point", measure_exp, threshold_exp, classes_log)

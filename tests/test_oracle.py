@@ -19,6 +19,7 @@ from fflat import (
     NRational,
     QExp,
     count_oracle,
+    count_points,
     covrad_oracle,
     density_oracle,
     enumerate_points,
@@ -27,11 +28,13 @@ from fflat import (
     make_coset_lattice,
     norm_in_body,
     packing_density,
+    parse_element,
     reduce_lattice,
     succ_minima_periodic,
     succmin_oracle,
 )
 from fflat.errors import BudgetExceeded, PrecisionTooCoarse
+from fflat.ffcore import expand_rational
 from test_periodic import _frac_coord
 
 F2 = GF(2)
@@ -96,6 +99,18 @@ class TestSuccminOracle:
     def test_skew(self, skew):
         assert succmin_oracle(skew) == [-1, 1]
 
+    def test_truncated_instance_is_a_typed_refusal(self):
+        # the rank test is over F_q(x), so truncated points are refused
+        # with a typed error; the closed forms and the window count answer
+        alpha = [parse_element(F2, "1/(x^3+x+1)"), parse_element(F2, "x/(x^2+x+1)")]
+        S = make_alpha_lattice(Lattice.standard(F2, 2),
+                               [expand_rational(y, -8).truncated(-8) for y in alpha], 1)
+        assert succ_minima_periodic(S)[0] == [-2, -1]
+        assert count_oracle(S, 0) == count_points(S, radius=0) == 16
+        for oracle in (succmin_oracle, density_oracle):
+            with pytest.raises(PrecisionTooCoarse, match="needs exact coordinates"):
+                oracle(S)
+
     def test_matches_fast_path(self, plain, W, skew):
         # the fast path also produces witnesses; check those here too
         C = ConvexBody.identity(F2, 2)
@@ -145,7 +160,8 @@ def windows(draw):
     exps = reduce_lattice(lat, S.base_body() if C is None else C).exps
     R = draw(st.integers(exps[0] - 2, exps[-1] + 1))
     try:
-        while R > exps[0] - 2 and count_oracle(S, R, C) > WINDOW_CAP:
+        # counting builds no point, so the size probe needs no budget
+        while R > exps[0] - 2 and count_oracle(S, R, C, budget=1 << 62) > WINDOW_CAP:
             R -= 1
     except InsufficientPrecision:
         pass

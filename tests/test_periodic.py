@@ -21,6 +21,7 @@ from fflat import (
     QExp,
     check_bounds,
     count_points,
+    covrad_periodic,
     d_invariant,
     fractional_points,
     from_lattice,
@@ -34,10 +35,11 @@ from fflat import (
     reduce_lattice,
     succ_minima_periodic,
 )
+from fflat import periodic
 from fflat.errors import CapExceeded
 from fflat.ffcore import Poly, Rat, expand_rational
-from fflat.oracle import _points_by_definition
-from fflat.periodic import PeriodicLattice, _tail_pattern
+from fflat.oracle import _points_by_definition, count_oracle
+from fflat.periodic import PeriodicLattice, _ambient_point, _tail_pattern
 
 F2 = GF(2)
 F3 = GF(3)
@@ -479,3 +481,156 @@ def test_walk_lists_the_points_of_the_definition(inst):
     got = _outcome(lambda: minkowski_search(S, C).classes_log)
     if not isinstance(want, tuple):
         assert got == _outcome(by_patterns)
+
+
+# --- count and the mink-search point from one elimination ---------------
+
+
+@st.composite
+def _twins(draw):
+    """(build, body): build(None) is an exact instance over q in
+    {2, 3, 4}, d in {2, 3} (the alpha form with N-rational alpha
+    admitted, the coset form, or a plain lattice), build(f) its twin
+    with every coordinate truncated at x^f; the body is the unit body
+    (None), a ball, or a random upper triangular body."""
+    F = draw(st.sampled_from([F2, F3, F4]))
+    d = draw(st.sampled_from([2, 3]))
+    diag = [draw(st.sampled_from(["1", "x", "x^-1", "x+1", "x^3", "x^2+1"])) for _ in range(d)]
+    basis = [[diag[i] if i == j else ("0" if i > j else draw(st.sampled_from(["0", "1", "x"])))
+              for j in range(d)] for i in range(d)]
+    lat = Lattice(F, basis)
+
+    def cut(vals, floor):
+        return vals if floor is None else [expand_rational(y, floor).truncated(floor) for y in vals]
+
+    kind = draw(st.sampled_from(["alpha", "coset", "plain"]))
+    if kind == "alpha":
+        N = draw(st.integers(0, 2 if F.q < 4 else 1))
+        alpha = [draw(_frac_coord(F, False)) for _ in range(d)]
+
+        def build(floor):
+            return make_alpha_lattice(lat, cut(alpha, floor), N, require_irrational=False)
+    elif kind == "coset":
+        reps = [[draw(_frac_coord(F, False)) for _ in range(d)]
+                for _ in range(draw(st.integers(1, 4 if F.q == 2 else 3)))]
+
+        def build(floor):
+            return make_coset_lattice(lat, [cut(rep, floor) for rep in reps])
+    else:
+        def build(floor):
+            return from_lattice(lat)
+    body = draw(st.sampled_from(["unit", "ball", "matrix"]))
+    if body == "ball":
+        return build, ConvexBody.ball(F, d, draw(st.integers(-1, 2)))
+    if body == "matrix":
+        cells = [[draw(st.sampled_from(["x", "1", "x^-1", "x^2", "x+1"])) if i == j
+                  else ("0" if i > j else draw(st.sampled_from(["0", "1", "x"])))
+                  for j in range(d)] for i in range(d)]
+        return build, ConvexBody(F, cells)
+    return build, None
+
+
+def _first_short_point(S, body):
+    """The first nonzero point of norm <= 1 of the oracle's list, or None."""
+    return next(((c, n) for c, n in _points_by_definition(S, body)
+                 if not n.is_zero and n <= QExp(0)), None)
+
+
+@given(_twins())
+def test_count_and_mink_point_equal_the_oracle(inst):
+    """On exact instances count_points is the oracle's window count at
+    radius 1, and the mink-search point is the first nonzero point of
+    norm <= 1 among the points built from the definition."""
+    build, C = inst
+    try:
+        S = build(None)
+    except ValueError:
+        assume(False)
+    body = S.base_body() if C is None else C
+    # the oracle counts its window without building it, so no budget
+    assert count_points(S, C) == count_oracle(S, 0, body, budget=1 << 62)
+    rep = minkowski_search(S, C)
+    if rep.status == "inapplicable":
+        assert rep.point is None
+        return
+    first = _first_short_point(S, body)
+    if first is None:
+        assert rep.point_source != "fractional"
+        return
+    rb = reduce_lattice(S.lattice, body)
+    assert rep.point_source == "fractional"
+    assert rep.point == _ambient_point(rb, first[0])
+    assert rep.point_norm == first[1]
+
+
+def _expands(t, e) -> bool:
+    """Is the coordinate t, read from truncated data, the exact e as far
+    as t knows it?"""
+    if isinstance(t, Rat):
+        return t == e
+    if t.exact:
+        return t.to_rat() == e
+    return expand_rational(e, t.floor).truncated(t.floor) == t
+
+
+@settings(max_examples=200)
+@given(_twins(), st.integers(-8, -1))
+def test_truncated_count_and_mink_search_answer_as_their_twins(inst, floor):
+    """A truncated count or mink-search answers as its exact twin or
+    raises InsufficientPrecision; a refused count or covrad (the same
+    pattern matrix) names a floor of the instance's own coordinates at
+    which it answers, in any body's frame."""
+    build, C = inst
+    try:
+        exact, trunc = build(None), build(floor)
+    except (NRational, InsufficientPrecision, ValueError):
+        assume(False)
+    for fn in (count_points, covrad_periodic):
+        want = fn(exact, C)
+        try:
+            assert fn(trunc, C) == want
+        except InsufficientPrecision as e:
+            assert e.needed_floor < floor
+            assert fn(build(e.needed_floor), C) == want
+    want = minkowski_search(exact, C)
+    try:
+        got = minkowski_search(trunc, C)
+    except InsufficientPrecision:
+        return
+    assert got.as_dict() == want.as_dict()
+    assert got.point_norm == want.point_norm
+    if want.point is not None:
+        assert all(_expands(t, e) for t, e in zip(got.point, want.point))
+
+
+def test_count_falls_back_to_the_points_where_the_pattern_is_cut():
+    # e = (0, 3): the pattern reads x^-2 of frac(x * alpha_2), which
+    # alpha_2 = x^-2 + O(x^-3) leaves unknown, so the rank is refused;
+    # but the known x^-1 or x^-2 of every nonzero point puts its norm
+    # above 1, so listing the points answers as the exact twin does
+    lat = Lattice(F2, [["1", "0"], ["0", "x^3"]])
+    alpha = [parse_element(F2, "0"), parse_element(F2, "x^-2")]
+    S = make_alpha_lattice(lat, [expand_rational(y, -2).truncated(-2) for y in alpha], 1)
+    with pytest.raises(InsufficientPrecision):
+        minkowski_search(S, ConvexBody.ball(F2, 2, 0))
+    assert count_points(S, radius=0) == 2
+    assert count_points(make_alpha_lattice(lat, alpha, 1), radius=0) == 2
+
+
+def test_exact_instances_do_not_enumerate(monkeypatch, W):
+    def listed(*_args):
+        raise AssertionError("fractional_points called")
+
+    monkeypatch.setattr(periodic, "fractional_points", listed)
+    lam = Lattice(F3, [["x", "1"], ["0", "x^2"]])
+    instances = [
+        W,
+        make_alpha_lattice(lam, ["1/(x^3+x+1)", "x^-1"], 2),
+        make_alpha_lattice(lam, ["1/(x+1)", "x^-1"], 2, require_irrational=False),
+        make_coset_lattice(lam, [["x^-1", "0"], ["x^-2", "2/(x+2)"]]),
+        from_lattice(lam),
+    ]
+    for S in instances:
+        for C in (None, ConvexBody.ball(S.field, 2, -1), ConvexBody.ball(S.field, 2, 2)):
+            count_points(S, C)
+            minkowski_search(S, C)
