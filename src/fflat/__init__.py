@@ -42,7 +42,6 @@ from .periodic import (
     check_bounds,
     count_points,
     d_invariant,
-    fractional_points,
     from_lattice,
     make_alpha_lattice,
     make_coset_lattice,

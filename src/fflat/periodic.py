@@ -17,36 +17,32 @@ chosen at construction (_lift): Rat when no input coordinate is a
 series, LaurentSeries for all of them when one is.
 
 The fundamental-domain points form the F_q-span of n = period_size
-independent generators (_generators): frac(x^k * alpha) for 0 <= k < n,
-or the coset representatives.  fractional_points lists them by walking
-that span (_span), one addition per point and coordinate; the
-successive minima, packing radius and density read that list.  With
-Rat coordinates a point is a vector of numerators over one denominator
-per coordinate (the lcm over the generators), its norm is read off the
-degrees, and its reduced Rat coordinates are built only when a caller
-reads them.
-
-Tail patterns are F_q-linear in the point, so the rank of the
-generators' pattern matrix (_pattern_matrix) counts the patterns of
-all points: the Minkowski classes and the covering radius levels.  A
-point has norm <= 1 iff its pattern at depths max(e_i - 1, 0) vanishes,
-so one elimination of that matrix gives both the count and the
-mink-search point (_norm_one_kernel); neither lists the points, except
-that count falls back to the list where truncation hides a pattern
-coefficient.  The same patterns are the construction certificate
-(_first_spanned):
-N-irrationality of truncated alpha and independence of the coset
-representatives both say that no generator lies in the span of the
-earlier ones on the coefficients they all know.  Exact alpha keeps the
-closed form of that rank, the degree of its denominators' lcm.  So
-construction enumerates no point.
+independent generators: frac(x^k * alpha) for 0 <= k < n, or the coset
+representatives.  Their tail coefficients are F_q-linear in the point,
+and no invariant lists the q^n points.  The coefficient of x^-t in
+coordinate i has weight e_i - t, and a point's norm is q^(the largest
+weight of a nonzero coefficient).  So one elimination of the
+generators' pattern matrix with its columns in descending weight
+(_weight_echelon) gives a basis of pivot points of known norm, and the
+points of norm <= q^s are the span of the pivots of weight <= s.  Read
+down to weight 1 it gives count and the mink-search point; read until
+every generator has a pivot it gives the candidates of the successive
+minima, and with them the packing radius and density.  The rank of the
+same patterns at one depth per coordinate (_pattern_matrix) gives the
+covering radius levels.  The patterns are also the construction
+certificate (_first_spanned): N-irrationality of truncated alpha and
+independence of the coset representatives both say that no generator
+lies in the span of the earlier ones on the coefficients they all know.
+Exact alpha keeps the closed form of that rank, the degree of its
+denominators' lcm.  So nothing here enumerates points, and no size cap
+is needed; only d_invariant, a brute force over polynomials, keeps one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations, groupby, product
 
 from .errors import (
     CapExceeded,
@@ -55,7 +51,6 @@ from .errors import (
     UndefinedValue,
 )
 from .exactlinalg import (
-    _clear_denominators,
     _rref_fq,
     det_rat,
     det_series,
@@ -75,9 +70,6 @@ from .ffcore import (
     qpow_fraction,
 )
 from .lattice import ConvexBody, Lattice, ReducedBasis, reduce_lattice
-
-# the alpha form refuses more than this many fundamental-domain points
-_ORBIT_CAP = 1 << 20
 
 
 # --- forms and the periodic lattice type ----------------------------------
@@ -116,6 +108,7 @@ class PeriodicLattice:
         self.form = form
         self.period_size = period_size
         self._coord_cache = {}
+        # the oracles' memo (fflat.oracle); nothing here reads it
         self._points_cache = {}
 
     @property
@@ -131,18 +124,6 @@ class PeriodicLattice:
 
 
 # --- coordinate plumbing ---------------------------------------------------
-
-
-def _poly_range(field: GF, N: int):
-    """All polynomials of degree <= N, ascending base-q counting order:
-    the coefficients of the n-th, lowest degree first, are the base-q
-    digits of n, least significant first."""
-    for n in range(field.q ** (N + 1)):
-        coeffs = []
-        while n:
-            n, c = divmod(n, field.q)
-            coeffs.append(c)
-        yield Poly(field, coeffs)
 
 
 def _is_series(coords) -> bool:
@@ -200,20 +181,30 @@ def _frac_norm(exps, coords) -> QExp:
     )
 
 
+def _known_tail(y, depth: int):
+    """(the coefficients of x^-1 .. x^-depth of the fractional part of
+    y, how many leading coefficients y knows): a truncated series knows
+    those above its floor, and the ones below read as 0; an exact
+    coordinate knows all of them (None)."""
+    if isinstance(y, LaurentSeries) and not y.exact:
+        known = max(-y.floor, 0)
+        read = min(known, depth)
+        return tuple(y.coeff_exp(-t) for t in range(1, read + 1)) + (0,) * (depth - read), known
+    s = y if isinstance(y, LaurentSeries) else expand_rational(y, -depth)
+    return tuple(s.coeff_exp(-t) for t in range(1, depth + 1)), None
+
+
 def _tail_pattern(y, depth: int):
     """Coefficients of x^-1 .. x^-depth of the fractional part of y."""
     if depth <= 0:
         return ()
-    if isinstance(y, LaurentSeries):
-        if not y.exact and y.eff_floor() > -depth:
-            raise InsufficientPrecision(
-                f"pattern needs coefficients down to x^-{depth}",
-                needed_floor=-depth,
-            )
-        s = y
-    else:
-        s = expand_rational(y, -depth)
-    return tuple(s.coeff_exp(-t) for t in range(1, depth + 1))
+    tail, known = _known_tail(y, depth)
+    if known is not None and known < depth:
+        raise InsufficientPrecision(
+            f"pattern needs coefficients down to x^-{depth}",
+            needed_floor=-depth,
+        )
+    return tail
 
 
 def _from_ambient(rb: ReducedBasis, vec, d: int):
@@ -227,7 +218,8 @@ def _from_ambient(rb: ReducedBasis, vec, d: int):
 def _convert_coords(S: PeriodicLattice, rb: ReducedBasis, coords):
     """Canonical-frame fractional coords -> rb-frame fractional coords."""
     rb0 = reduce_lattice(S.lattice, S.base_body())
-    if rb is rb0 or rb.body.cache_key() == rb0.body.cache_key():
+    if rb.ashift == rb0.ashift and rb.VP == rb0.VP:
+        # the same basis vectors (a ball only shifts their norms)
         return list(coords)
     return [y.frac_part() for y in _from_ambient(rb, _ambient_point(rb0, coords), S.d)]
 
@@ -317,8 +309,6 @@ def make_alpha_lattice(
     if N < 0:
         raise ValueError("N must be >= 0")
     field = lat.field
-    if field.q ** (N + 1) > _ORBIT_CAP:
-        raise CapExceeded(f"orbit size q^{N + 1} exceeds cap {_ORBIT_CAP}")
     coords = _lift(_parse_coords(lat, alpha), lat.d)
     if frame == "ambient":
         rb0 = reduce_lattice(lat, ConvexBody.identity(field, lat.d))
@@ -440,30 +430,17 @@ def from_lattice(lat: Lattice) -> PeriodicLattice:
     return PeriodicLattice(lat, CosetForm([]), 0)
 
 
-# --- fractional point sets --------------------------------------------------
+# --- tail patterns -----------------------------------------------------------
 
 
-def _x_multiples(phi, n: int):
-    """frac(x^k * phi) for k = n - 1 .. 0: the alpha form's generators,
-    the coefficient of x^(n - 1) of Q being the most significant
-    counting digit."""
-    x = Poly.x(phi[0].field)
-    gens = [list(phi)]
-    for _ in range(n - 1):
-        gens.append([y.mul_poly(x).frac_part() for y in gens[-1]])
-    return gens[:n][::-1]
-
-
-def _generators(S: PeriodicLattice, rb: ReducedBasis):
-    """The generators of the fundamental-domain points in the rb frame,
-    most significant counting digit first (see _span).  For alpha these
-    are frac(x^k * alpha), k < period_size: N + 1 of them, or, for
-    N-rational alpha, deg L of them (L the lcm of the denominators),
-    since frac(Q * alpha) depends only on Q mod L and the first
-    occurrences in counting order are exactly the Q of degree < deg L."""
+def _generator_vectors(S: PeriodicLattice, rb: ReducedBasis):
+    """(vecs, reach) in the rb frame: the generators, least significant
+    first, are frac(x^k * v) for k = 0..reach and each v in vecs in turn;
+    for alpha the one vector alpha with reach period_size - 1, for cosets
+    the representatives, last first, with reach 0."""
     if isinstance(S.form, AlphaForm):
-        return _x_multiples(_alpha_coords(S, rb), S.period_size)
-    return _rep_coords(S, rb)
+        return ([_alpha_coords(S, rb)] if S.period_size else []), S.period_size - 1
+    return _rep_coords(S, rb)[::-1], 0
 
 
 def _patterns(vecs, reach: int, depths):
@@ -482,112 +459,120 @@ def _patterns(vecs, reach: int, depths):
     ]
 
 
+def _cut(S: PeriodicLattice, vecs, reach: int, depth: int) -> InsufficientPrecision:
+    """The refusal of a pattern that reads the generators to depth: it
+    names the floor -(depth + reach) that reading needs, moved down by as
+    much as the change to the rb frame raised the truncation floors, so
+    that it is a floor for the instance's own coordinates."""
+    floor = -(depth + reach)
+    canon = [S.form.phi] if isinstance(S.form, AlphaForm) else S.form.reps
+    loss = max(_truncated_floors(vecs)) - max(_truncated_floors(canon), default=0)
+    return InsufficientPrecision(
+        f"tail pattern needs coefficients down to x^{floor}",
+        needed_floor=floor - max(loss, 0),
+    )
+
+
 def _pattern_matrix(S: PeriodicLattice, rb: ReducedBasis, depths):
     """The generators' tail patterns in the rb frame, one row per
-    generator (see _generators), least significant first: the
-    coefficients of x^-1 .. x^-depths[i] of each coordinate i in turn
-    (see _patterns).  The alpha form reads phi down to x^-(max depth +
-    period_size - 1).  A refusal names that floor, moved down by as much
-    as the change to the rb frame raised the truncation floors, so that
-    it is a floor for the instance's own coordinates.
-    """
-    if isinstance(S.form, AlphaForm):
-        reach = S.period_size - 1
-        vecs = [_alpha_coords(S, rb)] if S.period_size else []
-    else:
-        reach = 0
-        vecs = _rep_coords(S, rb)[::-1]
+    generator, least significant first: the coefficients of x^-1 ..
+    x^-depths[i] of each coordinate i in turn (see _patterns)."""
+    vecs, reach = _generator_vectors(S, rb)
     try:
         return _patterns(vecs, reach, depths)
     except InsufficientPrecision:
-        floor = -(max(depths) + reach)
-        canon = [S.form.phi] if isinstance(S.form, AlphaForm) else S.form.reps
-        loss = max(_truncated_floors(vecs)) - max(_truncated_floors(canon))
-        raise InsufficientPrecision(
-            f"tail pattern needs coefficients down to x^{floor}",
-            needed_floor=floor - max(loss, 0),
-        ) from None
+        raise _cut(S, vecs, reach, max(depths)) from None
 
 
-def _span(field: GF, gens, zero):
-    """Every F_q-combination of the generator vectors, in counting order:
-    the digit of gens[0] is the most significant.  Vector entries need
-    + and .scale(a); each point costs one addition per entry."""
-    pts = [zero]
-    for g in gens:
-        multiples = [[y.scale(a) for y in g] for a in range(1, field.q)]
-        nxt = []
-        for p in pts:
-            nxt.append(p)
-            nxt.extend(tuple(y + z for y, z in zip(p, m)) for m in multiples)
-        pts = nxt
-    return pts
+def _weight_echelon(S: PeriodicLattice, rb: ReducedBasis, stop: int = None):
+    """The generators' pattern matrix in row echelon form, its columns in
+    descending weight: (pivots, rest).
+
+    Row k is generator k, least significant first, then its digit
+    vector; column (i, t) holds the coefficients of x^-t of coordinate i
+    and has weight e_i - t.  A pivot row is zero before its pivot, so it
+    is a point of norm exactly q^(the pivot's weight); pivots lists
+    (weight, digits) as found.  With stop, only the columns of weight >
+    stop are read, and rest, the digit vectors of the rows left without
+    a pivot, spans the points of norm <= q^stop.  Without it, reading
+    goes on until every row has a pivot: an exact coordinate needs depth
+    deg L_i (L_i the lcm of its denominators), a truncated one is read
+    to one past its floor.
+
+    A coefficient below a floor reads as 0, and a row knows a column
+    when all generators in its digits do.  A row without a pivot that
+    meets a column it does not know is a point whose norm no known
+    coefficient decides: the elimination refuses there.  Rows keep
+    their order and pivots are only subtracted from later rows, so an
+    alpha row knows what its most significant generator knows; within
+    one weight the columns more generators know come first.
+    """
+    field, n = S.field, S.period_size
+    vecs, reach = _generator_vectors(S, rb)
+    if not n:
+        return [], []
+    # generator k is frac(x^shift * vecs[v]): (v, shift)
+    gens = [(0, k) if isinstance(S.form, AlphaForm) else (k, 0) for k in range(n)]
+    depths = []
+    for i, e in enumerate(rb.exps):
+        ys = [v[i] for v in vecs]
+        cut = [max(-y.floor, 0) for y in ys if isinstance(y, LaurentSeries) and not y.exact]
+        exact = [y for y in ys if not isinstance(y, LaurentSeries) or y.exact]
+        dep = max(_common_den(field, exact).degree, max(cut, default=-1) + 1)
+        depths.append(dep if stop is None else max(min(dep, e - 1 - stop), 0))
+    tails = [[_known_tail(y, dep + reach) for y, dep in zip(v, depths)] for v in vecs]
+    # (weight, the generators that do not know the column as a bit mask,
+    # t, the column's entries)
+    cols = []
+    for i, dep in enumerate(depths):
+        for t in range(1, dep + 1):
+            entries, unknown = [], 0
+            for k, (v, shift) in enumerate(gens):
+                tail, known = tails[v][i]
+                entries.append(tail[t + shift - 1])
+                if known is not None and t + shift > known:
+                    unknown |= 1 << k
+            cols.append((rb.exps[i] - t, unknown, t, entries))
+    cols.sort(key=lambda c: (-c[0], c[1].bit_count()))
+    m = len(cols)
+    rows = [[c[3][k] for c in cols] + [int(j == k) for j in range(n)] for k in range(n)]
+    support = [1 << k for k in range(n)]
+    free = list(range(n))
+    pivots = []
+    for j, (weight, unknown, t, _entries) in enumerate(cols):
+        if not free:
+            break
+        if any(support[r] & unknown for r in free):
+            if stop is not None:
+                t = max(max(e - 1 - stop, 0) for e in rb.exps)
+            raise _cut(S, vecs, reach, t)
+        p = next((r for r in free if rows[r][j]), None)
+        if p is None:
+            continue
+        free.remove(p)
+        pivot = field.scale_coeffs(rows[p], field.inv(rows[p][j]))
+        for r in free:
+            if rows[r][j]:
+                minus = field.scale_coeffs(pivot, field.neg(rows[r][j]))
+                rows[r] = field.add_coeffs(rows[r], minus)
+                support[r] |= support[p]
+        pivots.append((weight, pivot[m:]))
+    return pivots, [rows[r][m:] for r in free]
 
 
-def _common_denominators(field: GF, d: int, gens):
-    """Rat generators over one denominator L_i per coordinate, the lcm
-    over the generators: (numerator rows, the L_i)."""
-    if not gens:
-        return [], [Poly.one(field)] * d
-    return _clear_denominators(gens)
-
-
-class _RatPoint:
-    """The coordinates n_i / L_i of one point, read as reduced Rats,
-    which are built on first read."""
-
-    __slots__ = ("nums", "dens", "_rats")
-
-    def __init__(self, nums, dens):
-        self.nums = nums
-        self.dens = dens
-        self._rats = None
-
-    def _read(self):
-        if self._rats is None:
-            self._rats = [Rat(n, L) for n, L in zip(self.nums, self.dens)]
-        return self._rats
-
-    def __getitem__(self, i):
-        return self._read()[i]
-
-    def __iter__(self):
-        return iter(self._read())
-
-
-def _rat_point_norm(exps, nums, dens) -> QExp:
-    """max_i |n_i / L_i| q^(e_i), from degrees alone."""
-    norms = [n.degree - L.degree + e for e, n, L in zip(exps, nums, dens) if n.coeffs]
-    return QExp(max(norms)) if norms else QEXP_ZERO
-
-
-def fractional_points(S: PeriodicLattice, C: ConvexBody = None):
-    """All points of the fundamental domain intersected with S, as
-    rb-frame coordinate vectors with norms; exactly q^period_size, in
-    counting order (for N-rational alpha, first occurrences only, see
-    _generators)."""
-    if C is None:
-        C = S.base_body()
-    key = C.cache_key()
-    hit = S._points_cache.get(key)
-    if hit is not None:
-        return hit
-    field = S.field
-    rb = reduce_lattice(S.lattice, C)
-    gens = _generators(S, rb)
-    if gens and _is_series(gens[0]):
-        zero = (LaurentSeries.exact_zero(field),) * S.d
-        pts = [(coords, _frac_norm(rb.exps, coords)) for coords in _span(field, gens, zero)]
-    else:
-        rows, dens = _common_denominators(field, S.d, gens)
-        nums = _span(field, rows, (Poly.zero(field),) * S.d)
-        pts = [(_RatPoint(n, dens), _rat_point_norm(rb.exps, n, dens)) for n in nums]
-    if len(pts) != field.q ** S.period_size:
-        raise UndefinedValue(
-            f"expected q^{S.period_size} fundamental-domain points, got {len(pts)}"
-        )
-    S._points_cache[key] = pts
-    return pts
+def _combination(S: PeriodicLattice, rb: ReducedBasis, digits):
+    """sum_k digits[k] * g_k over the generators, least significant
+    first: one fundamental-domain point, in the rb frame.  For alpha
+    that is frac(Q * alpha) with Q = sum_k digits[k] x^k."""
+    if isinstance(S.form, AlphaForm):
+        Q = Poly(S.field, digits)
+        return [y.mul_poly(Q).frac_part() for y in _alpha_coords(S, rb)]
+    point = None
+    for a, g in zip(digits, _rep_coords(S, rb)[::-1]):
+        if a:
+            term = [y.scale(a) for y in g]
+            point = term if point is None else [p + t for p, t in zip(point, term)]
+    return point
 
 
 # --- geometric invariants ---------------------------------------------------
@@ -631,32 +616,35 @@ def _rank_would_increase(chosen, cand, d: int):
 def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
     """Successive minima exponents of S for C, with witness vectors.
 
-    Candidates are the nonzero fundamental-domain points and the
-    reduced basis vectors: by the ultrametric splitting of f + w into
-    its fractional and lattice parts, every ball's span is generated by
-    those.  Greedy by ascending norm, keeping candidates that enlarge
-    the span.  The pick order within one norm does not change the
-    minima, so a candidate whose independence a truncated minor cannot
-    decide is retried once the rest of its norm level is picked, and
-    only one still undecided then, with fewer than d picked, raises.
+    By the ultrametric splitting of f + w into its fractional and
+    lattice parts, the points of norm <= q^s span the same K_inf-space
+    as the pivot points of weight <= s (see _weight_echelon) and the
+    reduced basis vectors of norm <= q^s.  So these at most
+    period_size + d candidates, greedy by ascending norm, keeping those
+    that enlarge the span, give the minima.  The pick order within one
+    norm does not change the minima, so a candidate whose independence a
+    truncated minor cannot decide is retried once the rest of its norm
+    level is picked, and only one still undecided then, with fewer than
+    d picked, raises.
     """
     if C is None:
         C = S.base_body()
     field = S.field
     rb = reduce_lattice(S.lattice, C)
-    cands = []
-    for idx, (coords, norm) in enumerate(fractional_points(S, C)):
-        if norm.is_zero:
-            continue
-        cands.append((norm, 0, idx, coords))
-    for i in range(S.d):
-        cands.append((QExp(rb.exps[i]), 1, i, _unit_coords(field, S.d, i)))
-    cands.sort(key=lambda t: (t[0], t[1], t[2]))
+    pivots, _rest = _weight_echelon(S, rb)
+    cands = [(w, 0, idx, digits) for idx, (w, digits) in enumerate(pivots)]
+    cands += [(e, 1, i, None) for i, e in enumerate(rb.exps)]
+    cands.sort(key=lambda t: t[:3])
     exps = []
     chosen = []
     witnesses = []
     for norm, level in groupby(cands, key=lambda t: t[0]):
-        pending = [t[3] for t in level]
+        if len(chosen) == S.d:
+            break
+        pending = [
+            _unit_coords(field, S.d, i) if digits is None else _combination(S, rb, digits)
+            for _w, _kind, i, digits in level
+        ]
         while pending and len(chosen) < S.d:
             undecided = []
             for coords in pending:
@@ -665,7 +653,7 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
                 verdict = _rank_would_increase(chosen, coords, S.d)
                 if verdict is True:
                     chosen.append(coords)
-                    exps.append(norm.exp)
+                    exps.append(norm)
                     witnesses.append(_ambient_point(rb, coords))
                 elif verdict is not False:
                     undecided.append(coords)
@@ -693,56 +681,17 @@ def packing_density(S: PeriodicLattice, C: ConvexBody = None) -> Fraction:
     return qpow_fraction(S.field.q, exp)
 
 
-def _norm_one_kernel(S: PeriodicLattice, rb: ReducedBasis):
-    """The fundamental-domain points of norm <= 1 in the rb frame, from
-    one elimination: (r, digits).
-
-    A point has norm <= 1 iff the coefficients x^-1 .. x^-(e_i - 1) of
-    each coordinate i vanish, and those are F_q-linear in the point, so
-    the points of norm <= 1 are the image of the left kernel of the
-    pattern matrix at depths max(e_i - 1, 0); the generators are
-    independent, so there are q^(period_size - r) of them, r the rank.
-    digits (least significant generator first) is the first nonzero
-    kernel vector in counting order, or None: with the generators as
-    columns, the first free column f is the least significant top digit
-    any kernel vector can have, and the kernel vectors with top digit f
-    are the multiples of the one that is 1 at f and -m[row][f] at the
-    pivots.
-    """
-    depths = [max(e - 1, 0) for e in rb.exps]
-    m, pivots = _rref_fq(S.field, list(zip(*_pattern_matrix(S, rb, depths))))
-    free = next((f for f in range(S.period_size) if f not in pivots), None)
-    if free is None:
-        return len(pivots), None
-    digits = [0] * S.period_size
-    digits[free] = 1
-    for row, col in enumerate(pivots):
-        digits[col] = S.field.neg(m[row][free])
-    return len(pivots), digits
-
-
-def _combination(S: PeriodicLattice, rb: ReducedBasis, digits):
-    """sum_k digits[k] * g_k over the generators, least significant
-    first: one fundamental-domain point, in the rb frame."""
-    point = None
-    for a, g in zip(digits, _generators(S, rb)[::-1]):
-        if a:
-            term = [y.scale(a) for y in g]
-            point = term if point is None else [p + t for p, t in zip(point, term)]
-    return point
-
-
 def count_points(S: PeriodicLattice, C: ConvexBody = None, radius: int = None) -> int:
     """|C intersect S| (or a sup-norm ball of radius q^radius).
 
     Splitting across the fundamental domain: a point f + w lies in C
     iff both parts do, and the lattice part count factors through the
     reduced basis as prod_i q^max(1 - e_i, 0).  The fractional parts of
-    norm <= 1 number q^(period_size - r), r the rank of the pattern
-    matrix (see _norm_one_kernel).  When truncation hides a pattern
-    coefficient, the points are listed instead, since a known nonzero
-    coefficient above it can still decide a norm; when that fails too,
-    the pattern's refusal is raised, naming a floor that suffices.
+    norm <= 1 are the span of the rows that the columns of weight > 0
+    leave without a pivot (see _weight_echelon), q^(period_size - r) of
+    them for r pivots.  On truncated input that elimination refuses
+    only where a point's norm is undecided, naming the floor at which
+    every one of those columns is known.
     """
     if radius is not None:
         if C is not None:
@@ -751,15 +700,7 @@ def count_points(S: PeriodicLattice, C: ConvexBody = None, radius: int = None) -
     elif C is None:
         C = S.base_body()
     rb = reduce_lattice(S.lattice, C)
-    try:
-        total = S.field.q ** (S.period_size - _norm_one_kernel(S, rb)[0])
-    except InsufficientPrecision as refusal:
-        one = QExp(0)
-        try:
-            total = sum(1 for (_c, norm) in fractional_points(S, C) if norm <= one)
-        except InsufficientPrecision:
-            # the pattern's floor is the one that suffices
-            raise refusal from None
+    total = S.field.q ** (S.period_size - len(_weight_echelon(S, rb, 0)[0]))
     for e in rb.exps:
         total *= S.field.q ** max(1 - e, 0)
     return total
@@ -791,26 +732,29 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
     m(C + D cap S) = m(C) * #classes of fundamental-domain points
     modulo the group C.  A class is a coefficient pattern at depth
     max(e_i - 1, 0) per coordinate; the pattern is F_q-linear in the
-    point, so the classes are the image of the generators' patterns
-    and number q^rank.  When the measure exceeds
+    point, so the classes number q^r, r the pivots that the columns of
+    weight > 0 take (see _weight_echelon).  When the measure exceeds
     det(Lambda)/q^(period_size + d), search for a nonzero point of S in
     C: the first nonzero fundamental-domain point of norm <= 1 in
-    counting order, the kernel vector of the same elimination (see
-    _norm_one_kernel), else the first reduced vector.  That is
-    exhaustive by the ultrametric splitting, so a no_point outcome is a
-    certified counterexample to the measure hypothesis guaranteeing a
-    point.
+    counting order, else the first reduced vector.  That point has the
+    least significant top digit among the rows left without a pivot:
+    the last one once their digit vectors are in reduced echelon form,
+    most significant digit first.  The search is exhaustive by the
+    ultrametric splitting, so a no_point outcome is a certified
+    counterexample to the measure hypothesis guaranteeing a point.
     """
     if C is None:
         C = S.base_body()
     rb = reduce_lattice(S.lattice, C)
-    classes_log, digits = _norm_one_kernel(S, rb)
+    pivots, rest = _weight_echelon(S, rb, 0)
+    classes_log = len(pivots)
     measure_exp = C.log_volume.exp + classes_log
     threshold_exp = S.lattice.log_det - S.period_size - S.d
     if not measure_exp > threshold_exp:
         return MinkowskiReport("inapplicable", measure_exp, threshold_exp, classes_log)
-    if digits is not None:
-        coords = _combination(S, rb, digits)
+    if rest:
+        m, _pivots = _rref_fq(S.field, [digits[::-1] for digits in rest])
+        coords = _combination(S, rb, m[-1][::-1])
         rep = MinkowskiReport("point", measure_exp, threshold_exp, classes_log)
         rep.point = _ambient_point(rb, coords)
         rep.point_norm = _frac_norm(rb.exps, coords)
@@ -843,7 +787,7 @@ def d_invariant(S: PeriodicLattice, C: ConvexBody = None, max_d: int = 3, max_N:
     phi = _alpha_coords(S, rb)
     series = _is_series(phi)
     det = det_series if series else det_rat
-    qs = [Q for Q in _poly_range(field, S.form.N) if not Q.is_zero]
+    qs = [Poly(field, c) for c in product(range(field.q), repeat=S.form.N + 1) if any(c)]
     best = None
     undecided = False
     for k in range(1, S.d + 1):

@@ -28,6 +28,13 @@ MINK_DEEP = {
     "q": 2, "d": 2, "basis": [["x^6", "0"], ["0", "x^6"]], "N": 2,
     "alpha": ["1/(x^5+x+1)", "1/(x^7+x^2+1)"],
 }
+# reduced coordinates: alpha_2 = x^-6 + ... sits on the basis vector of
+# norm q^6, so frac(x^2 alpha) has its first nonzero class coefficient
+# at x^-4, which precision -5 hides from it
+MINK_CUT = {
+    "q": 2, "d": 2, "basis": [["x^6", "0"], ["0", "1"]], "N": 2,
+    "alpha": ["1/(x^3+x+1)", "1/(x^6+x+1)"],
+}
 
 
 def run(capsys, *argv):
@@ -226,9 +233,15 @@ class TestErrorPaths:
             assert code == 0 and out == "q^-2\n"
 
     def test_mink_search_hint_is_in_alpha_frame(self, capsys, tmp_path):
-        # the class pattern reads x^-(5 + k) of alpha for generators k <= 2
-        for floor, code in ((-5, 3), (-6, 3), (-7, 0)):
+        # the class pattern reads x^-(5 + k) of alpha for generators k <= 2;
+        # on MINK_DEEP every generator takes its pivot from coefficients
+        # it knows, so each certified floor answers as the exact twin does
+        twin = run(capsys, "mink-search", write_instance(tmp_path, "twin.json", MINK_DEEP))
+        for floor in (-5, -6, -7):
             p = write_instance(tmp_path, "mk.json", dict(MINK_DEEP, precision=floor))
+            assert run(capsys, "mink-search", p) == twin
+        for floor, code in ((-5, 3), (-6, 0), (-7, 0)):
+            p = write_instance(tmp_path, "cut.json", dict(MINK_CUT, precision=floor))
             got, _, err = run(capsys, "mink-search", p)
             assert got == code
             if code == 3:

@@ -4,6 +4,8 @@ The running worked family here is W: q = 2, Lambda = R^2,
 alpha = (x^-1, x^-2) in reduced coordinates, N = 1.
 """
 
+import random
+import signal
 from fractions import Fraction
 from itertools import product
 
@@ -23,7 +25,6 @@ from fflat import (
     count_points,
     covrad_periodic,
     d_invariant,
-    fractional_points,
     from_lattice,
     make_alpha_lattice,
     make_coset_lattice,
@@ -35,10 +36,9 @@ from fflat import (
     reduce_lattice,
     succ_minima_periodic,
 )
-from fflat import periodic
-from fflat.errors import CapExceeded
+from fflat.errors import BudgetExceeded, CapExceeded
 from fflat.ffcore import Poly, Rat, expand_rational
-from fflat.oracle import _points_by_definition, count_oracle
+from fflat.oracle import _points_by_definition, count_oracle, density_oracle, succmin_oracle
 from fflat.periodic import PeriodicLattice, _ambient_point, _tail_pattern
 
 F2 = GF(2)
@@ -63,7 +63,10 @@ def _rat_key(y):
 class TestWFamily:
     def test_period_size(self, W):
         assert W.period_size == 2
-        assert len(fractional_points(W)) == 4
+        assert len(_points_by_definition(W, W.base_body())) == 4
+        # every one of the 4 points has norm < 1, and the lattice adds
+        # 4 shifts of norm <= 1 to each
+        assert count_oracle(W, 0) == count_points(W) == 16
 
     def test_orbit_reps_and_norms(self, W):
         # frac(Q * alpha) for Q = 0, 1, x, x + 1: counting order
@@ -73,7 +76,7 @@ class TestWFamily:
             ("0", "x^-1"),
             ("x^-1", "x^-1+x^-2"),
         ]
-        pts = fractional_points(W)
+        pts = _points_by_definition(W, W.base_body())
         assert len(pts) == len(want)
         for n, ((coords, norm), strs) in enumerate(zip(pts, want)):
             exp = [parse_element(F2, e) for e in strs]
@@ -204,7 +207,8 @@ class TestAlphaValidation:
     def test_relaxed_alpha_zero(self, lam):
         Z = make_alpha_lattice(lam, ["0", "0"], 0, require_irrational=False)
         assert Z.period_size == 0
-        assert len(fractional_points(Z)) == 1
+        assert len(_points_by_definition(Z, Z.base_body())) == 1
+        assert count_oracle(Z, 0) == count_points(Z) == 4
         exps, _ = succ_minima_periodic(Z)
         assert exps == [0, 0]
 
@@ -391,7 +395,7 @@ def test_periodic_lattice_accessors(W):
     assert W.base_body().log_volume == QExp(0)
 
 
-# --- the walk over the generators against the definition ---------------
+# --- the Minkowski classes against the definition -----------------------
 
 
 @st.composite
@@ -444,22 +448,17 @@ def _outcome(fn, *args):
         return ("InsufficientPrecision", e.needed_floor)
 
 
-def _listed(pts):
-    if isinstance(pts, tuple):
-        return pts
-    return [(list(coords), norm) for coords, norm in pts]
-
-
 @given(span_instances())
-def test_walk_lists_the_points_of_the_definition(inst):
-    """fractional_points (a walk over the generators) lists the points
-    the oracle builds from the definition: the same coordinates, norms
-    and order, or the same precision error; and mink-search counts as
-    many classes as there are tail patterns among them."""
+def test_mink_classes_are_the_tail_patterns_of_the_definition(inst):
+    """mink-search counts as many classes as there are tail patterns
+    among the points built from the definition; where truncation hides
+    a pattern coefficient of some point, it refuses naming the same
+    floor, or answers (the twin tests check those answers)."""
     S, C = inst
     body = S.base_body() if C is None else C
     want = _outcome(_points_by_definition, S, body)
-    assert _listed(_outcome(fractional_points, S, C)) == _listed(want)
+    if isinstance(want, tuple):
+        return
 
     def by_patterns():
         rb = reduce_lattice(S.lattice, body)
@@ -479,8 +478,11 @@ def test_walk_lists_the_points_of_the_definition(inst):
         return log
 
     got = _outcome(lambda: minkowski_search(S, C).classes_log)
-    if not isinstance(want, tuple):
-        assert got == _outcome(by_patterns)
+    expected = _outcome(by_patterns)
+    if isinstance(expected, tuple):
+        assert got == expected or isinstance(got, int)
+    else:
+        assert got == expected
 
 
 # --- count and the mink-search point from one elimination ---------------
@@ -603,34 +605,139 @@ def test_truncated_count_and_mink_search_answer_as_their_twins(inst, floor):
         assert all(_expands(t, e) for t, e in zip(got.point, want.point))
 
 
-def test_count_falls_back_to_the_points_where_the_pattern_is_cut():
-    # e = (0, 3): the pattern reads x^-2 of frac(x * alpha_2), which
-    # alpha_2 = x^-2 + O(x^-3) leaves unknown, so the rank is refused;
-    # but the known x^-1 or x^-2 of every nonzero point puts its norm
-    # above 1, so listing the points answers as the exact twin does
+def test_a_cut_coefficient_of_a_pivoted_generator_is_not_read():
+    # e = (0, 3): the weight-2 column (x^-1 of coordinate 2) pivots out
+    # frac(x * alpha) before the weight-1 column reads its x^-2, which
+    # alpha_2 = x^-2 + O(x^-3) leaves unknown; alpha itself knows its
+    # x^-2 and pivots there, so count and mink-search answer as the
+    # exact twin does
     lat = Lattice(F2, [["1", "0"], ["0", "x^3"]])
     alpha = [parse_element(F2, "0"), parse_element(F2, "x^-2")]
     S = make_alpha_lattice(lat, [expand_rational(y, -2).truncated(-2) for y in alpha], 1)
-    with pytest.raises(InsufficientPrecision):
-        minkowski_search(S, ConvexBody.ball(F2, 2, 0))
+    exact = make_alpha_lattice(lat, alpha, 1)
+    ball = ConvexBody.ball(F2, 2, 0)
+    assert minkowski_search(S, ball).as_dict() == minkowski_search(exact, ball).as_dict()
+    assert minkowski_search(S, ball).classes_log == 2
     assert count_points(S, radius=0) == 2
-    assert count_points(make_alpha_lattice(lat, alpha, 1), radius=0) == 2
+    assert count_points(exact, radius=0) == 2
 
 
-def test_exact_instances_do_not_enumerate(monkeypatch, W):
-    def listed(*_args):
-        raise AssertionError("fractional_points called")
+# --- minima, packing radius and density from the same elimination ------
 
-    monkeypatch.setattr(periodic, "fractional_points", listed)
-    lam = Lattice(F3, [["x", "1"], ["0", "x^2"]])
-    instances = [
-        W,
-        make_alpha_lattice(lam, ["1/(x^3+x+1)", "x^-1"], 2),
-        make_alpha_lattice(lam, ["1/(x+1)", "x^-1"], 2, require_irrational=False),
-        make_coset_lattice(lam, [["x^-1", "0"], ["x^-2", "2/(x+2)"]]),
-        from_lattice(lam),
-    ]
-    for S in instances:
-        for C in (None, ConvexBody.ball(S.field, 2, -1), ConvexBody.ball(S.field, 2, 2)):
-            count_points(S, C)
-            minkowski_search(S, C)
+# the oracles list the points of their windows; this keeps each example
+# well under a second
+ORACLE_BUDGET = 1 << 14
+
+
+@given(_twins())
+def test_minima_packing_and_density_equal_the_oracles(inst):
+    """On exact instances the minima are the oracle's, read off growing
+    balls; each witness has norm q^(e_j) in the body; the packing radius
+    and density are those of the oracle's first minimum and window."""
+    build, C = inst
+    try:
+        S = build(None)
+    except ValueError:
+        assume(False)
+    body = S.base_body() if C is None else C
+    exps, wits = succ_minima_periodic(S, C)
+    assert [norm_in_body(w, body) for w in wits] == [QExp(e) for e in exps]
+    try:
+        want = succmin_oracle(S, body, budget=ORACLE_BUDGET)
+        density = density_oracle(S, body, budget=ORACLE_BUDGET)
+    except BudgetExceeded:
+        # about a third of the instances: bodies with spread-out minima
+        # need windows of more than 2^14 points
+        assume(False)
+    assert exps == want
+    assert packing_radius(S, C) == QExp(want[0] - 1)
+    assert packing_density(S, C) == density
+
+
+@settings(max_examples=200)
+@given(_twins(), st.integers(-8, -1))
+def test_truncated_minima_packing_and_density_answer_as_their_twins(inst, floor):
+    """A truncated minima, packing radius or density answers as its
+    exact twin does, or raises InsufficientPrecision."""
+    build, C = inst
+    try:
+        exact, trunc = build(None), build(floor)
+    except (NRational, InsufficientPrecision, ValueError):
+        assume(False)
+    for fn in (lambda S: succ_minima_periodic(S, C)[0],
+               lambda S: packing_radius(S, C),
+               lambda S: packing_density(S, C)):
+        want = fn(exact)
+        try:
+            got = fn(trunc)
+        except InsufficientPrecision:
+            continue
+        assert got == want
+
+
+# --- large N: q^(N + 1) points could never be listed ---------------------
+
+
+def _convergent_degrees(a: Poly, b: Poly):
+    """Degrees of the denominators Q_1, Q_2, ... of the continued
+    fraction of a/b, deg a < deg b, by Euclid: deg Q_k is the sum of the
+    degrees of the first k partial quotients."""
+    degs, total = [], 0
+    while not a.is_zero:
+        quo, rem = divmod(b, a)
+        total += quo.degree
+        degs.append(total)
+        a, b = rem, a
+    return degs
+
+
+def _random_fraction(rng, F, deg_b: int) -> Rat:
+    """a/b in lowest terms with deg a < deg b = deg_b."""
+    while True:
+        a = Poly(F, [rng.randrange(F.q) for _ in range(deg_b)])
+        b = Poly(F, [rng.randrange(F.q) for _ in range(deg_b)] + [1])
+        if not a.is_zero and Rat(a, b).den.degree == deg_b:
+            return Rat(a, b)
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs past 20 s instead of letting it hang."""
+    def expired(_signum, _frame):
+        raise AssertionError("ran past 20 s: the points are being listed")
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def test_large_n_answers_without_listing_points(alarm):
+    """alpha = (a/b, 0) on the standard lattice with deg b > N: the first
+    minimum is the best approximation |frac(Q_k a/b)| = q^-deg Q_(k+1),
+    Q_k the last convergent denominator of degree <= N, and the second
+    is the unit vector's q^0.  Up to N = 40 the q^(N + 1) points are far
+    too many to list within the alarm."""
+    rng = random.Random(12)
+    zero = Rat.from_poly(Poly.zero(F2))
+    instances = []
+    for F, N in [(F2, 40)] + [(rng.choice([F2, F3]), rng.randint(12, 40)) for _ in range(8)]:
+        y = _random_fraction(rng, F, N + rng.randint(1, 4))
+        zero = Rat.from_poly(Poly.zero(F))
+        S = make_alpha_lattice(Lattice.standard(F, 2), [y, zero], N)
+        deg_next = next(k for k in _convergent_degrees(y.num, y.den) if k > N)
+        assert succ_minima_periodic(S)[0] == [min(0, -deg_next), 0]
+        instances.append((S, y, zero, N))
+    # every command on the N = 40 instance over F_2: all q^(N + 1)
+    # fractional points have norm < 1, and the unit ball holds q^2
+    # lattice shifts of each
+    S, y, zero, N = instances[0]
+    e1 = succ_minima_periodic(S)[0][0]
+    assert count_points(S) == 2 ** (N + 3)
+    mk = minkowski_search(S)
+    assert (mk.status, mk.classes_log, mk.point_source) == ("point", 0, "fractional")
+    assert mk.point == [y, zero]
+    assert covrad_periodic(S) == QExp(-1)
+    assert packing_radius(S) == QExp(e1 - 1)
+    assert packing_density(S) == Fraction(2) ** (N + 1 + 2 * e1)
