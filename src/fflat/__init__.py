@@ -50,7 +50,7 @@ from .periodic import (
     packing_radius,
     succ_minima_periodic,
 )
-from .hankel import covrad_bounds, covrad_periodic, hankel, rank_condition
+from .hankel import covrad_bounds, covrad_periodic, hankel
 from .oracle import (
     count_oracle,
     covrad_oracle,

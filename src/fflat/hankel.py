@@ -1,27 +1,24 @@
 """Hankel matrices of Laurent tails and the covering radius of a
-periodic lattice by a rank scan over tail patterns.
+periodic lattice from the weight-ordered elimination.
 
-S covers every point of K_inf^d to within q^-l iff its
-fundamental-domain points realize every tail pattern at depths
-max(l + e_i, 0).  The pattern is F_q-linear in the point, so that holds
-iff the pattern matrix of the generators (periodic._pattern_matrix) at
-those depths has rank equal to their sum.  For the alpha form that
-matrix is the paper's stacked Hankel system transposed: the
-coefficient of x^-t in frac(x^k y) is that of x^-(t+k) in y.  The set
-of good l is downward-closed (dropping columns of a full-column-rank
-matrix keeps its rank full), so an ascending scan stopping at the
-first failure is exact.
+S covers every point of K_inf^d to within q^w (closer than q^w) iff
+its fundamental-domain points realize every tail pattern on the columns
+of weight >= w (coefficient x^-t of coordinate i has weight e_i - t).  The
+pattern is F_q-linear in the point, so that holds iff the generators'
+pattern matrix has full column rank there: c(w) = sum_i max(e_i - w, 0)
+columns, p(w) pivots of weight >= w in periodic._weight_echelon.  For
+the alpha form that matrix is the paper's stacked Hankel system
+transposed: the coefficient of x^-t in frac(x^k y) is that of
+x^-(t+k) in y.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InsufficientPrecision
-from .exactlinalg import rank_fq
 from .ffcore import LaurentSeries, QExp, Rat
 from .lattice import ConvexBody, Lattice, reduce_lattice
-from .periodic import PeriodicLattice, _pattern_matrix, _tail_pattern
+from .periodic import PeriodicLattice, _tail_pattern, _weight_echelon
 
 
 def hankel(alpha, m: int, n: int):
@@ -35,53 +32,38 @@ def hankel(alpha, m: int, n: int):
     return [list(tail[i:i + n]) for i in range(m)]
 
 
-def _depths(exps, ell: int):
-    return [max(ell + e, 0) for e in exps]
-
-
-def rank_condition(S: PeriodicLattice, C: ConvexBody, ell: int) -> bool:
-    """Do the generators realize every tail pattern at level ell, that
-    is, does their pattern matrix at depths max(ell + e_i, 0) have rank
-    want = sum of the depths?  The q^period_size fundamental-domain
-    points bound that rank, so a level with want above the period size
-    fails without reading a coefficient."""
-    if C is None:
-        C = S.base_body()
-    rb = reduce_lattice(S.lattice, C)
-    depths = _depths(rb.exps, ell)
-    want = sum(depths)
-    if want > S.period_size:
-        return False
-    return rank_fq(S.field, _pattern_matrix(S, rb, depths)) == want
-
-
 def covrad_periodic(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
     """Covering radius of S for C, either form (a plain lattice is the
-    coset form without representatives).
+    coset form without representatives): q^w for the largest w with
+    c(w) > p(w).
 
-    Scans l upward from -e_d, where want is 0 and the rank condition
-    holds trivially, and returns q^-l for the first failing l; the scan
-    ends at the latest where want exceeds the period size.  Negative l
-    is meaningful and does occur: lattices with spread-out minima cover
-    some tails only at radii above 1.  A level whose coefficients lie
-    below a truncation floor refuses with the floor of the deepest
-    level the scan can reach, which is enough for every level below it.
+    The q^period_size fundamental-domain points bound p(w), so below
+    the smallest weight low with c(low) <= period_size the answer is
+    low - 1 without reading a coefficient, and one elimination reads the
+    columns of weight >= low.  w may be positive: lattices with
+    spread-out minima cover some tails only at radii above 1.  On
+    truncated input the elimination may stop at a column it cannot read;
+    its pivots are exact above that column's weight, so the refusal is
+    raised only when no w above it answers, naming the floor at which
+    every column down to low is known.
     """
     if C is None:
         C = S.base_body()
     rb = reduce_lattice(S.lattice, C)
-    ell = -rb.exps[-1]
-    try:
-        while rank_condition(S, C, ell + 1):
-            ell += 1
-    except InsufficientPrecision:
-        # the deepest reachable level needs more than the refused one,
-        # so its pattern matrix raises too, naming its own floor
-        while sum(_depths(rb.exps, ell + 2)) <= S.period_size:
-            ell += 1
-        _pattern_matrix(S, rb, _depths(rb.exps, ell + 1))
-        raise
-    return QExp(-(ell + 1))
+
+    def columns(w):
+        return sum(max(e - w, 0) for e in rb.exps)
+
+    low = rb.exps[-1]
+    while columns(low - 1) <= S.period_size:
+        low -= 1
+    pivots, _rest, cut = _weight_echelon(S, rb, low - 1)
+    for w in range(rb.exps[-1] - 1, low - 1, -1):
+        if cut and w <= cut[0]:
+            raise cut[1]
+        if columns(w) > sum(1 for pw, _digits in pivots if pw >= w):
+            return QExp(w)
+    return QExp(low - 1)
 
 
 def covrad_bounds(lat: Lattice, N: int, C: ConvexBody = None):

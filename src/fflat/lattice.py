@@ -164,13 +164,6 @@ class Lattice:
     def log_det(self) -> int:
         return self._det.degree - self.d * self.shift
 
-    def basis_rat(self):
-        """Basis columns as lists of Rat."""
-        xs = Poly.monomial(self.field, 1, self.shift)
-        return [
-            [Rat(self.G[i][j], xs) for i in range(self.d)] for j in range(self.d)
-        ]
-
 
 class ReducedBasis:
     """Reduction of a lattice with respect to a body.
@@ -375,11 +368,6 @@ def reduce_lattice(lat: Lattice, C: ConvexBody) -> ReducedBasis:
     rb = ReducedBasis(lat, C, exps, VP, RP, U, lat.shift, norm_shift)
     lat._reductions[key] = rb
     return rb
-
-
-def det_lattice(lat: Lattice) -> QExp:
-    """det(Lambda) = |det g| as a q-power."""
-    return QExp(lat.log_det)
 
 
 def covrad_lattice(lat: Lattice, C: ConvexBody) -> QExp:

@@ -27,9 +27,10 @@ generators' pattern matrix with its columns in descending weight
 points of norm <= q^s are the span of the pivots of weight <= s.  Read
 down to weight 1 it gives count and the mink-search point; read until
 every generator has a pivot it gives the candidates of the successive
-minima, and with them the packing radius and density.  The rank of the
-same patterns at one depth per coordinate (_pattern_matrix) gives the
-covering radius levels.  The patterns are also the construction
+minima, and with them the packing radius and density; read down to the
+lowest weight at which there are at most n columns of that weight or
+more it gives the covering radius (hankel.covrad_periodic), from how
+many pivots those columns take.  The patterns are also the construction
 certificate (_first_spanned): N-irrationality of truncated alpha and
 independence of the coset representatives both say that no generator
 lies in the span of the earlier ones on the coefficients they all know.
@@ -158,7 +159,10 @@ def _as_series(vals, d: int):
 
 
 def _frac_norm(exps, coords) -> QExp:
-    """max_i |y_i| q^(e_i) with sound truncation handling."""
+    """max_i |y_i| q^(e_i) with sound truncation handling.  A refusal
+    names a floor for coords: with a known nonzero coefficient of weight
+    best, knowing every coefficient of weight > best decides the norm;
+    without one, the floor only lowers every coordinate's bound."""
     if not _is_series(coords):
         norms = [y.val().exp + e for e, y in zip(exps, coords) if not y.is_zero]
         return QExp(max(norms)) if norms else QEXP_ZERO
@@ -175,9 +179,10 @@ def _frac_norm(exps, coords) -> QExp:
         return QExp(best)
     if not pending:
         return QEXP_ZERO
+    need = best + 1 if best is not None else min(pending) - 1
     raise InsufficientPrecision(
         "coordinate norm undecidable at the stored precision floor",
-        needed_floor=min(b - max(exps) for b in pending) - 1,
+        needed_floor=need - max(exps),
     )
 
 
@@ -461,32 +466,28 @@ def _patterns(vecs, reach: int, depths):
 
 def _cut(S: PeriodicLattice, vecs, reach: int, depth: int) -> InsufficientPrecision:
     """The refusal of a pattern that reads the generators to depth: it
-    names the floor -(depth + reach) that reading needs, moved down by as
-    much as the change to the rb frame raised the truncation floors, so
-    that it is a floor for the instance's own coordinates."""
+    names the floor -(depth + reach) that reading needs, as a floor for
+    the instance's own coordinates (see _instance_floor)."""
     floor = -(depth + reach)
-    canon = [S.form.phi] if isinstance(S.form, AlphaForm) else S.form.reps
-    loss = max(_truncated_floors(vecs)) - max(_truncated_floors(canon), default=0)
     return InsufficientPrecision(
         f"tail pattern needs coefficients down to x^{floor}",
-        needed_floor=floor - max(loss, 0),
+        needed_floor=_instance_floor(S, vecs, floor),
     )
 
 
-def _pattern_matrix(S: PeriodicLattice, rb: ReducedBasis, depths):
-    """The generators' tail patterns in the rb frame, one row per
-    generator, least significant first: the coefficients of x^-1 ..
-    x^-depths[i] of each coordinate i in turn (see _patterns)."""
-    vecs, reach = _generator_vectors(S, rb)
-    try:
-        return _patterns(vecs, reach, depths)
-    except InsufficientPrecision:
-        raise _cut(S, vecs, reach, max(depths)) from None
+def _instance_floor(S: PeriodicLattice, vecs, floor: int) -> int:
+    """A floor for vectors computed from the instance's coordinates, as a
+    floor for those coordinates: moved down by as much as the computation
+    raised the highest truncation floor (the change to the rb frame, and
+    the shift k of frac(x^k * v))."""
+    canon = [S.form.phi] if isinstance(S.form, AlphaForm) else S.form.reps
+    loss = max(_truncated_floors(vecs)) - max(_truncated_floors(canon), default=0)
+    return floor - max(loss, 0)
 
 
 def _weight_echelon(S: PeriodicLattice, rb: ReducedBasis, stop: int = None):
     """The generators' pattern matrix in row echelon form, its columns in
-    descending weight: (pivots, rest).
+    descending weight: (pivots, rest, cut).
 
     Row k is generator k, least significant first, then its digit
     vector; column (i, t) holds the coefficients of x^-t of coordinate i
@@ -502,23 +503,26 @@ def _weight_echelon(S: PeriodicLattice, rb: ReducedBasis, stop: int = None):
     A coefficient below a floor reads as 0, and a row knows a column
     when all generators in its digits do.  A row without a pivot that
     meets a column it does not know is a point whose norm no known
-    coefficient decides: the elimination refuses there.  Rows keep
-    their order and pivots are only subtracted from later rows, so an
-    alpha row knows what its most significant generator knows; within
-    one weight the columns more generators know come first.
+    coefficient decides: the elimination stops there, and cut is
+    (the column's weight, the InsufficientPrecision to raise); pivots
+    then holds those of the columns before it, and is exact.  Otherwise
+    cut is None.  Rows keep their order and pivots are only subtracted
+    from later rows, so an alpha row knows what its most significant
+    generator knows; within one weight the columns more generators know
+    come first.
     """
     field, n = S.field, S.period_size
     vecs, reach = _generator_vectors(S, rb)
     if not n:
-        return [], []
+        return [], [], None
     # generator k is frac(x^shift * vecs[v]): (v, shift)
     gens = [(0, k) if isinstance(S.form, AlphaForm) else (k, 0) for k in range(n)]
     depths = []
     for i, e in enumerate(rb.exps):
         ys = [v[i] for v in vecs]
-        cut = [max(-y.floor, 0) for y in ys if isinstance(y, LaurentSeries) and not y.exact]
+        cuts = [max(-y.floor, 0) for y in ys if isinstance(y, LaurentSeries) and not y.exact]
         exact = [y for y in ys if not isinstance(y, LaurentSeries) or y.exact]
-        dep = max(_common_den(field, exact).degree, max(cut, default=-1) + 1)
+        dep = max(_common_den(field, exact).degree, max(cuts, default=-1) + 1)
         depths.append(dep if stop is None else max(min(dep, e - 1 - stop), 0))
     tails = [[_known_tail(y, dep + reach) for y, dep in zip(v, depths)] for v in vecs]
     # (weight, the generators that do not know the column as a bit mask,
@@ -545,7 +549,7 @@ def _weight_echelon(S: PeriodicLattice, rb: ReducedBasis, stop: int = None):
         if any(support[r] & unknown for r in free):
             if stop is not None:
                 t = max(max(e - 1 - stop, 0) for e in rb.exps)
-            raise _cut(S, vecs, reach, t)
+            return pivots, None, (weight, _cut(S, vecs, reach, t))
         p = next((r for r in free if rows[r][j]), None)
         if p is None:
             continue
@@ -557,7 +561,7 @@ def _weight_echelon(S: PeriodicLattice, rb: ReducedBasis, stop: int = None):
                 rows[r] = field.add_coeffs(rows[r], minus)
                 support[r] |= support[p]
         pivots.append((weight, pivot[m:]))
-    return pivots, [rows[r][m:] for r in free]
+    return pivots, [rows[r][m:] for r in free], None
 
 
 def _combination(S: PeriodicLattice, rb: ReducedBasis, digits):
@@ -631,7 +635,9 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
         C = S.base_body()
     field = S.field
     rb = reduce_lattice(S.lattice, C)
-    pivots, _rest = _weight_echelon(S, rb)
+    pivots, _rest, cut = _weight_echelon(S, rb)
+    if cut:
+        raise cut[1]
     cands = [(w, 0, idx, digits) for idx, (w, digits) in enumerate(pivots)]
     cands += [(e, 1, i, None) for i, e in enumerate(rb.exps)]
     cands.sort(key=lambda t: t[:3])
@@ -700,7 +706,10 @@ def count_points(S: PeriodicLattice, C: ConvexBody = None, radius: int = None) -
     elif C is None:
         C = S.base_body()
     rb = reduce_lattice(S.lattice, C)
-    total = S.field.q ** (S.period_size - len(_weight_echelon(S, rb, 0)[0]))
+    pivots, _rest, cut = _weight_echelon(S, rb, 0)
+    if cut:
+        raise cut[1]
+    total = S.field.q ** (S.period_size - len(pivots))
     for e in rb.exps:
         total *= S.field.q ** max(1 - e, 0)
     return total
@@ -746,7 +755,9 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
     if C is None:
         C = S.base_body()
     rb = reduce_lattice(S.lattice, C)
-    pivots, rest = _weight_echelon(S, rb, 0)
+    pivots, rest, cut = _weight_echelon(S, rb, 0)
+    if cut:
+        raise cut[1]
     classes_log = len(pivots)
     measure_exp = C.log_volume.exp + classes_log
     threshold_exp = S.lattice.log_det - S.period_size - S.d
@@ -757,7 +768,11 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
         coords = _combination(S, rb, m[-1][::-1])
         rep = MinkowskiReport("point", measure_exp, threshold_exp, classes_log)
         rep.point = _ambient_point(rb, coords)
-        rep.point_norm = _frac_norm(rb.exps, coords)
+        try:
+            rep.point_norm = _frac_norm(rb.exps, coords)
+        except InsufficientPrecision as e:
+            e.needed_floor = _instance_floor(S, [coords], e.needed_floor)
+            raise
         rep.point_source = "fractional"
         return rep
     if rb.exps[0] <= 0:

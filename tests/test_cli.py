@@ -18,10 +18,17 @@ POPOV2 = str(DATA / "popov2.json")
 MINKGAP = str(DATA / "minkgap.json")
 
 
-# e = (0, 3): the covering radius scan reads alpha_2 alone, to x^-3
+# e = (0, 3): the covering radius reads alpha_2 alone, to x^-3
 SPREAD = {
     "q": 2, "d": 2, "basis": [["1", "0"], ["0", "x^3"]], "N": 1,
     "alpha": ["1/(x^5+x^2+1)", "x/(x^3+x+1)"],
+}
+# SPREAD's lattice with N = 2: the covering radius reads the columns
+# x^-1 .. x^-3 of frac(x^k alpha_2), k <= 2, so x^-5 of alpha_2, and
+# above -5 a row without a pivot meets a coefficient it does not know
+COVRAD_CUT = {
+    "q": 2, "d": 2, "basis": [["1", "0"], ["0", "x^3"]], "N": 2,
+    "alpha": ["1/(x^3+x+1)", "x/(x^3+x+1)"],
 }
 # e = (6, 6): mink-search's class pattern has depth 5 per coordinate
 MINK_DEEP = {
@@ -215,13 +222,21 @@ class TestErrorPaths:
         assert code == 4 and err.startswith("error:")
 
     def test_precision_too_coarse_exits_3(self, capsys, tmp_path):
-        # the scan's last level before want > 2 reads x^-3 of alpha_2
-        p = write_instance(tmp_path, "coarse.json", dict(SPREAD, precision=-2))
-        code, _, err = run(capsys, "covrad", p)
-        assert code == 3 and err.startswith("error:")
-        assert err.rstrip().endswith("(needs precision <= -3)")
-        p = write_instance(tmp_path, "fine.json", dict(SPREAD, precision=-3))
-        assert run(capsys, "covrad", p) == (0, "q^0\n", "")
+        # SPREAD at -2: x^-3 of alpha_2 is cut, but only frac(x * alpha_2)
+        # reads it, and that row has its pivot already, so the answer is
+        # the exact twin's
+        for floor in (-2, -3, None):
+            doc = SPREAD if floor is None else dict(SPREAD, precision=floor)
+            p = write_instance(tmp_path, "spread.json", doc)
+            assert run(capsys, "covrad", p) == (0, "q^0\n", "")
+        for floor in (-3, -4):
+            p = write_instance(tmp_path, "coarse.json", dict(COVRAD_CUT, precision=floor))
+            code, _, err = run(capsys, "covrad", p)
+            assert code == 3 and err.startswith("error:")
+            assert err.rstrip().endswith("(needs precision <= -5)")
+        for doc in (COVRAD_CUT, dict(COVRAD_CUT, precision=-5)):
+            p = write_instance(tmp_path, "fine.json", doc)
+            assert run(capsys, "covrad", p) == (0, "q^-1\n", "")
 
     def test_precision_boundary_is_enough(self, capsys, tmp_path):
         # at -2 too: W's level needing x^-3 asks rank 4 of 2 generators
@@ -246,6 +261,35 @@ class TestErrorPaths:
             assert got == code
             if code == 3:
                 assert err.rstrip().endswith("(needs precision <= -7)")
+
+    def test_mink_search_norm_hint_suffices(self, capsys, tmp_path):
+        # the point is frac((x^2 + 2) * alpha) in the body's frame: at -4
+        # its second coordinate knows no coefficient down to weight 0, the
+        # first has one of weight -1, so the norm needs weight >= 0 known
+        # in the point, two more coefficients of alpha for the shift x^2
+        inst = {
+            "q": 3, "d": 2, "basis": [["x^2+x^3", "0"], ["0", "x"]], "N": 2,
+            "alpha": ["(2*x+x^2+2*x^3+x^4)/(1+x+x^3+2*x^4+x^5)", "(1+x+x^3)/(2*x+x^2+x^5)"],
+            "body": [["1", "0"], ["0", "x+1"]],
+        }
+        code, out, _ = run(capsys, "mink-search", "--format", "json",
+                           write_instance(tmp_path, "twin.json", inst))
+        twin = json.loads(out)
+        assert code == 0 and (twin["status"], twin["measure_exp"], twin["norm_exp"]) == ("point", 3, -1)
+        floor = -4
+        for _ in range(3):
+            p = write_instance(tmp_path, "cut.json", dict(inst, precision=floor))
+            code, out, err = run(capsys, "mink-search", "--format", "json", p)
+            if code == 0:
+                break
+            assert code == 3
+            hint = int(err.rstrip()[:-1].rsplit("<= ", 1)[1])
+            assert hint < floor
+            floor = hint
+        assert code == 0 and floor == -5
+        got = json.loads(out)
+        assert {k: v for k, v in got.items() if k != "point"} == {
+            k: v for k, v in twin.items() if k != "point"}
 
     def test_rational_alpha_exits_1(self, capsys, tmp_path):
         p = write_instance(

@@ -1,5 +1,6 @@
-"""Covering radii of periodic lattices through tail-pattern ranks,
-which for the alpha form are Hankel matrix ranks."""
+"""Covering radii of periodic lattices through the ranks of the
+generators' tail patterns, which for the alpha form are Hankel matrix
+ranks."""
 
 import random
 from fractions import Fraction
@@ -25,7 +26,6 @@ from fflat import (
     make_alpha_lattice,
     make_coset_lattice,
     parse_element,
-    rank_condition,
 )
 from fflat.battery import (
     random_alpha_lattice,
@@ -34,8 +34,9 @@ from fflat.battery import (
     random_lattice,
 )
 from fflat.cli import _apply_precision
+from fflat.exactlinalg import rank_fq
 from fflat.lattice import covrad_lattice, reduce_lattice
-from fflat.periodic import _alpha_coords, _pattern_matrix
+from fflat.periodic import _alpha_coords, _cut, _generator_vectors, _patterns
 
 F2 = GF(2)
 F3 = GF(3)
@@ -71,26 +72,8 @@ class TestRankCondition:
     def test_w_pattern(self):
         lam = Lattice.standard(F2, 2)
         W = make_alpha_lattice(lam, ["x^-1", "x^-2"], 1)
-        C = ConvexBody.identity(F2, 2)
-        assert rank_condition(W, C, 0)
-        assert rank_condition(W, C, 1)
-        assert not rank_condition(W, C, 2)
         assert covrad_periodic(W) == QExp(-2)
-
-    def test_downward_closed(self):
-        rng = random.Random(3)
-        lam = Lattice.standard(F2, 2)
-        C = ConvexBody.identity(F2, 2)
-        for _ in range(10):
-            num = [rng.randrange(2) for _ in range(3)]
-            if not any(num):
-                num[0] = 1
-            a = Rat(Poly(F2, tuple(num)), Poly.monomial(F2, 1, 4))
-            S = make_alpha_lattice(lam, [a, "x^-1+x^-3"], 2)
-            held = [rank_condition(S, C, l) for l in range(-1, 4)]
-            # once it fails it stays failed
-            for a_, b_ in zip(held, held[1:]):
-                assert a_ or not b_
+        assert covrad_periodic(W) == _scan_covrad(W)
 
 
 class TestCovradPeriodic:
@@ -157,15 +140,26 @@ class TestCoefficientLocality:
         assert covrad_periodic(trunc) == covrad_periodic(exact)
 
     def test_truncation_above_needed_depth_is_refused(self):
-        # e = (0, 3): the level before want > 2 reads x^-3 of alpha_2
+        # e = (0, 3): the columns of weight >= 1 are x^-1 .. x^-(2 + N)
+        # of alpha_2's tail for the N + 1 generators
         lam = Lattice(F2, [["1", "0"], ["0", "x^3"]])
         alpha = [parse_element(F2, "1/(x^5+x^2+1)"), parse_element(F2, "x/(x^3+x+1)")]
+        # N = 1 at -2: x^-3 is cut, but only frac(x * alpha_2) reads it,
+        # and that row took its pivot at x^-2 already
         trunc = make_alpha_lattice(lam, [_apply_precision(F2, a, -2) for a in alpha], 1)
+        assert covrad_periodic(trunc) == QExp(0)
         with pytest.raises(InsufficientPrecision) as ei:
-            covrad_periodic(trunc)
+            _scan_covrad(trunc)
         assert ei.value.needed_floor == -3
-        fine = make_alpha_lattice(lam, [_apply_precision(F2, a, -3) for a in alpha], 1)
-        assert covrad_periodic(fine) == QExp(0)
+        # N = 2 at -3 or -4: a row without a pivot meets x^-4 or x^-5
+        alpha = [parse_element(F2, "1/(x^3+x+1)"), alpha[1]]
+        for floor in (-3, -4):
+            trunc = make_alpha_lattice(lam, [_apply_precision(F2, a, floor) for a in alpha], 2)
+            with pytest.raises(InsufficientPrecision) as ei:
+                covrad_periodic(trunc)
+            assert ei.value.needed_floor == -5
+        fine = make_alpha_lattice(lam, [_apply_precision(F2, a, -5) for a in alpha], 2)
+        assert covrad_periodic(fine) == QExp(-1) == covrad_periodic(make_alpha_lattice(lam, alpha, 2))
 
     def test_level_past_the_generator_count_reads_nothing(self):
         # W's third level would read x^-3 but asks rank 4 of 2 generators
@@ -221,7 +215,7 @@ class TestHankelIdentity:
                         row for y, dep in zip(_alpha_coords(S, rb), depths)
                         for row in hankel(y, dep, N + 1)
                     ]
-                    pattern = _pattern_matrix(S, rb, depths)
+                    pattern = _patterns([_alpha_coords(S, rb)], N, depths)
                     assert len(pattern) == N + 1
                     assert stacked == [list(col) for col in zip(*pattern)]
 
@@ -245,9 +239,45 @@ class TestCovradEveryForm:
         lam = Lattice.standard(F2, 2)
         S = make_coset_lattice(lam, [["x^-1", "0"], ["0", "x^-1"]])
         C = ConvexBody.identity(F2, 2)
-        assert rank_condition(S, C, 1)
-        assert not rank_condition(S, C, 2)
-        assert covrad_periodic(S) == QExp(-2) == covrad_oracle(S)
+        assert covrad_periodic(S, C) == QExp(-2) == covrad_oracle(S)
+        assert covrad_periodic(S, C) == _scan_covrad(S, C)
+
+
+def _scan_covrad(S, C=None):
+    """The covering radius by the level scan that the elimination
+    replaced, kept as a reference: level l holds when the generators'
+    pattern matrix at depths max(l + e_i, 0) has full column rank, the
+    good levels are downward-closed, and the answer is q^-l for the
+    first failing l.  A level whose coefficients are cut refuses with
+    the floor of the deepest level the scan can reach."""
+    if C is None:
+        C = S.base_body()
+    rb = reduce_lattice(S.lattice, C)
+    vecs, reach = _generator_vectors(S, rb)
+
+    def depths(ell):
+        return [max(ell + e, 0) for e in rb.exps]
+
+    def full_rank(ell):
+        deps = depths(ell)
+        if sum(deps) > S.period_size:
+            return False
+        try:
+            rows = _patterns(vecs, reach, deps)
+        except InsufficientPrecision:
+            raise _cut(S, vecs, reach, max(deps)) from None
+        return rank_fq(S.field, rows) == sum(deps)
+
+    ell = -rb.exps[-1]
+    try:
+        while full_rank(ell + 1):
+            ell += 1
+    except InsufficientPrecision:
+        while sum(depths(ell + 2)) <= S.period_size:
+            ell += 1
+        full_rank(ell + 1)
+        raise
+    return QExp(-(ell + 1))
 
 
 @st.composite
@@ -297,4 +327,36 @@ def test_refused_covrad_names_a_floor_that_suffices(inst):
     except InsufficientPrecision as e:
         assert e.needed_floor < floor
         got = covrad_periodic(build(e.needed_floor))
+    assert got == want
+
+
+@settings(max_examples=300)
+@given(truncated_instances(), st.sampled_from([None, "ball", "random"]),
+       st.randoms(use_true_random=False))
+def test_covrad_answers_where_the_level_scan_answers(inst, body, rng):
+    """On every level the scan answers, the elimination answers the same;
+    where both refuse, they name the same floor; an answer the scan
+    refused equals the exact twin's."""
+    build, floor = inst
+    try:
+        exact = build(None)
+        trunc = build(floor)
+    except (NRational, InsufficientPrecision, ValueError):
+        assume(False)
+    field, d = trunc.field, trunc.d
+    C = (None if body is None else ConvexBody.ball(field, d, 1) if body == "ball"
+         else random_body(rng, field, d, -1, 1))
+    assert covrad_periodic(exact, C) == _scan_covrad(exact, C)
+    try:
+        want = _scan_covrad(trunc, C)
+    except InsufficientPrecision as e:
+        want = e
+    try:
+        got = covrad_periodic(trunc, C)
+    except InsufficientPrecision as e:
+        assert isinstance(want, InsufficientPrecision)
+        assert e.needed_floor == want.needed_floor
+        return
+    if isinstance(want, InsufficientPrecision):
+        want = covrad_periodic(exact, C)
     assert got == want
