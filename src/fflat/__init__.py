@@ -31,18 +31,18 @@ from .ffcore import (
 from .lattice import (
     ConvexBody,
     Lattice,
-    covrad_lattice,
     norm_in_body,
     reduce_lattice,
 )
 from .periodic import (
-    AlphaForm,
-    CosetForm,
     PeriodicLattice,
     check_bounds,
     count_points,
+    covrad_bounds,
+    covrad_periodic,
     d_invariant,
     from_lattice,
+    hankel,
     make_alpha_lattice,
     make_coset_lattice,
     minkowski_search,
@@ -50,7 +50,6 @@ from .periodic import (
     packing_radius,
     succ_minima_periodic,
 )
-from .hankel import covrad_bounds, covrad_periodic, hankel
 from .oracle import (
     count_oracle,
     covrad_oracle,

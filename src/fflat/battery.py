@@ -16,13 +16,14 @@ from fractions import Fraction
 from .errors import NRational, ParseError, SingularInput
 from .exactlinalg import det_poly, mat_mul_poly, popov_reduce
 from .ffcore import GF, Poly, QExp, Rat, field_of_order
-from .hankel import covrad_bounds, covrad_periodic
 from .lattice import ConvexBody, Lattice, norm_in_body, reduce_lattice
 from .oracle import count_oracle, covrad_oracle, density_oracle, succmin_oracle
 from .periodic import (
     PeriodicLattice,
     check_bounds,
     count_points,
+    covrad_bounds,
+    covrad_periodic,
     from_lattice,
     make_alpha_lattice,
     make_coset_lattice,
@@ -84,7 +85,7 @@ def random_body(rng, field: GF, d: int, dmin: int = -2, dmax: int = 2) -> Convex
 
 
 def random_alpha_lattice(rng, field: GF, d: int, N: int, lat: Lattice) -> PeriodicLattice:
-    """AlphaForm instance over lat, certified N-irrational."""
+    """Alpha-form instance over lat, certified N-irrational."""
     while True:
         coords = []
         for _ in range(d):

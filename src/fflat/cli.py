@@ -10,6 +10,7 @@ reduced fractions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -37,11 +38,12 @@ from .ffcore import (
     parse_element,
     series_from_json,
 )
-from .hankel import covrad_bounds, covrad_periodic
 from .lattice import ConvexBody, Lattice, reduce_lattice
 from .oracle import covrad_oracle
 from .periodic import (
     count_points,
+    covrad_bounds,
+    covrad_periodic,
     d_invariant,
     from_lattice,
     make_alpha_lattice,
@@ -126,6 +128,8 @@ def load_instance(path: str) -> Instance:
     modulus = raw.get("modulus")
     if modulus is not None and not isinstance(modulus, list):
         raise ParseError("modulus: expected a coefficient list")
+    if modulus and not all(isinstance(c, int) and not isinstance(c, bool) for c in modulus):
+        raise ParseError("modulus: coefficients must be integers")
     field = field_of_order(raw["q"], tuple(modulus) if modulus else None)
     if "d" not in raw or not isinstance(raw["d"], int):
         raise ParseError("d: required integer")
@@ -202,6 +206,21 @@ def _fmt_qexp(v: QExp) -> str:
     if v.is_zero:
         return "0"
     return f"q^{v.exp}"
+
+
+@contextlib.contextmanager
+def _exact_int_output():
+    """Lift Python's limit on the digits of an int printed in decimal
+    (absent before 3.10.7) while a command runs: an exact count or
+    density may have more than 4300 digits."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
 
 
 def _emit(args, text_lines, json_obj) -> None:
@@ -404,7 +423,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         inst = load_instance(args.file)
-        return _HANDLERS[args.command](inst, args)
+        with _exact_int_output():
+            return _HANDLERS[args.command](inst, args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4

@@ -369,8 +369,3 @@ def reduce_lattice(lat: Lattice, C: ConvexBody) -> ReducedBasis:
     lat._reductions[key] = rb
     return rb
 
-
-def covrad_lattice(lat: Lattice, C: ConvexBody) -> QExp:
-    """Covering radius of a plain lattice: q^(e_d - 1)."""
-    rb = reduce_lattice(lat, C)
-    return QExp(rb.exps[-1] - 1)

@@ -4,8 +4,8 @@ Everything here is derived directly from definitions: minima are read
 off growing balls, the covering radius is certified by
 coefficient-pattern coverage at explicit depth.  The fundamental-domain
 points are built point by point from the definition of S
-(frac(Q * alpha), sums of scaled coset representatives), not taken from
-the walk over generators that periodic uses.  A window of S is counted
+(frac(Q * alpha), sums of scaled coset representatives), not from the
+generators whose patterns periodic eliminates.  A window of S is counted
 by the rep/lattice splitting (a rep in the ball times the lattice
 shifts that keep it there); its points are built only where the rank
 test of the minima needs them.  The closed-form routines elsewhere
@@ -22,13 +22,11 @@ from .errors import BudgetExceeded, PrecisionTooCoarse
 from .ffcore import LaurentSeries, Poly, QExp, Rat, qpow_fraction
 from .lattice import ConvexBody, reduce_lattice
 from .periodic import (
-    AlphaForm,
     PeriodicLattice,
-    _alpha_coords,
     _ambient_point,
+    _coords,
     _frac_norm,
     _is_series,
-    _rep_coords,
     _tail_pattern,
 )
 from .exactlinalg import rank_rational
@@ -84,18 +82,18 @@ def _points_by_definition(S: PeriodicLattice, C: ConvexBody):
     field = S.field
     rb = reduce_lattice(S.lattice, C)
     pts = []
-    if isinstance(S.form, AlphaForm):
-        phi = _alpha_coords(S, rb)
+    if S.N is not None:
+        phi = _coords(S, rb)[0]
         seen = set()
-        for Q in _poly_upto(field, S.form.N):
+        for Q in _poly_upto(field, S.N):
             coords = [y.mul_poly(Q).frac_part() for y in phi]
-            if not S.form.irr_verified:
+            if S.reach != S.N:
                 if tuple(coords) in seen:
                     continue
                 seen.add(tuple(coords))
             pts.append(coords)
     else:
-        reps = _rep_coords(S, rb)
+        reps = _coords(S, rb)
         if reps and _is_series(reps[0]):
             zero = LaurentSeries.exact_zero(field)
         else:
@@ -242,7 +240,7 @@ def covrad_oracle(S: PeriodicLattice, C: ConvexBody = None, M: int = None,
     e_d = rb.exps[-1]
     e_1 = rb.exps[0]
     if M is None:
-        N = S.form.N if isinstance(S.form, AlphaForm) else S.period_size
+        N = S.period_size if S.N is None else S.N
         M = N + abs(e_1) + abs(e_d) + 4
     pts = _points_by_definition(S, C)
     if len(pts) * S.d * M > budget:

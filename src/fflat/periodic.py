@@ -1,10 +1,7 @@
 """Periodic lattices: finitely many cosets of a lattice forming an
-F_q-subspace of K_inf^d.
-
-Two construction forms.  AlphaForm is the bounded-denominator family
-built from a direction vector alpha and a degree bound N: the union of
-Q*alpha + Lambda over polynomials Q with deg Q <= N.  CosetForm lists
-fractional coset representatives directly.
+F_q-subspace of K_inf^d, one representation (PeriodicLattice) for
+Lambda(alpha, q^N) and for listed coset representatives; only their
+constructors differ.
 
 All fractional data lives in reduced-basis coordinates.  The canonical
 frame is the reduced basis for the sup-norm body; operations taking a
@@ -16,12 +13,11 @@ The coordinates of one periodic lattice share one arithmetic backend,
 chosen at construction (_lift): Rat when no input coordinate is a
 series, LaurentSeries for all of them when one is.
 
-The fundamental-domain points form the F_q-span of n = period_size
-independent generators: frac(x^k * alpha) for 0 <= k < n, or the coset
-representatives.  Their tail coefficients are F_q-linear in the point,
-and no invariant lists the q^n points.  The coefficient of x^-t in
-coordinate i has weight e_i - t, and a point's norm is q^(the largest
-weight of a nonzero coefficient).  So one elimination of the
+The fundamental-domain points form the F_q-span of the n = period_size
+independent generators.  Their tail coefficients are F_q-linear in the
+point, and no invariant lists the q^n points.  The coefficient of x^-t
+in coordinate i has weight e_i - t, and a point's norm is q^(the
+largest weight of a nonzero coefficient).  So one elimination of the
 generators' pattern matrix with its columns in descending weight
 (_weight_echelon) gives a basis of pivot points of known norm, and the
 points of norm <= q^s are the span of the pivots of weight <= s.  Read
@@ -29,14 +25,15 @@ down to weight 1 it gives count and the mink-search point; read until
 every generator has a pivot it gives the candidates of the successive
 minima, and with them the packing radius and density; read down to the
 lowest weight at which there are at most n columns of that weight or
-more it gives the covering radius (hankel.covrad_periodic), from how
-many pivots those columns take.  The patterns are also the construction
+more it gives the covering radius (covrad_periodic), from how many
+pivots those columns take.  The patterns are also the construction
 certificate (_first_spanned): N-irrationality of truncated alpha and
 independence of the coset representatives both say that no generator
-lies in the span of the earlier ones on the coefficients they all know.
-Exact alpha keeps the closed form of that rank, the degree of its
-denominators' lcm.  So nothing here enumerates points, and no size cap
-is needed; only d_invariant, a brute force over polynomials, keeps one.
+lies in the span of the earlier ones on the coefficients they all
+know.  Exact alpha keeps the closed form of that rank, the degree of
+its denominators' lcm.  So nothing here enumerates points, and no size
+cap is needed; only d_invariant, a brute force over polynomials, keeps
+one.
 """
 
 from __future__ import annotations
@@ -45,18 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, product
 
-from .errors import (
-    CapExceeded,
-    InsufficientPrecision,
-    NRational,
-    UndefinedValue,
-)
-from .exactlinalg import (
-    _rref_fq,
-    det_rat,
-    det_series,
-    rank_rational,
-)
+from .errors import CapExceeded, InsufficientPrecision, NRational, UndefinedValue
+from .exactlinalg import _rref_fq, det_rat, det_series, rank_rational
 from .ffcore import (
     GF,
     LaurentSeries,
@@ -72,45 +59,42 @@ from .ffcore import (
 )
 from .lattice import ConvexBody, Lattice, ReducedBasis, reduce_lattice
 
-
-# --- forms and the periodic lattice type ----------------------------------
-
-
-class AlphaForm:
-    """S = union of Q*alpha + Lambda over deg Q <= N.
-
-    phi holds the fractional reduced-basis coordinates of alpha in the
-    canonical (sup-norm) frame.  irr_verified records whether the
-    N-irrationality certificate was produced at construction.
-    """
-
-    __slots__ = ("phi", "N", "irr_verified")
-
-    def __init__(self, phi, N: int, irr_verified: bool):
-        self.phi = phi
-        self.N = N
-        self.irr_verified = irr_verified
+# the sizes up to which the d_invariant brute force runs
+_DINV_MAX_D = 3
+_DINV_MAX_N = 2
 
 
-class CosetForm:
-    """S = Lambda + F_q-span of the listed fractional representatives."""
-
-    __slots__ = ("reps",)
-
-    def __init__(self, reps):
-        self.reps = reps
+# --- the periodic lattice type -----------------------------------------------
 
 
 class PeriodicLattice:
-    __slots__ = ("lattice", "form", "period_size", "_coord_cache", "_points_cache")
+    """Lambda plus the F_q-span of the generators, least significant
+    first: frac(x^k * v) for k = 0..reach and each v in reversed(vecs).
 
-    def __init__(self, lattice: Lattice, form, period_size: int):
+    vecs holds fractional vectors in the canonical (sup-norm) frame, as
+    given: [alpha] for Lambda(alpha, q^N) (make_alpha_lattice), the
+    representatives in their order (make_coset_lattice), [] for a plain
+    lattice (from_lattice).  Certified N-irrational alpha has reach N,
+    N-rational alpha one less than the degree of its denominators' lcm,
+    the others 0.  N is alpha's degree bound, else None; only the
+    definition-level code (d_invariant, check_bounds, the oracles)
+    reads it.
+    """
+
+    __slots__ = ("lattice", "vecs", "reach", "N", "_coord_cache", "_points_cache")
+
+    def __init__(self, lattice: Lattice, vecs, reach: int = 0, N: int = None):
         self.lattice = lattice
-        self.form = form
-        self.period_size = period_size
+        self.vecs = vecs
+        self.reach = reach
+        self.N = N
         self._coord_cache = {}
         # the oracles' memo (fflat.oracle); nothing here reads it
         self._points_cache = {}
+
+    @property
+    def period_size(self) -> int:
+        return len(self.vecs) * (self.reach + 1)
 
     @property
     def field(self) -> GF:
@@ -246,20 +230,12 @@ def _ambient_point(rb: ReducedBasis, coords):
     return rb.ambient_from_coords(coords)
 
 
-def _alpha_coords(S: PeriodicLattice, rb: ReducedBasis):
-    key = ("alpha", rb.body.cache_key())
+def _coords(S: PeriodicLattice, rb: ReducedBasis):
+    """S.vecs in the rb frame, in their order; converted once per body."""
+    key = rb.body.cache_key()
     hit = S._coord_cache.get(key)
     if hit is None:
-        hit = _convert_coords(S, rb, S.form.phi)
-        S._coord_cache[key] = hit
-    return hit
-
-
-def _rep_coords(S: PeriodicLattice, rb: ReducedBasis):
-    key = ("reps", rb.body.cache_key())
-    hit = S._coord_cache.get(key)
-    if hit is None:
-        hit = [_convert_coords(S, rb, r) for r in S.form.reps]
+        hit = [_convert_coords(S, rb, v) for v in S.vecs]
         S._coord_cache[key] = hit
     return hit
 
@@ -338,8 +314,8 @@ def make_alpha_lattice(
                     f"alpha is N-rational for N={N}: witness {format_poly(lcm)}",
                     witness=lcm,
                 )
-            return PeriodicLattice(lat, AlphaForm(phi, N, irr_verified=False), lcm.degree)
-    return PeriodicLattice(lat, AlphaForm(phi, N, irr_verified=True), N + 1)
+            return PeriodicLattice(lat, [phi], lcm.degree - 1, N)
+    return PeriodicLattice(lat, [phi], N, N)
 
 
 def make_coset_lattice(lat: Lattice, reps) -> PeriodicLattice:
@@ -369,7 +345,7 @@ def make_coset_lattice(lat: Lattice, reps) -> PeriodicLattice:
                 needed_floor=min(_truncated_floors(parsed)) - 1,
             )
         raise ValueError("coset representatives are F_q-linearly dependent")
-    return PeriodicLattice(lat, CosetForm(parsed), len(parsed))
+    return PeriodicLattice(lat, parsed)
 
 
 def _truncated_floors(vecs):
@@ -432,20 +408,10 @@ def _first_spanned(field: GF, vecs, reach: int):
 
 def from_lattice(lat: Lattice) -> PeriodicLattice:
     """The lattice itself as a periodic lattice with trivial cosets."""
-    return PeriodicLattice(lat, CosetForm([]), 0)
+    return PeriodicLattice(lat, [])
 
 
 # --- tail patterns -----------------------------------------------------------
-
-
-def _generator_vectors(S: PeriodicLattice, rb: ReducedBasis):
-    """(vecs, reach) in the rb frame: the generators, least significant
-    first, are frac(x^k * v) for k = 0..reach and each v in vecs in turn;
-    for alpha the one vector alpha with reach period_size - 1, for cosets
-    the representatives, last first, with reach 0."""
-    if isinstance(S.form, AlphaForm):
-        return ([_alpha_coords(S, rb)] if S.period_size else []), S.period_size - 1
-    return _rep_coords(S, rb)[::-1], 0
 
 
 def _patterns(vecs, reach: int, depths):
@@ -464,6 +430,20 @@ def _patterns(vecs, reach: int, depths):
     ]
 
 
+def hankel(alpha, m: int, n: int):
+    """m x n Hankel matrix: entry (i,j) is the coefficient of
+    x^-(i+j-1) in the fractional part of alpha (1-indexed).  Stacked
+    per coordinate, the Hankel matrices of alpha's coordinates are the
+    alpha form's pattern matrix transposed: the coefficient of x^-t in
+    frac(x^k y) is that of x^-(t+k) in y."""
+    if m <= 0 or n <= 0:
+        return []
+    if not isinstance(alpha, (Rat, LaurentSeries)):
+        raise TypeError(f"unsupported tail type {type(alpha).__name__}")
+    tail = _tail_pattern(alpha.frac_part(), m + n - 1)
+    return [list(tail[i:i + n]) for i in range(m)]
+
+
 def _cut(S: PeriodicLattice, vecs, reach: int, depth: int) -> InsufficientPrecision:
     """The refusal of a pattern that reads the generators to depth: it
     names the floor -(depth + reach) that reading needs, as a floor for
@@ -480,8 +460,7 @@ def _instance_floor(S: PeriodicLattice, vecs, floor: int) -> int:
     floor for those coordinates: moved down by as much as the computation
     raised the highest truncation floor (the change to the rb frame, and
     the shift k of frac(x^k * v))."""
-    canon = [S.form.phi] if isinstance(S.form, AlphaForm) else S.form.reps
-    loss = max(_truncated_floors(vecs)) - max(_truncated_floors(canon), default=0)
+    loss = max(_truncated_floors(vecs)) - max(_truncated_floors(S.vecs), default=0)
     return floor - max(loss, 0)
 
 
@@ -511,12 +490,12 @@ def _weight_echelon(S: PeriodicLattice, rb: ReducedBasis, stop: int = None):
     generator knows; within one weight the columns more generators know
     come first.
     """
-    field, n = S.field, S.period_size
-    vecs, reach = _generator_vectors(S, rb)
+    field, n, reach = S.field, S.period_size, S.reach
     if not n:
         return [], [], None
+    vecs = _coords(S, rb)[::-1]
     # generator k is frac(x^shift * vecs[v]): (v, shift)
-    gens = [(0, k) if isinstance(S.form, AlphaForm) else (k, 0) for k in range(n)]
+    gens = [(v, shift) for v in range(len(vecs)) for shift in range(reach + 1)]
     depths = []
     for i, e in enumerate(rb.exps):
         ys = [v[i] for v in vecs]
@@ -566,16 +545,22 @@ def _weight_echelon(S: PeriodicLattice, rb: ReducedBasis, stop: int = None):
 
 def _combination(S: PeriodicLattice, rb: ReducedBasis, digits):
     """sum_k digits[k] * g_k over the generators, least significant
-    first: one fundamental-domain point, in the rb frame.  For alpha
-    that is frac(Q * alpha) with Q = sum_k digits[k] x^k."""
-    if isinstance(S.form, AlphaForm):
-        Q = Poly(S.field, digits)
-        return [y.mul_poly(Q).frac_part() for y in _alpha_coords(S, rb)]
+    first: one fundamental-domain point, in the rb frame.  The digits of
+    the generators of one vector v form a polynomial Q, and their part is
+    frac(Q * v); for alpha that is the whole point.  A constant Q only
+    scales v, which stays fractional."""
+    r = S.reach + 1
     point = None
-    for a, g in zip(digits, _rep_coords(S, rb)[::-1]):
-        if a:
-            term = [y.scale(a) for y in g]
-            point = term if point is None else [p + t for p, t in zip(point, term)]
+    for j, v in enumerate(reversed(_coords(S, rb))):
+        block = digits[j * r:(j + 1) * r]
+        if not any(block):
+            continue
+        if any(block[1:]):
+            Q = Poly(S.field, block)
+            term = [y.mul_poly(Q).frac_part() for y in v]
+        else:
+            term = [y.scale(block[0]) for y in v]
+        point = term if point is None else [p + t for p, t in zip(point, term)]
     return point
 
 
@@ -715,6 +700,60 @@ def count_points(S: PeriodicLattice, C: ConvexBody = None, radius: int = None) -
     return total
 
 
+def covrad_periodic(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
+    """Covering radius of S for C: q^w for the largest w with
+    c(w) > p(w).  S covers every point of K_inf^d closer than q^w iff
+    its fundamental-domain points realize every tail pattern on the
+    c(w) = sum_i max(e_i - w, 0) columns of weight >= w, that is (the
+    patterns being F_q-linear) iff those columns take p(w) = c(w)
+    pivots in _weight_echelon.
+
+    The q^period_size fundamental-domain points bound p(w), so below
+    the smallest weight low with c(low) <= period_size the answer is
+    low - 1 without reading a coefficient, and one elimination reads the
+    columns of weight >= low.  w may be positive: lattices with
+    spread-out minima cover some tails only at radii above 1.  On
+    truncated input the elimination may stop at a column it cannot read;
+    its pivots are exact above that column's weight, so the refusal is
+    raised only when no w above it answers, naming the floor at which
+    every column down to low is known.
+    """
+    if C is None:
+        C = S.base_body()
+    rb = reduce_lattice(S.lattice, C)
+
+    def columns(w):
+        return sum(max(e - w, 0) for e in rb.exps)
+
+    low = rb.exps[-1]
+    while columns(low - 1) <= S.period_size:
+        low -= 1
+    pivots, _rest, cut = _weight_echelon(S, rb, low - 1)
+    for w in range(rb.exps[-1] - 1, low - 1, -1):
+        if cut and w <= cut[0]:
+            raise cut[1]
+        if columns(w) > sum(1 for pw, _digits in pivots if pw >= w):
+            return QExp(w)
+    return QExp(low - 1)
+
+
+def covrad_bounds(lat: Lattice, N: int, C: ConvexBody = None):
+    """(lower, upper) exponent bounds for the covering radius of any
+    Lambda(alpha, q^N): lower is an exact rational exponent, upper is
+    the lattice covering radius exponent e_d - 1."""
+    if C is None:
+        C = ConvexBody.identity(lat.field, lat.d)
+    rb = reduce_lattice(lat, C)
+    e = rb.exps
+    d = lat.d
+    best = None
+    for i in range(1, d + 1):
+        cand = Fraction(N + 1 - sum(e[d - i:]), i)
+        if best is None or cand > best:
+            best = cand
+    return (-(1 + best), QExp(e[-1] - 1))
+
+
 @dataclass
 class MinkowskiReport:
     status: str                # "point" | "inapplicable" | "no_point"
@@ -785,24 +824,25 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
     return MinkowskiReport("no_point", measure_exp, threshold_exp, classes_log)
 
 
-def d_invariant(S: PeriodicLattice, C: ConvexBody = None, max_d: int = 3, max_N: int = 2) -> QExp:
+def d_invariant(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
     """Smallest nonzero |det| over square systems of representative
     fractional coordinates; brute force over k, index subsets and
-    k-subsets of the polynomials of degree <= N."""
-    if not isinstance(S.form, AlphaForm):
-        raise TypeError("d_invariant requires an AlphaForm periodic lattice")
+    k-subsets of the polynomials of degree <= N, for d <= _DINV_MAX_D
+    and N <= _DINV_MAX_N."""
+    if S.N is None:
+        raise TypeError("d_invariant requires an alpha-form periodic lattice")
     if C is None:
         C = S.base_body()
-    if S.d > max_d or S.form.N > max_N:
+    if S.d > _DINV_MAX_D or S.N > _DINV_MAX_N:
         raise CapExceeded(
-            f"d_invariant brute force is limited to d <= {max_d}, N <= {max_N}"
+            f"d_invariant brute force is limited to d <= {_DINV_MAX_D}, N <= {_DINV_MAX_N}"
         )
     field = S.field
     rb = reduce_lattice(S.lattice, C)
-    phi = _alpha_coords(S, rb)
+    phi = _coords(S, rb)[0]
     series = _is_series(phi)
     det = det_series if series else det_rat
-    qs = [Poly(field, c) for c in product(range(field.q), repeat=S.form.N + 1) if any(c)]
+    qs = [Poly(field, c) for c in product(range(field.q), repeat=S.N + 1) if any(c)]
     best = None
     undecided = False
     for k in range(1, S.d + 1):
@@ -906,13 +946,13 @@ def check_bounds(S: PeriodicLattice, C: ConvexBody = None) -> BoundsReport:
         bnd_prod_lhs=prod_lhs,
         bnd_prod_ok=prod_lhs <= rhs,
     )
-    if isinstance(S.form, AlphaForm) and S.form.irr_verified:
+    if S.reach == S.N:  # alpha, certified N-irrational
         rb = reduce_lattice(S.lattice, C)
-        phi = _alpha_coords(S, rb)
-        if not _is_series(phi) and all(y.den.degree > S.form.N for y in phi):
+        phi = _coords(S, rb)[0]
+        if not _is_series(phi) and all(y.den.degree > S.N for y in phi):
             dinv = d_invariant(S, C)
             report.sandwich_checked = True
             report.dinv_exp = dinv.exp
             report.sandwich_lower_ok = dinv.exp + logdet - logm <= prod_lhs
-            report.sandwich_upper_ok = prod_lhs <= logdet - (S.form.N + 1) - logm
+            report.sandwich_upper_ok = prod_lhs <= logdet - (S.N + 1) - logm
     return report

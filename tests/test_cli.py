@@ -1,10 +1,12 @@
 """End-to-end command line tests, run in-process through cli.main."""
 
 import contextlib
+import decimal
 import io
 import json
 import random
 import signal
+import sys
 from pathlib import Path
 
 import pytest
@@ -376,6 +378,32 @@ def test_extension_field_default_modulus(capsys, tmp_path):
     })
     for cmd in ("covrad", "count", "mink-search"):
         assert run(capsys, cmd, p) == run(capsys, cmd, with_modulus)
+
+
+@pytest.mark.parametrize("entry", ["a", True, 1.5])
+def test_modulus_entries_must_be_integers(capsys, tmp_path, entry):
+    p = write_instance(tmp_path, "q4bad.json", {
+        "q": 4, "modulus": [entry, 1, 1], "d": 2, "basis": [["1", "0"], ["0", "1"]],
+    })
+    assert run(capsys, "reduce", p) == (4, "", "error: modulus: coefficients must be integers\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_counts_past_the_int_digit_limit_print_exactly(capsys, tmp_path, fmt):
+    """The unit ball of radius q^20000 holds 2^40002 points of F_2[x]^2,
+    12042 digits, more than Python prints of an int by default; the
+    count prints exactly, and the limit is back afterwards."""
+    p = write_instance(tmp_path, "std.json", {"q": 2, "d": 2, "basis": [["1", "0"], ["0", "1"]]})
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, err = run(capsys, "count", p, "--radius", "20000", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert limit() == before
+    with decimal.localcontext() as ctx:
+        ctx.prec = 13000
+        want = str(decimal.Decimal(2) ** 40002)
+    assert len(want) == 12042
+    assert out == (f"{want}\n" if fmt == "text" else f'{{"count": {want}}}\n')
 
 
 # --- one arithmetic backend per instance ------------------------------------

@@ -35,8 +35,8 @@ from fflat.battery import (
 )
 from fflat.cli import _apply_precision
 from fflat.exactlinalg import rank_fq
-from fflat.lattice import covrad_lattice, reduce_lattice
-from fflat.periodic import _alpha_coords, _cut, _generator_vectors, _patterns
+from fflat.lattice import reduce_lattice
+from fflat.periodic import _coords, _cut, _patterns
 
 F2 = GF(2)
 F3 = GF(3)
@@ -66,6 +66,12 @@ class TestHankelPlacement:
         # 1/(x^2+1) over F3 = x^-2 - x^-4 + x^-6 - ...
         a = parse_element(F3, "1/(x^2+1)")
         assert hankel(a, 3, 3) == [[0, 1, 0], [1, 0, 2], [0, 2, 0]]
+
+    def test_package_name_is_the_function(self):
+        import fflat
+        import fflat.periodic
+
+        assert fflat.hankel is fflat.periodic.hankel
 
 
 class TestRankCondition:
@@ -212,10 +218,10 @@ class TestHankelIdentity:
                     rb = reduce_lattice(lat, S.base_body())
                     depths = [rng.randint(0, 4) for _ in range(d)]
                     stacked = [
-                        row for y, dep in zip(_alpha_coords(S, rb), depths)
+                        row for y, dep in zip(_coords(S, rb)[0], depths)
                         for row in hankel(y, dep, N + 1)
                     ]
-                    pattern = _patterns([_alpha_coords(S, rb)], N, depths)
+                    pattern = _patterns(_coords(S, rb), N, depths)
                     assert len(pattern) == N + 1
                     assert stacked == [list(col) for col in zip(*pattern)]
 
@@ -229,7 +235,8 @@ class TestCovradEveryForm:
                     lat = random_lattice(rng, field, d, -1, 2)
                     C = random_body(rng, field, d, -1, 1) if rng.random() < 0.7 else None
                     plain = covrad_periodic(from_lattice(lat), C)
-                    assert plain == covrad_lattice(lat, C or ConvexBody.identity(field, d))
+                    rb = reduce_lattice(lat, C or ConvexBody.identity(field, d))
+                    assert plain == QExp(rb.exps[-1] - 1)
                     cosets = random_coset_lattice(rng, field, d, rng.randint(1, 4 if field.q == 2 else 3), lat)
                     assert covrad_periodic(cosets, C) == covrad_oracle(cosets, C)
                     alpha = random_alpha_lattice(rng, field, d, rng.randint(0, 1), lat)
@@ -253,7 +260,7 @@ def _scan_covrad(S, C=None):
     if C is None:
         C = S.base_body()
     rb = reduce_lattice(S.lattice, C)
-    vecs, reach = _generator_vectors(S, rb)
+    vecs, reach = _coords(S, rb)[::-1], S.reach
 
     def depths(ell):
         return [max(ell + e, 0) for e in rb.exps]

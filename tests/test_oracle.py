@@ -284,7 +284,7 @@ def test_oracle_with_nonunit_body(W):
 # closed forms the oracles check; importing one would make
 # an oracle agree with what it is meant to test
 CLOSED_FORMS = {
-    "_generator_vectors", "_weight_echelon", "succ_minima_periodic", "count_points",
+    "_combination", "_weight_echelon", "succ_minima_periodic", "count_points",
     "minkowski_search", "covrad_periodic",
 }
 
@@ -292,11 +292,10 @@ CLOSED_FORMS = {
 def test_oracle_imports_no_closed_form():
     import fflat.oracle
 
-    # a deleted closed form would leave the guard checking nothing; the
-    # package binds the name hankel to the function, so look modules up
-    homes = [import_module("fflat.periodic"), import_module("fflat.hankel")]
+    # a deleted closed form would leave the guard checking nothing
+    periodic = import_module("fflat.periodic")
     for name in CLOSED_FORMS:
-        assert any(hasattr(m, name) for m in homes), name
+        assert hasattr(periodic, name), name
 
     tree = ast.parse(Path(fflat.oracle.__file__).read_text())
     names = {alias.name for node in ast.walk(tree)

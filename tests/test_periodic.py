@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fflat import (
     GF,
-    AlphaForm,
     ConvexBody,
     InsufficientPrecision,
     Lattice,
@@ -36,6 +35,7 @@ from fflat import (
     reduce_lattice,
     succ_minima_periodic,
 )
+from fflat.battery import random_body
 from fflat.errors import BudgetExceeded, CapExceeded
 from fflat.ffcore import Poly, Rat, expand_rational
 from fflat.oracle import _points_by_definition, count_oracle, density_oracle, succmin_oracle
@@ -116,9 +116,13 @@ class TestWFamily:
     def test_d_invariant(self, W):
         assert d_invariant(W) == QExp(-2)
 
-    def test_d_invariant_caps(self, W):
+    def test_d_invariant_caps(self, lam):
+        # the brute force stops at N <= 2 and d <= 3
         with pytest.raises(CapExceeded):
-            d_invariant(W, max_N=0)
+            d_invariant(make_alpha_lattice(lam, ["x^-4", "x^-5"], 3))
+        lam4 = Lattice.standard(F2, 4)
+        with pytest.raises(CapExceeded):
+            d_invariant(make_alpha_lattice(lam4, ["x^-2", "x^-3", "x^-4", "x^-5"], 1))
 
     def test_bounds_report(self, W, lam):
         rep = check_bounds(W)
@@ -469,8 +473,7 @@ def test_mink_classes_are_the_tail_patterns_of_the_definition(inst):
         except InsufficientPrecision:
             # frac(Q * alpha), deg Q <= N, at depth D reads alpha to
             # x^-(D + N); the refusal names alpha's floor, not a point's
-            reach = S.form.N if isinstance(S.form, AlphaForm) else 0
-            raise InsufficientPrecision("", needed_floor=-(max(depths) + reach)) from None
+            raise InsufficientPrecision("", needed_floor=-(max(depths) + S.reach)) from None
         log = 0
         while S.field.q ** log < len(pats):
             log += 1
@@ -741,3 +744,58 @@ def test_large_n_answers_without_listing_points(alarm):
     assert covrad_periodic(S) == QExp(-1)
     assert packing_radius(S) == QExp(e1 - 1)
     assert packing_density(S) == Fraction(2) ** (N + 1 + 2 * e1)
+
+
+# --- one representation: alpha is its generators as coset reps -------------
+
+
+@st.composite
+def _alpha_and_its_cosets(draw):
+    """(alpha form, coset form, body or None): an exact N-irrational
+    alpha over q in {2, 3}, d in {2, 3}, N <= 3, and the coset form of
+    its generators frac(x^N alpha), ..., frac(alpha); the body is the
+    unit body (None), a ball, or a random body."""
+    F = draw(st.sampled_from([F2, F3]))
+    d = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(0, 3))
+    diag = [draw(st.sampled_from(["1", "x", "x^-1", "x+1", "x^2"])) for _ in range(d)]
+    basis = [[diag[i] if i == j else ("0" if i > j else draw(st.sampled_from(["0", "1", "x"])))
+              for j in range(d)] for i in range(d)]
+    lat = Lattice(F, basis)
+    alpha = []
+    for _ in range(d):
+        k = draw(st.integers(1, N + 3))
+        digits = st.lists(st.integers(0, F.q - 1), min_size=k, max_size=k)
+        alpha.append(Rat(Poly(F, draw(digits)), Poly(F, (*draw(digits), 1))))
+    try:
+        S = make_alpha_lattice(lat, alpha, N)
+    except NRational:
+        assume(False)
+    reps = [[y.mul_poly(Poly.monomial(F, 1, k)).frac_part() for y in alpha]
+            for k in range(N, -1, -1)]
+    T = make_coset_lattice(lat, reps)
+    body = draw(st.sampled_from(["unit", "ball", "random"]))
+    if body == "ball":
+        return S, T, ConvexBody.ball(F, d, draw(st.integers(-1, 2)))
+    if body == "random":
+        return S, T, random_body(random.Random(draw(st.integers(0, 10 ** 6))), F, d, -1, 1)
+    return S, T, None
+
+
+@given(_alpha_and_its_cosets())
+def test_alpha_form_answers_as_the_cosets_of_its_generators(inst):
+    """Lambda(alpha, q^N) is the coset form of its generators listed
+    most significant first: every closed form gives the same answer,
+    witnesses and mink-search point included."""
+    S, T, C = inst
+    assert S.period_size == T.period_size
+    assert succ_minima_periodic(S, C) == succ_minima_periodic(T, C)
+    assert count_points(S, C) == count_points(T, C)
+    for R in (0, 2):
+        assert count_points(S, radius=R) == count_points(T, radius=R)
+    assert covrad_periodic(S, C) == covrad_periodic(T, C)
+    assert packing_radius(S, C) == packing_radius(T, C)
+    assert packing_density(S, C) == packing_density(T, C)
+    ms, mt = minkowski_search(S, C), minkowski_search(T, C)
+    assert ms.as_dict() == mt.as_dict()
+    assert (ms.point, ms.point_norm) == (mt.point, mt.point_norm)
