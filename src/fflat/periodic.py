@@ -444,11 +444,11 @@ def hankel(alpha, m: int, n: int):
     return [list(tail[i:i + n]) for i in range(m)]
 
 
-def _cut(S: PeriodicLattice, vecs, reach: int, depth: int) -> InsufficientPrecision:
+def _cut(S: PeriodicLattice, vecs, depth: int) -> InsufficientPrecision:
     """The refusal of a pattern that reads the generators to depth: it
-    names the floor -(depth + reach) that reading needs, as a floor for
+    names the floor -(depth + S.reach) that reading needs, as a floor for
     the instance's own coordinates (see _instance_floor)."""
-    floor = -(depth + reach)
+    floor = -(depth + S.reach)
     return InsufficientPrecision(
         f"tail pattern needs coefficients down to x^{floor}",
         needed_floor=_instance_floor(S, vecs, floor),
@@ -528,7 +528,7 @@ def _weight_echelon(S: PeriodicLattice, rb: ReducedBasis, stop: int = None):
         if any(support[r] & unknown for r in free):
             if stop is not None:
                 t = max(max(e - 1 - stop, 0) for e in rb.exps)
-            return pivots, None, (weight, _cut(S, vecs, reach, t))
+            return pivots, None, (weight, _cut(S, vecs, t))
         p = next((r for r in free if rows[r][j]), None)
         if p is None:
             continue

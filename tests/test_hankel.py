@@ -272,7 +272,7 @@ def _scan_covrad(S, C=None):
         try:
             rows = _patterns(vecs, reach, deps)
         except InsufficientPrecision:
-            raise _cut(S, vecs, reach, max(deps)) from None
+            raise _cut(S, vecs, max(deps)) from None
         return rank_fq(S.field, rows) == sum(deps)
 
     ell = -rb.exps[-1]
