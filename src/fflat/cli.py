@@ -116,7 +116,8 @@ def load_instance(path: str) -> Instance:
             raw = json.load(fh)
     except OSError as e:
         raise ParseError(f"{path}: {e.strerror or e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # a JSONDecodeError, or an integer literal past Python's digit limit
         raise ParseError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: instance file must be a JSON object")

@@ -3,14 +3,17 @@
 Matrices are plain lists of rows.  Entries are ints (F_q), Poly, Rat,
 or LaurentSeries depending on the function.  Everything here is exact.
 Each coefficient ring has one elimination that the public functions
-read: reduced row echelon form over F_q (rank, kernel vector),
-fraction-free Bareiss elimination over F_q[x] (determinant, rank), and
-over F_q(x) the same after clearing each column's denominators.  Series
-determinants carry precision floors soundly.  popov_reduce detects a
-singular input itself, when a column reduces to zero.
+read: row echelon form over F_q by row insertion (rank; reduced by
+back-substitution, kernel vector), fraction-free Bareiss elimination
+over F_q[x] (determinant, rank), and over F_q(x) the same after
+clearing each column's denominators.  Series determinants carry
+precision floors soundly.  popov_reduce detects a singular input
+itself, when a column reduces to zero.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from .errors import SingularInput
 from .ffcore import GF, LaurentSeries, Poly, Rat, poly_lcm
@@ -19,33 +22,46 @@ from .ffcore import GF, LaurentSeries, Poly, Rat, poly_lcm
 # --- F_q matrices --------------------------------------------------------
 
 
+def _echelon_fq(field: GF, rows):
+    """Row echelon form over F_q, the rows inserted in order: (basis,
+    independent).  basis holds (pivot column, row) sorted by pivot; a
+    basis row is zero before its pivot, which is 1.  independent lists
+    the indices of the rows that the earlier rows do not span: those
+    that do not reduce to zero against the basis built so far."""
+    basis = []
+    independent = []
+    for i, row in enumerate(rows):
+        row = list(row)
+        for col, b in basis:
+            if row[col]:
+                row = field.add_coeffs(row, field.scale_coeffs(b, field.neg(row[col])))
+        col = next((c for c, a in enumerate(row) if a), None)
+        if col is None:
+            continue
+        insort(basis, (col, field.scale_coeffs(row, field.inv(row[col]))))
+        independent.append(i)
+    return basis, independent
+
+
 def _rref_fq(field: GF, rows):
     """Reduced row echelon form over F_q: (matrix, pivot columns); the
-    pivot of column pivots[i] is 1 and sits in row i."""
-    m = [list(r) for r in rows]
-    pivots = []
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(m):
-            break
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        m[rank] = field.scale_coeffs(m[rank], field.inv(m[rank][col]))
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                m[r] = field.add_coeffs(
-                    m[r], field.scale_coeffs(m[rank], field.neg(m[r][col]))
-                )
-        pivots.append(col)
-    return m, pivots
+    pivot of column pivots[i] is 1 and sits in row i, and the rows past
+    the rank are zero.  The echelon form, back-substituted."""
+    basis = _echelon_fq(field, rows)[0]
+    pivots = [col for col, _b in basis]
+    m = [b for _col, b in basis]
+    for i in range(len(m) - 1, 0, -1):
+        col = pivots[i]
+        for r in range(i):
+            if m[r][col]:
+                m[r] = field.add_coeffs(m[r], field.scale_coeffs(m[i], field.neg(m[r][col])))
+    ncols = len(rows[0]) if rows else 0
+    return m + [[0] * ncols for _ in range(len(rows) - len(m))], pivots
 
 
 def rank_fq(field: GF, rows) -> int:
     """Rank of a matrix over F_q; rows of int-encoded entries."""
-    return len(_rref_fq(field, rows)[1])
+    return len(_echelon_fq(field, rows)[1])
 
 
 def kernel_vector_fq(field: GF, rows):

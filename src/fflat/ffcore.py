@@ -67,8 +67,8 @@ class GF:
     """The finite field F_q, q = p^k, with int-encoded elements.
 
     `modulus` is the defining polynomial over F_p (lowest first, monic,
-    length k+1); it is required exactly when k > 1 and is checked for
-    irreducibility by trial division.
+    length k+1, coefficients in 0..p-1); it is required exactly when
+    k > 1 and is checked for irreducibility by trial division.
 
     Besides the element operations, GF has kernels on coefficient
     sequences (`add_coeffs`, `neg_coeffs`, `scale_coeffs`, `mul_coeffs`,
@@ -93,7 +93,9 @@ class GF:
         else:
             if modulus is None:
                 raise ParseError(f"extension field F_{p}^{k} needs a modulus")
-            modulus = tuple(int(c) % p for c in modulus)
+            if not all(0 <= c < p for c in modulus):
+                raise ParseError("modulus: coefficients must lie in 0..p-1")
+            modulus = tuple(modulus)
             if len(modulus) != k + 1 or modulus[-1] == 0:
                 raise ParseError(f"modulus must have degree {k}")
             if modulus[-1] != 1:
@@ -280,6 +282,8 @@ class GF:
         return [neg(x) for x in a]
 
     def scale_coeffs(self, a, c: int) -> list[int]:
+        if c == 1:
+            return list(a)
         if self.k == 1:
             p = self.p
             return [x * c % p for x in a]

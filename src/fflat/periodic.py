@@ -30,10 +30,11 @@ pivots those columns take.  The patterns are also the construction
 certificate (_first_spanned): N-irrationality of truncated alpha and
 independence of the coset representatives both say that no generator
 lies in the span of the earlier ones on the coefficients they all
-know.  Exact alpha keeps the closed form of that rank, the degree of
-its denominators' lcm.  So nothing here enumerates points, and no size
-cap is needed; only d_invariant, a brute force over polynomials, keeps
-one.
+know, which a row echelon form with the generators inserted as rows,
+in order, decides.  Exact alpha keeps the closed form of that rank,
+the degree of its denominators' lcm.  So nothing here enumerates
+points, and no size cap is needed; only d_invariant, a brute force
+over polynomials, keeps one.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from fractions import Fraction
 from itertools import combinations, groupby, product
 
 from .errors import CapExceeded, InsufficientPrecision, NRational, UndefinedValue
-from .exactlinalg import _rref_fq, det_rat, det_series, rank_rational
+from .exactlinalg import _echelon_fq, _rref_fq, det_rat, det_series, rank_rational
 from .ffcore import (
     GF,
     LaurentSeries,
@@ -174,13 +175,20 @@ def _known_tail(y, depth: int):
     """(the coefficients of x^-1 .. x^-depth of the fractional part of
     y, how many leading coefficients y knows): a truncated series knows
     those above its floor, and the ones below read as 0; an exact
-    coordinate knows all of them (None)."""
+    coordinate knows all of them (None).  The known ones are one slice
+    of the series' coefficients, x^top first."""
     if isinstance(y, LaurentSeries) and not y.exact:
         known = max(-y.floor, 0)
         read = min(known, depth)
-        return tuple(y.coeff_exp(-t) for t in range(1, read + 1)) + (0,) * (depth - read), known
-    s = y if isinstance(y, LaurentSeries) else expand_rational(y, -depth)
-    return tuple(s.coeff_exp(-t) for t in range(1, depth + 1)), None
+    else:
+        if not isinstance(y, LaurentSeries):
+            y = expand_rational(y, -depth)
+        known, read = None, depth
+    # x^-1 .. x^-read sit at indices top + 1 .. top + read; those above
+    # the top are 0
+    above = min(max(-1 - y.top, 0), read)
+    cs = y.coeffs[y.top + 1 + above:y.top + 1 + read]
+    return (0,) * above + cs + (0,) * (depth - above - len(cs)), known
 
 
 def _tail_pattern(y, depth: int):
@@ -374,8 +382,10 @@ def _first_spanned(field: GF, vecs, reach: int):
     denominator, which separates all combinations of exact tails.  A
     spanned generator m is exactly a combination with top digit m that
     has no known nonzero coefficient.  Generators that share a window
-    are decided by one elimination: with the generators as columns, the
-    pivot columns are those that the earlier columns do not span.
+    are decided by one row echelon form of their pattern rows, inserted
+    in order: generator m is spanned when its row reduces to zero
+    against rows 0..m-1.  Each tail is read once, as deep as any window
+    needs.
     """
     d = len(vecs[0])
     trunc = [
@@ -395,12 +405,17 @@ def _first_spanned(field: GF, vecs, reach: int):
             out.append(max(-(max(fs) + shift), 0) if fs else dens[i])
         return tuple(out)
 
-    for depths, run in groupby(range(len(vecs) + reach), key=window):
-        run = list(run)
+    # (depths, the generators that share them)
+    windows = [
+        (depths, list(run)) for depths, run in groupby(range(len(vecs) + reach), key=window)
+    ]
+    need = [max(depths[i] + min(run[-1], reach) for depths, run in windows) for i in range(d)]
+    tails = [[_known_tail(y, dep)[0] for y, dep in zip(v, need)] for v in vecs]
+    for depths, run in windows:
         hi = run[-1]
-        rows = _patterns(vecs[:hi + 1], min(hi, reach), depths)
-        pivots = _rref_fq(field, list(zip(*rows)))[1]
-        spanned = [m for m in run if m not in pivots]
+        rows = _pattern_rows(tails[:hi + 1], min(hi, reach), depths)
+        independent = _echelon_fq(field, rows)[1]
+        spanned = [m for m in run if m not in independent]
         if spanned:
             return spanned[0]
     return None
@@ -423,6 +438,12 @@ def _patterns(vecs, reach: int, depths):
         [_tail_pattern(y, dep + reach) if dep else () for y, dep in zip(v, depths)]
         for v in vecs
     ]
+    return _pattern_rows(tails, reach, depths)
+
+
+def _pattern_rows(tails, reach: int, depths):
+    """The rows of _patterns, sliced from tails read at least
+    depths[i] + reach deep."""
     return [
         [c for tail, dep in zip(row, depths) for c in tail[k:k + dep]]
         for row in tails

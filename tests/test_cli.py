@@ -388,6 +388,27 @@ def test_modulus_entries_must_be_integers(capsys, tmp_path, entry):
     assert run(capsys, "reduce", p) == (4, "", "error: modulus: coefficients must be integers\n")
 
 
+@pytest.mark.parametrize("entry", [5, -1])
+def test_modulus_entries_must_lie_in_the_prime_field(capsys, tmp_path, entry):
+    """Out-of-range coefficients are refused, not reduced mod p: [5, 1, 1]
+    and [-1, 1, 1] would otherwise both read as t^2 + t + 1."""
+    p = write_instance(tmp_path, "q4range.json", {
+        "q": 4, "modulus": [entry, 1, 1], "d": 2, "basis": [["1", "0"], ["0", "1"]],
+    })
+    assert run(capsys, "reduce", p) == (4, "", "error: modulus: coefficients must lie in 0..p-1\n")
+
+
+def test_integer_literal_past_the_digit_limit_is_a_parse_error(capsys, tmp_path):
+    """json.load refuses an int of more than 4300 digits with a
+    ValueError; it exits 4 like any other unreadable instance."""
+    p = tmp_path / "huge.json"
+    p.write_text('{"q": 2, "d": 2, "basis": [["1", "0"], ["0", "1"]], "precision": -1'
+                 + "0" * 5000 + "}")
+    code, out, err = run(capsys, "minima", str(p))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: {p}: invalid JSON (") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_counts_past_the_int_digit_limit_print_exactly(capsys, tmp_path, fmt):
     """The unit ball of radius q^20000 holds 2^40002 points of F_2[x]^2,

@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 
 from fflat import GF, Poly, Rat, SingularInput
 from fflat.exactlinalg import (
+    _echelon_fq,
+    _rref_fq,
     adjugate_poly,
     det_poly,
     det_rat,
@@ -206,6 +208,57 @@ def test_kernel_vector_fq_matches_rank(field, m, n, seed):
             for a, b in zip(row, v):
                 acc = field.add(acc, field.mul(a, b))
             assert acc == 0
+
+
+def _rref_by_columns(field, rows):
+    """Reduced row echelon form by the column-by-column Gauss-Jordan
+    elimination that row insertion replaced, kept as a reference."""
+    m = [list(r) for r in rows]
+    pivots = []
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = field.scale_coeffs(m[rank], field.inv(m[rank][col]))
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                m[r] = field.add_coeffs(
+                    m[r], field.scale_coeffs(m[rank], field.neg(m[r][col]))
+                )
+        pivots.append(col)
+    return m, pivots
+
+
+@given(
+    st.sampled_from([F2, F3, F4]), st.integers(0, 6), st.integers(0, 6), st.integers(0, 10**6)
+)
+def test_echelon_fq_row_profile_and_rref(field, m, n, seed):
+    """independent is the greedy row-rank profile; the basis is an
+    echelon form sorted by pivot; the back-substituted form is the
+    reduced row echelon form, zero rows and all."""
+    rng = random.Random(seed)
+    density = rng.random()
+    M = [[rng.randrange(field.q) if rng.random() < density else 0 for _ in range(n)]
+         for _ in range(m)]
+    for i in range(1, m):
+        if rng.random() < 0.3:
+            # a combination of two earlier rows
+            a, b, c = rng.randrange(i), rng.randrange(i), rng.randrange(field.q)
+            M[i] = field.add_coeffs(M[a], field.scale_coeffs(M[b], c))
+    basis, independent = _echelon_fq(field, M)
+    ranks = [rank_fq(field, M[:i]) for i in range(m + 1)]
+    assert ranks == [len(_rref_by_columns(field, M[:i])[1]) for i in range(m + 1)]
+    assert independent == [i for i in range(m) if ranks[i + 1] > ranks[i]]
+    pivots = [col for col, _row in basis]
+    assert pivots == sorted(pivots) and len(basis) == len(independent)
+    for col, row in basis:
+        assert not any(row[:col]) and row[col] == 1
+    assert _rref_fq(field, M) == _rref_by_columns(field, M)
 
 
 @pytest.mark.parametrize("field", [F2, F3], ids=["q2", "q3"])

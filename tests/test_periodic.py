@@ -7,7 +7,7 @@ alpha = (x^-1, x^-2) in reduced coordinates, N = 1.
 import random
 import signal
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -39,7 +39,16 @@ from fflat.battery import random_body
 from fflat.errors import BudgetExceeded, CapExceeded
 from fflat.ffcore import Poly, Rat, expand_rational
 from fflat.oracle import _points_by_definition, count_oracle, density_oracle, succmin_oracle
-from fflat.periodic import PeriodicLattice, _ambient_point, _tail_pattern
+from fflat.exactlinalg import _rref_fq
+from fflat.periodic import (
+    PeriodicLattice,
+    _ambient_point,
+    _common_den,
+    _first_spanned,
+    _lift,
+    _patterns,
+    _tail_pattern,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -371,6 +380,83 @@ def test_certified_truncated_cosets_have_certified_twins(data):
     except InsufficientPrecision:
         return
     assert make_coset_lattice(lam, exact).period_size == S.period_size == n
+
+
+def _transposed_first_spanned(field, vecs, reach: int):
+    """The construction certificate as the transposed elimination
+    decided it, kept as a reference: per window, the generators are the
+    columns of the pattern matrix, and the pivot columns are those that
+    the earlier columns do not span."""
+    d = len(vecs[0])
+    trunc = [
+        [y.floor if isinstance(y, LaurentSeries) and not y.exact else None for y in v]
+        for v in vecs
+    ]
+    dens = [
+        _common_den(field, [v[i] for v, fl in zip(vecs, trunc) if fl[i] is None]).degree
+        for i in range(d)
+    ]
+
+    def window(m):
+        shift = min(m, reach)
+        out = []
+        for i in range(d):
+            fs = [fl[i] for fl in trunc[:m + 1] if fl[i] is not None]
+            out.append(max(-(max(fs) + shift), 0) if fs else dens[i])
+        return tuple(out)
+
+    for depths, run in groupby(range(len(vecs) + reach), key=window):
+        run = list(run)
+        hi = run[-1]
+        rows = _patterns(vecs[:hi + 1], min(hi, reach), depths)
+        pivots = _rref_fq(field, list(zip(*rows)))[1]
+        spanned = [m for m in run if m not in pivots]
+        if spanned:
+            return spanned[0]
+    return None
+
+
+@st.composite
+def _certificate_inputs(draw):
+    """(field, vecs, reach) as the constructors hand them to
+    _first_spanned, over q in {2, 3, 4}, d in {2, 3}: one alpha with
+    reach N <= 4, or one to four coset vectors, some of them
+    combinations of the earlier ones; coordinates exact Rats, truncated
+    at one floor or at unequal floors, or a mix of both."""
+    F = draw(st.sampled_from([F2, F3, F4]))
+    d = draw(st.sampled_from([2, 3]))
+    mode = draw(st.sampled_from(["exact", "equal", "unequal", "mixed"]))
+    floor = draw(st.integers(-8, -1))
+
+    def cut(y):
+        if mode == "exact" or (mode == "mixed" and draw(st.booleans())):
+            return y
+        f = floor if mode == "equal" else draw(st.integers(-8, -1))
+        return expand_rational(y, f).truncated(f)
+
+    digit = st.integers(0, F.q - 1)
+    if draw(st.booleans()):
+        reach = draw(st.integers(0, 4))
+        vecs = [[draw(_frac_coord(F, False)) for _ in range(d)]]
+    else:
+        reach = 0
+        vecs = []
+        for _ in range(draw(st.integers(1, 4))):
+            if vecs and draw(st.booleans()):
+                a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+                ca, cb = draw(digit), draw(digit)
+                vecs.append([y.scale(ca) + z.scale(cb) for y, z in zip(a, b)])
+            else:
+                vecs.append([draw(_frac_coord(F, False)) for _ in range(d)])
+    flat = _lift([cut(y) for v in vecs for y in v], d)
+    return F, [flat[i:i + d] for i in range(0, len(flat), d)], reach
+
+
+@settings(max_examples=300)
+@given(_certificate_inputs())
+def test_first_spanned_matches_the_transposed_certificate(inst):
+    F, vecs, reach = inst
+    assert _first_spanned(F, vecs, reach) == _transposed_first_spanned(F, vecs, reach)
 
 
 def test_check_bounds_random_f3():
