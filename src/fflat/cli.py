@@ -31,11 +31,11 @@ from .ffcore import (
     Poly,
     QExp,
     Rat,
+    element,
     expand_rational,
     field_of_order,
     format_rat,
     format_series,
-    parse_element,
     series_from_json,
 )
 from .lattice import ConvexBody, Lattice, reduce_lattice
@@ -81,13 +81,9 @@ def _parse_entry(field, obj, where: str):
     try:
         if isinstance(obj, dict):
             return series_from_json(field, obj)
-        if isinstance(obj, int):
-            return parse_element(field, str(obj))
-        if isinstance(obj, str):
-            return parse_element(field, obj)
+        return element(field, obj)
     except ParseError as e:
         raise ParseError(f"{where}: {e}") from None
-    raise ParseError(f"{where}: expected an element string or series literal")
 
 
 def _parse_matrix(field, obj, d: int, name: str):

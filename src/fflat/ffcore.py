@@ -22,6 +22,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InsufficientPrecision, ParseError
@@ -532,6 +533,9 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
+    def to_rat(self) -> "Rat":
+        return Rat.from_poly(self)
+
     def monic(self) -> "Poly":
         if self.is_zero or self.is_monic:
             return self
@@ -683,6 +687,10 @@ class Rat:
 
     def mul_poly(self, p: Poly) -> "Rat":
         return Rat(self.num * p, self.den)
+
+    def to_rat(self) -> "Rat":
+        """Itself, as an exact series' to_rat is a Rat."""
+        return self
 
     def scale(self, c: int) -> "Rat":
         """Multiply by the constant c of F_q."""
@@ -998,13 +1006,22 @@ def frac_part(s):
 # element  := side [ '/' side ]      (split at a top-level '/')
 # side     := sum, optionally wrapped in parentheses; "(c)" with c free
 #             of x is read as the coefficient c, so "(t + 1)" parses
-# sum      := ['+'|'-'] term (('+'|'-') term)*
-# term     := coef ['*' xpart] | xpart
-# coef     := integer | '(' tsum ')'
-# xpart    := 'x' ['^' integer]     (the exponent may be negative)
-# tsum     := like sum but in the variable t with integer coefficients
+# sum      := term (('+'|'-') term)*, the first term's sign optional
+# term     := [coef] ['*'] [x ['^' exponent]], with a coef or an x, and
+#             '*' only between the two
+# coef     := integer | '(' t-sum ')'
+# exponent := ['+'|'-'] integer       (the sign touching the digits)
+# t-sum    := a sum in t with integer coefficients and exponents >= 0,
+#             for extension fields only
 #
-# Polynomial-in-t coefficients are only meaningful for extension fields.
+# Integers are ASCII digits 0-9, read modulo p. Whitespace may stand
+# between any two tokens, and a coefficient may touch its variable:
+# "2x", "(t)x". One pattern matches a whole term of either sum.
+
+_TERM = re.compile(
+    r"\s*([+-]?)\s*(?:([0-9]+)|\(([^()]*)\))?\s*(\*?)\s*"
+    r"(?:([xt])\s*(?:\^\s*([+-]?[0-9]+))?)?\s*"
+)
 
 
 def _split_toplevel_slash(s: str):
@@ -1049,169 +1066,44 @@ def _strip_outer_parens(s: str) -> str:
     return s
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def take(self) -> str:
-        c = self.peek()
-        self.i += 1
-        return c
-
-    def expect(self, ch: str):
-        c = self.take()
-        if c != ch:
-            raise ParseError(f"expected {ch!r} at position {self.i} in {self.text!r}")
-
-    def integer(self) -> int:
-        self.skip_ws()
-        j = self.i
-        if j < len(self.text) and self.text[j] in "+-":
-            j += 1
-        k = j
-        while k < len(self.text) and self.text[k].isdigit():
-            k += 1
-        if k == j:
-            raise ParseError(
-                f"expected an integer at position {self.i} in {self.text!r}"
-            )
-        val = int(self.text[self.i : k])
-        self.i = k
-        return val
-
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.i >= len(self.text)
-
-
-def _parse_tsum(field: GF, sc: _Scanner) -> int:
-    """Polynomial in t with integer coefficients, reduced into the field."""
-    digits = [0] * (field.k + 1)
-
-    def put(c: int, e: int):
-        nonlocal digits
-        if e >= len(digits):
-            digits.extend([0] * (e - len(digits) + 1))
-        digits[e] = (digits[e] + c) % field.p
-
-    sign = 1
-    if sc.peek() in ("+", "-"):
-        sign = -1 if sc.take() == "-" else 1
+def _sum(field: GF, text: str, pos: int, end: int, var: str) -> dict:
+    """The sum in `var` that fills text[pos:end], as {exponent:
+    coefficient}, one match of _TERM a term.  A parenthesized
+    coefficient of an x-sum is a t-sum, read by this same loop."""
+    terms: dict[int, int] = {}
+    lead = True
     while True:
-        c = sc.peek()
-        if c.isdigit():
-            coef = sc.integer() * sign
-            if sc.peek() == "*":
-                sc.take()
-                if sc.peek() != "t":
-                    raise ParseError(f"expected 't' in coefficient of {sc.text!r}")
-            if sc.peek() == "t":
-                if field.k == 1:
-                    raise ParseError("'t' is only valid for extension fields")
-                sc.take()
-                e = 1
-                if sc.peek() == "^":
-                    sc.take()
-                    e = sc.integer()
-                    if e < 0:
-                        raise ParseError("negative exponent of t")
-                put(coef, e)
-            else:
-                put(coef, 0)
-        elif c == "t":
+        m = _TERM.match(text, pos, end)
+        sign, num, group, star, v, exp = m.groups()
+        coef = num is not None or group is not None
+        # a sign before every term but the first, a coefficient or the
+        # variable, and '*' only between the two
+        if not (
+            (sign or lead) and (coef or v) and v in (None, var)
+            and (not star or (coef and v))
+        ):
+            raise ParseError(f"bad term at position {pos} in {text!r}")
+        try:
+            c = 1 if num is None else int(num) % field.p
+            e = 0 if v is None else 1 if exp is None else int(exp)
+        except ValueError:
+            # int() of a literal past Python's limit on decimal digits
+            raise ParseError(f"integer literal at position {pos} has too many digits") from None
+        if group is not None:
+            c = 0
+            for k, d in _sum(field, text, m.start(3), m.end(3), "t").items():
+                # t is the element with digits (0, 1), encoded as p
+                c = field.add(c, field.mul(d, field.pow(field.p, k)))
+        if v == "t":
             if field.k == 1:
                 raise ParseError("'t' is only valid for extension fields")
-            sc.take()
-            e = 1
-            if sc.peek() == "^":
-                sc.take()
-                e = sc.integer()
-                if e < 0:
-                    raise ParseError("negative exponent of t")
-            put(sign, e)
-        else:
-            raise ParseError(f"bad coefficient term near position {sc.i} in {sc.text!r}")
-        nxt = sc.peek()
-        if nxt in ("+", "-"):
-            sign = -1 if sc.take() == "-" else 1
-            continue
-        break
-    # reduce modulo the defining polynomial
-    while len(digits) > field.k:
-        top = digits.pop()
-        if top:
-            d = len(digits) - field.k
-            for i, mc in enumerate(field.modulus[:-1]):
-                digits[d + i] = (digits[d + i] - top * mc) % field.p
-    digits += [0] * (field.k - len(digits))
-    return field.undigits(digits)
-
-
-def _parse_laurent_side(field: GF, text: str) -> dict:
-    """Parse a Laurent polynomial side into {exponent: field element}."""
-    text = _strip_outer_parens(text)
-    if not text:
-        raise ParseError("empty element string")
-    sc = _Scanner(text)
-    terms: dict[int, int] = {}
-
-    def put(c: int, e: int):
-        terms[e] = field.add(terms.get(e, 0), c)
-
-    sign = 1
-    if sc.peek() in ("+", "-"):
-        sign = -1 if sc.take() == "-" else 1
-    while True:
-        c = sc.peek()
-        coef = None
-        if c.isdigit():
-            coef = field.from_int(sc.integer())
-        elif c == "(":
-            sc.take()
-            coef = _parse_tsum(field, sc)
-            sc.expect(")")
-        if coef is not None:
-            if sign == -1:
-                coef = field.neg(coef)
-            if sc.peek() == "*":
-                sc.take()
-                if sc.peek() != "x":
-                    raise ParseError(f"expected 'x' after '*' in {text!r}")
-            if sc.peek() == "x":
-                sc.take()
-                e = 1
-                if sc.peek() == "^":
-                    sc.take()
-                    e = sc.integer()
-                put(coef, e)
-            else:
-                put(coef, 0)
-        elif c == "x":
-            sc.take()
-            e = 1
-            if sc.peek() == "^":
-                sc.take()
-                e = sc.integer()
-            put(1 if sign == 1 else field.neg(1), e)
-        else:
-            raise ParseError(f"bad term near position {sc.i} in {text!r}")
-        nxt = sc.peek()
-        if nxt in ("+", "-"):
-            sign = -1 if sc.take() == "-" else 1
-            continue
-        if sc.done():
-            break
-        raise ParseError(f"unexpected {nxt!r} at position {sc.i} in {text!r}")
-    return terms
+            if e < 0:
+                raise ParseError("negative exponent of t")
+        terms[e] = field.add(terms.get(e, 0), field.neg(c) if sign == "-" else c)
+        pos = m.end()
+        if pos == end:
+            return terms
+        lead = False
 
 
 def _laurent_terms_to_rat(field: GF, terms: dict) -> Rat:
@@ -1229,18 +1121,41 @@ def _laurent_terms_to_rat(field: GF, terms: dict) -> Rat:
     return Rat(p, Poly.monomial(field, 1, -lo), _canonical=True)
 
 
+def _side(field: GF, text: str) -> Rat:
+    text = _strip_outer_parens(text)
+    if not text:
+        raise ParseError("empty element string")
+    return _laurent_terms_to_rat(field, _sum(field, text, 0, len(text), "x"))
+
+
 def parse_element(field: GF, text: str) -> Rat:
     """Parse an element string (Laurent polynomial or quotient) into a Rat."""
     if not isinstance(text, str):
         raise ParseError(f"element must be a string, got {type(text).__name__}")
     left, right = _split_toplevel_slash(text.strip())
-    num = _laurent_terms_to_rat(field, _parse_laurent_side(field, left))
+    num = _side(field, left)
     if right is None:
         return num
-    den = _laurent_terms_to_rat(field, _parse_laurent_side(field, right))
+    den = _side(field, right)
     if den.is_zero:
         raise ParseError(f"zero denominator in element {text!r}")
     return num / den
+
+
+def element(field: GF, obj):
+    """An entry or coordinate over `field`: an element string, an int
+    (read modulo p), a Poly or a Rat as a Rat; a LaurentSeries as it is."""
+    if isinstance(obj, str):
+        return parse_element(field, obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return Rat.from_poly(Poly.const(field, field.from_int(obj)))
+    if not isinstance(obj, (Poly, Rat, LaurentSeries)):
+        raise ParseError(
+            f"expected an element string or series literal, got {type(obj).__name__}"
+        )
+    if obj.field is not field and obj.field != field:
+        raise ParseError(f"element over {obj.field}, expected {field}")
+    return obj.to_rat() if isinstance(obj, Poly) else obj
 
 
 def series_from_json(field: GF, obj) -> LaurentSeries:
@@ -1251,8 +1166,11 @@ def series_from_json(field: GF, obj) -> LaurentSeries:
         if key not in obj:
             raise ParseError(f"series literal missing {key!r}")
     floor, top, coeffs = obj["floor"], obj["top"], obj["coeffs"]
-    if not isinstance(floor, int) or not isinstance(top, int):
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (floor, top)):
         raise ParseError("series floor and top must be integers")
+    exact = obj.get("exact", False)
+    if not isinstance(exact, bool):
+        raise ParseError(f"series exact must be true or false, got {exact!r}")
     if not isinstance(coeffs, list) or len(coeffs) != top - floor + 1:
         raise ParseError(
             f"series coeffs must list top..floor: expected {top - floor + 1} entries"
@@ -1271,10 +1189,11 @@ def series_from_json(field: GF, obj) -> LaurentSeries:
         elif isinstance(c, list):
             if len(c) > field.k:
                 raise ParseError(f"coefficient digit vector {c} longer than k")
+            if any(not isinstance(x, int) or isinstance(x, bool) for x in c):
+                raise ParseError(f"bad series coefficient {c!r}")
             out.append(field.undigits(c + [0] * (field.k - len(c))))
         else:
             raise ParseError(f"bad series coefficient {c!r}")
-    exact = bool(obj.get("exact", False))
     return LaurentSeries(field, out, floor, exact)
 
 

@@ -20,28 +20,10 @@ from .ffcore import (
     QEXP_ZERO,
     QExp,
     Rat,
+    element,
     expand_rational,
-    parse_element,
     poly_lcm,
 )
-
-
-def _entry_to_rat(field: GF, e) -> Rat:
-    if isinstance(e, Rat):
-        r = e
-    elif isinstance(e, Poly):
-        r = Rat.from_poly(e)
-    elif isinstance(e, int):
-        r = Rat.from_poly(Poly.const(field, field.from_int(e)))
-    elif isinstance(e, str):
-        r = parse_element(field, e)
-    elif isinstance(e, LaurentSeries):
-        r = e.to_rat()
-    else:
-        raise TypeError(f"unsupported matrix entry type {type(e).__name__}")
-    if r.num.field != field:
-        raise ValueError("matrix entry from a different field")
-    return r
 
 
 def _xpower_degree(p: Poly) -> int:
@@ -60,7 +42,7 @@ def normalize_matrix(field: GF, entries):
     exact LaurentSeries.  Denominators must be pure powers of x.
     """
     d = len(entries)
-    rats = [[_entry_to_rat(field, e) for e in row] for row in entries]
+    rats = [[element(field, e).to_rat() for e in row] for row in entries]
     if any(len(row) != d for row in rats):
         raise ValueError("matrix must be square")
     shift = 0
@@ -257,7 +239,7 @@ class ReducedBasis:
         denominators) * x^ashift, reduced once.
         """
         field = self.lattice.field
-        coords = [Rat.from_poly(c) if isinstance(c, Poly) else c for c in coords]
+        coords = [c.to_rat() for c in coords]
         lcm = Poly.one(field)
         for c in coords:
             if c.den.degree > 0:
@@ -309,10 +291,7 @@ def norm_in_body(v, C: ConvexBody) -> QExp:
     ]
     if not truncated_floors:
         # fully exact data: stay in Rat arithmetic, no floor choice needed
-        rats = [
-            e.to_rat() if isinstance(e, LaurentSeries) else _entry_to_rat(field, e)
-            for e in v
-        ]
+        rats = [element(field, e).to_rat() for e in v]
         best = None
         for i in range(C.d):
             acc = None
@@ -333,7 +312,7 @@ def norm_in_body(v, C: ConvexBody) -> QExp:
         if isinstance(e, LaurentSeries):
             series.append(e)
         else:
-            r = _entry_to_rat(field, e)
+            r = element(field, e)
             k = _xpower_degree(r.den)
             if r.den.degree == 0:
                 series.append(LaurentSeries.from_poly(r.num))

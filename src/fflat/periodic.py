@@ -52,9 +52,9 @@ from .ffcore import (
     QEXP_ZERO,
     QExp,
     Rat,
+    element,
     expand_rational,
     format_poly,
-    parse_element,
     poly_lcm,
     qpow_fraction,
 )
@@ -252,19 +252,7 @@ def _coords(S: PeriodicLattice, rb: ReducedBasis):
 
 
 def _parse_coords(lat: Lattice, alpha):
-    field = lat.field
-    vals = []
-    for a in alpha:
-        if isinstance(a, (Rat, LaurentSeries)):
-            vals.append(a)
-        elif isinstance(a, Poly):
-            vals.append(Rat.from_poly(a))
-        elif isinstance(a, int):
-            vals.append(Rat.from_poly(Poly.const(field, field.from_int(a))))
-        elif isinstance(a, str):
-            vals.append(parse_element(field, a))
-        else:
-            raise TypeError(f"unsupported coordinate type {type(a).__name__}")
+    vals = [element(lat.field, a) for a in alpha]
     if len(vals) != lat.d:
         raise ValueError(f"expected {lat.d} coordinates, got {len(vals)}")
     return vals
@@ -429,21 +417,12 @@ def from_lattice(lat: Lattice) -> PeriodicLattice:
 # --- tail patterns -----------------------------------------------------------
 
 
-def _patterns(vecs, reach: int, depths):
-    """Tail pattern rows of the generators frac(x^k * v), k = 0..reach,
-    for each vector v in turn: row k reads the coefficients x^-(t+k) of
-    each coordinate v_i, t = 1..depths[i] (the stacked Hankel matrices
-    transposed), so no series is multiplied."""
-    tails = [
-        [_tail_pattern(y, dep + reach) if dep else () for y, dep in zip(v, depths)]
-        for v in vecs
-    ]
-    return _pattern_rows(tails, reach, depths)
-
-
 def _pattern_rows(tails, reach: int, depths):
-    """The rows of _patterns, sliced from tails read at least
-    depths[i] + reach deep."""
+    """Tail pattern rows of the generators frac(x^k * v), k = 0..reach,
+    for each vector v in turn, sliced from its coordinates' tails read
+    at least depths[i] + reach deep: row k reads the coefficients
+    x^-(t+k) of each coordinate v_i, t = 1..depths[i] (the stacked
+    Hankel matrices transposed), so no series is multiplied."""
     return [
         [c for tail, dep in zip(row, depths) for c in tail[k:k + dep]]
         for row in tails

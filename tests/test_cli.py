@@ -409,6 +409,30 @@ def test_integer_literal_past_the_digit_limit_is_a_parse_error(capsys, tmp_path)
     assert err.startswith(f"error: {p}: invalid JSON (") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", ["x^²", "x^٣", "²*x", "(٣*t)*x"])
+def test_non_ascii_digits_are_a_parse_error(capsys, tmp_path, entry):
+    """Only 0-9 are digits: str.isdigit would take "²", which int()
+    refuses, and "٣", which int() reads as 3."""
+    p = write_instance(tmp_path, "digits.json", {
+        "q": 4, "modulus": [1, 1, 1], "d": 2, "basis": [[entry, "0"], ["0", "1"]],
+    })
+    code, out, err = run(capsys, "reduce", p)
+    assert (code, out) == (4, "") and err.startswith("error: basis[0][0]: bad term")
+
+
+@pytest.mark.parametrize("entry", ["1" * 5000 + "*x", "x^" + "1" * 5000, "(" + "1" * 5000 + "*t)*x"])
+def test_long_integer_in_an_element_is_a_parse_error(capsys, tmp_path, entry):
+    """Instances load outside the lifted limit on decimal digits, so
+    int() refuses a coefficient or exponent of 5000 digits; the entry
+    is named and the command exits 4."""
+    p = write_instance(tmp_path, "long.json", {
+        "q": 4, "modulus": [1, 1, 1], "d": 2, "basis": [["1", "0"], ["0", entry]],
+    })
+    code, out, err = run(capsys, "reduce", p)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: basis[1][1]: integer literal at position ")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_counts_past_the_int_digit_limit_print_exactly(capsys, tmp_path, fmt):
     """The unit ball of radius q^20000 holds 2^40002 points of F_2[x]^2,

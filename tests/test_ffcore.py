@@ -354,17 +354,98 @@ def test_parse_format_grammar(F2, F3, F4):
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "x*x", "t", "t*x", "x^", "1//x", "(x", "x)", "x^2^3", "y+1", "3/0"],
+    ["", "x*x", "t", "t*x", "x^", "1//x", "(x", "x)", "x^2^3", "y+1", "3/0",
+     "(3-)", "()x", "(())", "*x", "x*", "1 2", "x^-", "((t))*x", "x^²", "x^٣"],
 )
-def test_parse_rejects(bad, F2):
-    with pytest.raises(ParseError):
-        parse_element(F2, bad)
+def test_parse_rejects(bad, F2, F4):
+    for field in (F2, F4):
+        with pytest.raises(ParseError):
+            parse_element(field, bad)
+
+
+@pytest.mark.parametrize(
+    "q, text, printed",
+    [
+        (3, "2x", "2*x"),
+        (3, "x ^ -2", "x^-2"),
+        (3, "x^+3", "x^3"),
+        (4, "(t)x", "(t)*x"),
+        (4, "((t))", "(t)"),
+        (3, "- x + 1", "2*x + 1"),
+        (3, "((x+1))/(x)", "1 + x^-1"),
+    ],
+)
+def test_parse_accepts(q, text, printed):
+    assert format_rat(parse_element(_make_field(q), text)) == printed
 
 
 def test_parse_t_requires_extension_field(F4, F3):
     assert parse_element(F4, "(t)*x^0").num.coeff(0) == F4.undigits([0, 1])
-    with pytest.raises(ParseError):
-        parse_element(F3, "(t+1)*x")
+    for bad in ("(t+1)*x", "(2*t^0)"):
+        with pytest.raises(ParseError):
+            parse_element(F3, bad)
+
+
+@st.composite
+def _rendered_sums(draw):
+    """(field, text, value): a random list of terms rendered in the
+    element grammar with random spaces, and the sum of its terms.  F_9
+    is the one field here where a t-sum's signs matter."""
+    field = draw(st.sampled_from([GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1))]))
+    t = field.undigits([0, 1])
+
+    def sp():
+        return draw(st.sampled_from(["", "", " ", "  "]))
+
+    def coefficient(var):
+        """None for an implicit 1, or (text, value): an integer, or over
+        an extension field a parenthesized t-sum as an x-sum's
+        coefficient."""
+        kinds = ["none", "int", "t-sum"] if var == "x" and field.k > 1 else ["none", "int"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "none":
+            return None
+        if kind == "int":
+            n = draw(st.integers(0, 20))
+            return str(n), n % field.p
+        terms = terms_of("t", 0)
+        value = 0
+        for _text, c, e in terms:
+            value = field.add(value, field.mul(c, field.pow(t, e)))
+        return "(" + sp() + "".join(text for text, _c, _e in terms) + ")", value
+
+    def terms_of(var, lo):
+        """A sum's terms: (text, coefficient, exponent)."""
+        out = []
+        for i in range(draw(st.integers(1, 4))):
+            sign = draw(st.sampled_from(["", "+", "-"] if i == 0 else ["+", "-"]))
+            coef = coefficient(var)
+            text = sign + sp() + ("" if coef is None else coef[0])
+            exp = 0
+            if coef is None or draw(st.booleans()):
+                exp = draw(st.integers(lo, 9))
+                if coef is not None:
+                    text += sp() + draw(st.sampled_from(["*", ""])) + sp()
+                text += var
+                if exp != 1 or draw(st.booleans()):
+                    plus = "+" if exp >= 0 and draw(st.booleans()) else ""
+                    text += sp() + "^" + sp() + plus + str(exp)
+            c = 1 if coef is None else coef[1]
+            out.append((text + sp(), field.neg(c) if sign == "-" else c, exp))
+        return out
+
+    value = Rat.from_poly(Poly.zero(field))
+    terms = terms_of("x", -9)
+    for _text, c, e in terms:
+        if c:
+            value = value + Rat.x_power(field, e).scale(c)
+    return field, sp() + "".join(text for text, _c, _e in terms), value
+
+
+@given(_rendered_sums())
+def test_parse_reads_every_rendered_sum(case):
+    field, text, value = case
+    assert parse_element(field, text) == value
 
 
 rat_f3 = st.builds(
@@ -430,3 +511,19 @@ def test_series_literal_json(F2):
         with pytest.raises(ParseError):
             series_from_json(F2, bad)
     assert format_series(s) == "x^-1 + x^-3 + x^-4"
+
+
+def test_series_literal_flags_are_json_types(F2, F4):
+    """exact is a JSON boolean and floor and top are integers: the
+    string "false" would otherwise read as exact, and true as 1."""
+    for bad in (
+        {"floor": -3, "top": -1, "coeffs": [1, 0, 1], "exact": "false"},
+        {"floor": -3, "top": -1, "coeffs": [1, 0, 1], "exact": 0},
+        {"floor": True, "top": 1, "coeffs": [1]},
+        {"floor": 0, "top": True, "coeffs": [1, 1]},
+    ):
+        with pytest.raises(ParseError):
+            series_from_json(F2, bad)
+    for digits in ([1.5], [True], ["a"]):
+        with pytest.raises(ParseError):
+            series_from_json(F4, {"floor": -1, "top": -1, "coeffs": [digits]})

@@ -36,10 +36,20 @@ from fflat.battery import (
 from fflat.cli import _apply_precision
 from fflat.exactlinalg import rank_fq
 from fflat.lattice import reduce_lattice
-from fflat.periodic import _coords, _cut, _patterns
+from fflat.periodic import _coords, _cut, _pattern_rows, _tail_pattern
 
 F2 = GF(2)
 F3 = GF(3)
+
+
+def _rows_from_tails(vecs, reach, depths):
+    """The pattern rows of the generators of vecs at depths, from each
+    coordinate's tail read depths[i] + reach deep."""
+    tails = [
+        [_tail_pattern(y, dep + reach) if dep else () for y, dep in zip(v, depths)]
+        for v in vecs
+    ]
+    return _pattern_rows(tails, reach, depths)
 
 
 class TestHankelPlacement:
@@ -221,7 +231,7 @@ class TestHankelIdentity:
                         row for y, dep in zip(_coords(S, rb)[0], depths)
                         for row in hankel(y, dep, N + 1)
                     ]
-                    pattern = _patterns(_coords(S, rb), N, depths)
+                    pattern = _rows_from_tails(_coords(S, rb), N, depths)
                     assert len(pattern) == N + 1
                     assert stacked == [list(col) for col in zip(*pattern)]
 
@@ -270,7 +280,7 @@ def _scan_covrad(S, C=None):
         if sum(deps) > S.period_size:
             return False
         try:
-            rows = _patterns(vecs, reach, deps)
+            rows = _rows_from_tails(vecs, reach, deps)
         except InsufficientPrecision:
             raise _cut(S, vecs, max(deps)) from None
         return rank_fq(S.field, rows) == sum(deps)

@@ -46,7 +46,7 @@ from fflat.periodic import (
     _common_den,
     _first_spanned,
     _lift,
-    _patterns,
+    _pattern_rows,
     _tail_pattern,
 )
 
@@ -408,7 +408,12 @@ def _transposed_first_spanned(field, vecs, reach: int):
     for depths, run in groupby(range(len(vecs) + reach), key=window):
         run = list(run)
         hi = run[-1]
-        rows = _patterns(vecs[:hi + 1], min(hi, reach), depths)
+        reach_hi = min(hi, reach)
+        tails = [
+            [_tail_pattern(y, dep + reach_hi) if dep else () for y, dep in zip(v, depths)]
+            for v in vecs[:hi + 1]
+        ]
+        rows = _pattern_rows(tails, reach_hi, depths)
         pivots = _rref_fq(field, list(zip(*rows)))[1]
         spanned = [m for m in run if m not in pivots]
         if spanned:
