@@ -28,9 +28,8 @@ from .errors import (
 )
 from .ffcore import (
     LaurentSeries,
-    Poly,
     QExp,
-    Rat,
+    check_magnitude,
     element,
     expand_rational,
     field_of_order,
@@ -152,6 +151,8 @@ def load_instance(path: str) -> Instance:
     precision = raw.get("precision")
     if precision is not None and (not isinstance(precision, int) or precision > -1):
         raise ParseError("precision: expected an integer floor <= -1")
+    if precision is not None:
+        check_magnitude(precision, "precision")
     if has_alpha:
         al = raw["alpha"]
         if not isinstance(al, list) or len(al) != d:
@@ -228,14 +229,6 @@ def _emit(args, text_lines, json_obj) -> None:
             print(line)
 
 
-def _basis_strings(rb) -> list:
-    xs = Poly.monomial(rb.lattice.field, 1, rb.ashift)
-    return [
-        [format_rat(Rat(rb.VP[i][j], xs)) for j in range(rb.d)]
-        for i in range(rb.d)
-    ]
-
-
 def _vector_strings(vec) -> list:
     return [
         format_series(v) if isinstance(v, LaurentSeries) else format_rat(v)
@@ -248,7 +241,7 @@ def _vector_strings(vec) -> list:
 
 def _cmd_reduce(inst: Instance, args) -> int:
     rb = reduce_lattice(inst.lattice, inst.body_or_unit())
-    mat = _basis_strings(rb)
+    mat = [[format_rat(r) for r in row] for row in rb.ambient_basis()]
     lines = ["minima: " + " ".join(f"q^{e}" for e in rb.exps), "basis:"]
     for row in mat:
         lines.append("  " + "  ".join(row))
@@ -309,7 +302,7 @@ def _cmd_density(inst: Instance, args) -> int:
 
 def _cmd_count(inst: Instance, args) -> int:
     if args.radius is not None:
-        n = count_points(inst.periodic, radius=args.radius)
+        n = count_points(inst.periodic, radius=check_magnitude(args.radius, "--radius"))
     else:
         n = count_points(inst.periodic, inst.body_or_unit())
     _emit(args, [str(n)], {"count": n})

@@ -578,6 +578,10 @@ class Poly:
             return other.scale(a[0])
         return Poly(f, f.mul_coeffs(a, b))
 
+    def mul_poly(self, p: "Poly") -> "Poly":
+        """self * p, under the name Rat and LaurentSeries share."""
+        return self * p
+
     def __divmod__(self, other: "Poly"):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -687,6 +691,17 @@ class Rat:
 
     def mul_poly(self, p: Poly) -> "Rat":
         return Rat(self.num * p, self.den)
+
+    # the name LaurentSeries shares
+    mul_rat = __mul__
+
+    def mul_xpow(self, k: int) -> "Rat":
+        """Multiply by x^k for any integer k."""
+        if k == 0:
+            return self
+        if k > 0:
+            return Rat(self.num.shift(k), self.den)
+        return Rat(self.num, self.den.shift(-k))
 
     def to_rat(self) -> "Rat":
         """Itself, as an exact series' to_rat is a Rat."""
@@ -905,22 +920,24 @@ class LaurentSeries:
     def mul_poly(self, p: Poly) -> "LaurentSeries":
         return self * LaurentSeries.from_poly(p)
 
-    def mul_rat(self, r: Rat) -> "LaurentSeries":
+    def add_poly(self, p: Poly) -> "LaurentSeries":
+        return self + LaurentSeries.from_poly(p)
+
+    def mul_rat(self, r: Rat):
         """Multiply by an exact rational function.
 
-        Requires an inexact series (exact operands should go through
-        Rat arithmetic instead, where no floor choice is needed).
+        An exact series over a non-constant denominator is multiplied in
+        Rat arithmetic and comes back as a Rat: as a series, the product
+        would need a choice of floor.
         """
         if r.is_zero:
             return LaurentSeries.exact_zero(self.field)
-        s = self.mul_poly(r.num)
         den = r.den
+        if self.exact and den.degree > 0:
+            return self.to_rat() * r
+        s = self.mul_poly(r.num)
         if den.degree == 0:
             return s
-        if s.exact:
-            raise ValueError(
-                "dividing an exact series by a polynomial: convert to Rat instead"
-            )
         if s.is_known_zero:
             return LaurentSeries(self.field, (), s.floor - den.degree, False)
         recip_floor = s.floor - den.degree - s.top
@@ -1024,6 +1041,18 @@ _TERM = re.compile(
 )
 
 
+# the largest absolute value read for an x exponent, a precision floor
+# or a ball radius: each builds a dense coefficient list about that long
+MAX_MAGNITUDE = 10**6
+
+
+def check_magnitude(n: int, what: str) -> int:
+    """n, or a ParseError naming what when |n| > MAX_MAGNITUDE."""
+    if abs(n) > MAX_MAGNITUDE:
+        raise ParseError(f"{what}: absolute value above {MAX_MAGNITUDE}")
+    return n
+
+
 def _split_toplevel_slash(s: str):
     depth = 0
     for i, ch in enumerate(s):
@@ -1111,6 +1140,7 @@ def _laurent_terms_to_rat(field: GF, terms: dict) -> Rat:
     if not terms:
         return Rat.from_poly(Poly.zero(field))
     lo = min(min(terms), 0)
+    check_magnitude(max(max(terms), -lo), "x exponent")
     cs = [0] * (max(terms) - lo + 1)
     for e, c in terms.items():
         cs[e - lo] = c

@@ -1,10 +1,16 @@
-"""Lattices g*R^d in K_inf^d, convex bodies h*O^d, norms and reduction.
+"""Lattices g*R^d in K_inf^d, convex bodies h*O^d, reduction, and the
+coordinates of vectors: changes of frame and norms.
 
 Matrices with Laurent-polynomial entries are stored as a polynomial
 matrix together with a nonnegative x-power shift: the actual matrix is
 x^(-shift) * P.  This keeps all heavy arithmetic inside F_q[x].
 
 Columns are basis vectors throughout.
+
+A coordinate vector is all Rat, or all LaurentSeries when one input is
+a truncated series (_lift).  Changes of frame (ReducedBasis methods)
+and the weighted max norm (_frac_norm, also behind norm_in_body) each
+have one implementation for both.
 """
 
 from __future__ import annotations
@@ -147,6 +153,125 @@ class Lattice:
         return self._det.degree - self.d * self.shift
 
 
+# --- coordinates: one arithmetic backend per vector --------------------------
+
+
+def _is_series(coords) -> bool:
+    """The backend of one coordinate vector; every vector of an instance
+    shares it, except the polynomial unit vectors, which stay Rat."""
+    return isinstance(coords[0], LaurentSeries)
+
+
+def _lift(vals, d: int):
+    """One arithmetic backend for a set of coordinates: all Rat when none
+    is a series, else all series, expanded 4d + 8 deep (see _as_series)."""
+    if not any(isinstance(v, LaurentSeries) for v in vals):
+        return list(vals)
+    return _as_series(vals, 4 * d + 8)
+
+
+def _as_series(vals, margin: int):
+    """Series and Rat coordinates as series: a polynomial exactly, any
+    other rational expanded margin + D exponents below the lowest
+    truncated floor (or below x^0), D the largest denominator degree
+    among the rationals, so that the expansion is not what limits the
+    precision of what is computed from it."""
+    floors = [v.floor for v in vals if isinstance(v, LaurentSeries) and not v.exact]
+    dens = [v.den.degree for v in vals if isinstance(v, Rat)]
+    deep = (min(floors) if floors else 0) - margin - max(dens, default=0)
+    return [
+        v if isinstance(v, LaurentSeries)
+        else LaurentSeries.from_poly(v.num) if v.den.degree == 0
+        else expand_rational(v, deep)
+        for v in vals
+    ]
+
+
+def _common_den(field: GF, ys) -> Poly:
+    """The lcm of the denominators of exact coordinates, Rats or exact
+    series."""
+    lcm = Poly.one(field)
+    for y in ys:
+        den = y.to_rat().den
+        if den.degree > 0:
+            lcm = poly_lcm(lcm, den)
+    return lcm
+
+
+def _mat_vec(M, vec):
+    """M @ vec for a polynomial matrix M and a vector of Poly, of Rat or
+    of LaurentSeries."""
+    out = []
+    for row in M:
+        acc = None
+        for p, y in zip(row, vec):
+            term = y.mul_poly(p)
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def _frac_norm(exps, coords) -> QExp:
+    """max_i |y_i| q^(e_i) with sound truncation handling.  A refusal
+    names a floor for coords: with a known nonzero coefficient of weight
+    best, knowing every coefficient of weight > best decides the norm;
+    without one, the floor only lowers every coordinate's bound."""
+    if not _is_series(coords):
+        norms = [y.val().exp + e for e, y in zip(exps, coords) if not y.is_zero]
+        return QExp(max(norms)) if norms else QEXP_ZERO
+    best = None
+    pending = []
+    for e_i, y in zip(exps, coords):
+        if y.coeffs:
+            c = y.top + e_i
+            if best is None or c > best:
+                best = c
+        elif not y.exact:
+            pending.append((y.floor - 1) + e_i)
+    if best is not None and all(best >= b for b in pending):
+        return QExp(best)
+    if not pending:
+        return QEXP_ZERO
+    need = best + 1 if best is not None else min(pending) - 1
+    raise InsufficientPrecision(
+        "coordinate norm undecidable at the stored precision floor",
+        needed_floor=need - max(exps),
+    )
+
+
+def _known_tail(y, depth: int):
+    """(the coefficients of x^-1 .. x^-depth of the fractional part of
+    y, how many leading coefficients y knows): a truncated series knows
+    those above its floor, and the ones below read as 0; an exact
+    coordinate knows all of them (None).  The known ones are one slice
+    of the series' coefficients, x^top first."""
+    if isinstance(y, LaurentSeries) and not y.exact:
+        known = max(-y.floor, 0)
+        read = min(known, depth)
+    else:
+        if not isinstance(y, LaurentSeries):
+            y = expand_rational(y, -depth)
+        known, read = None, depth
+    # x^-1 .. x^-read sit at indices top + 1 .. top + read; those above
+    # the top are 0
+    above = min(max(-1 - y.top, 0), read)
+    cs = y.coeffs[y.top + 1 + above:y.top + 1 + read]
+    return (0,) * above + cs + (0,) * (depth - above - len(cs)), known
+
+
+def _tail_pattern(y, depth: int):
+    """Coefficients of x^-1 .. x^-depth of the fractional part of y."""
+    if depth <= 0:
+        return ()
+    tail, known = _known_tail(y, depth)
+    if known is not None and known < depth:
+        raise InsufficientPrecision(
+            f"pattern needs coefficients down to x^-{depth}",
+            needed_floor=-depth,
+        )
+    return tail
+
+
 class ReducedBasis:
     """Reduction of a lattice with respect to a body.
 
@@ -157,8 +282,7 @@ class ReducedBasis:
     """
 
     __slots__ = (
-        "lattice", "body", "exps", "VP", "RP", "U", "ashift", "norm_shift",
-        "_vp_det", "_vp_adj",
+        "lattice", "body", "exps", "VP", "RP", "U", "ashift", "norm_shift", "_vp_inv",
     )
 
     def __init__(self, lattice, body, exps, VP, RP, U, ashift, norm_shift):
@@ -170,8 +294,7 @@ class ReducedBasis:
         self.U = U
         self.ashift = ashift
         self.norm_shift = norm_shift
-        self._vp_det = None
-        self._vp_adj = None
+        self._vp_inv = None
 
     @property
     def d(self) -> int:
@@ -179,71 +302,33 @@ class ReducedBasis:
 
     def norm_from_coords(self, coeffs) -> QExp:
         """C-norm of sum coeffs[i] * v^(i), coeffs polynomials."""
-        best = None
-        for i in range(self.d):
-            acc = Poly.zero(self.lattice.field)
-            for j in range(self.d):
-                if not coeffs[j].is_zero:
-                    acc = acc + self.RP[i][j] * coeffs[j]
-            if acc.degree >= 0 and (best is None or acc.degree > best):
-                best = acc.degree
-        if best is None:
-            return QEXP_ZERO
-        return QExp(best + self.norm_shift)
+        best = max(p.degree for p in _mat_vec(self.RP, coeffs))
+        return QEXP_ZERO if best < 0 else QExp(best + self.norm_shift)
 
-    def _vp_inverse_parts(self):
-        if self._vp_det is None:
-            self._vp_det = det_poly(self.VP)
-            self._vp_adj = adjugate_poly(self.VP)
-        return self._vp_adj, self._vp_det
-
-    def coords_from_ambient_rat(self, vec):
-        """Coordinates y with sum y_i v^(i) = vec, for Rat entries vec."""
-        adj, det = self._vp_inverse_parts()
-        xs = Poly.monomial(self.lattice.field, 1, self.ashift)
-        out = []
-        for i in range(self.d):
-            acc = None
-            for j in range(self.d):
-                term = vec[j].mul_poly(adj[i][j])
-                acc = term if acc is None else acc + term
-            out.append(acc.mul_poly(xs) / Rat.from_poly(det))
-        return out
-
-    def coords_from_ambient_series(self, vec):
-        """Same as coords_from_ambient_rat for LaurentSeries entries.
-
-        When det(VP) is not a constant, a row that comes out exact is
-        divided in Rat arithmetic and returned as a Rat: dividing an
-        exact series by a polynomial would need a choice of floor.
-        """
-        adj, det = self._vp_inverse_parts()
-        field = self.lattice.field
-        inv_det = Rat(Poly.one(field), det)
-        out = []
-        for i in range(self.d):
-            acc = LaurentSeries.exact_zero(field)
-            for j in range(self.d):
-                acc = acc + vec[j].mul_poly(adj[i][j])
-            acc = acc.mul_xpow(self.ashift)
-            if acc.exact and det.degree > 0:
-                out.append(acc.to_rat() * inv_det)
-            else:
-                out.append(acc.mul_rat(inv_det))
-        return out
+    def coords_from_ambient(self, vec):
+        """Coordinates y with sum y_i v^(i) = vec, in vec's backend:
+        y = x^ashift adj(VP) vec / det(VP).  A series row that stays
+        exact is divided as a Rat (LaurentSeries.mul_rat), so series
+        input comes back lifted as _lift lifts it."""
+        if self._vp_inv is None:
+            det = det_poly(self.VP)
+            self._vp_inv = adjugate_poly(self.VP), Rat(Poly.one(det.field), det)
+        adj, inv_det = self._vp_inv
+        out = [y.mul_xpow(self.ashift).mul_rat(inv_det) for y in _mat_vec(adj, vec)]
+        return _as_series(out, 4 * self.d + 8) if _is_series(vec) else out
 
     def ambient_from_coords(self, coords):
-        """sum coords[i] v^(i) as a list of Rat (coords Poly or Rat).
+        """sum coords[i] v^(i): series for series coords, else Rat (coords
+        Poly or Rat).
 
-        Each ambient coordinate is one numerator over lcm(coordinate
+        Each Rat ambient coordinate is one numerator over lcm(coordinate
         denominators) * x^ashift, reduced once.
         """
+        if _is_series(coords):
+            return [y.mul_xpow(-self.ashift) for y in _mat_vec(self.VP, coords)]
         field = self.lattice.field
         coords = [c.to_rat() for c in coords]
-        lcm = Poly.one(field)
-        for c in coords:
-            if c.den.degree > 0:
-                lcm = poly_lcm(lcm, c.den)
+        lcm = _common_den(field, coords)
         nums = [c.num * (lcm // c.den) for c in coords]
         den = lcm.shift(self.ashift)
         out = []
@@ -254,82 +339,33 @@ class ReducedBasis:
             out.append(Rat(acc, den))
         return out
 
+    def ambient_basis(self):
+        """The reduced vectors x^(-ashift) VP as a matrix of Rat, columns
+        the vectors."""
+        return [[Rat.from_poly(p).mul_xpow(-self.ashift) for p in row] for row in self.VP]
 
-def _series_rows_max_val(rows) -> QExp:
-    """max_i val(rows[i]) with sound handling of truncated knowledge."""
-    best = None           # best certain valuation exponent
-    pending = []          # floors of rows whose value is undecided
-    all_exact_zero = True
-    for s in rows:
-        if s.is_exact_zero:
-            continue
-        all_exact_zero = False
-        if s.coeffs:
-            t = s.top
-            if best is None or t > best:
-                best = t
-        else:
-            pending.append(s.floor)
-    if all_exact_zero:
-        return QEXP_ZERO
-    if best is not None and all(best >= f - 1 for f in pending):
-        return QExp(best)
-    need = min(pending)
-    raise InsufficientPrecision(
-        f"norm undecidable: coefficients known only above x^{need}",
-        needed_floor=need - 1,
-    )
+    def from_canonical(self, coords):
+        """Fractional coordinates in the canonical frame, the reduced
+        basis for the unit body, as fractional coordinates in this one."""
+        rb0 = reduce_lattice(self.lattice, ConvexBody.identity(self.lattice.field, self.d))
+        if self.ashift == rb0.ashift and self.VP == rb0.VP:
+            # the same basis vectors (a ball only shifts their norms)
+            return list(coords)
+        ambient = rb0.ambient_from_coords(coords)
+        return [y.frac_part() for y in self.coords_from_ambient(ambient)]
 
 
 def norm_in_body(v, C: ConvexBody) -> QExp:
-    """||v||_C for a vector of Rat / Poly / exact or truncated series."""
-    field = C.field
-    adj = C.adj
-    ddeg = C.det_H.degree
-    truncated_floors = [
-        e.eff_floor() for e in v if isinstance(e, LaurentSeries) and not e.exact
-    ]
-    if not truncated_floors:
-        # fully exact data: stay in Rat arithmetic, no floor choice needed
-        rats = [element(field, e).to_rat() for e in v]
-        best = None
-        for i in range(C.d):
-            acc = None
-            for j in range(C.d):
-                term = rats[j].mul_poly(adj[i][j])
-                acc = term if acc is None else acc + term
-            val = acc.val()
-            if not val.is_zero and (best is None or val.exp > best):
-                best = val.exp
-        if best is None:
-            return QEXP_ZERO
-        return QExp(best - ddeg + C.shift)
-    # expanded rationals must never be the precision bottleneck
-    adj_deg = max(p.degree for row in adj for p in row)
-    exp_floor = min(truncated_floors) - max(adj_deg, 0) - 1
-    series = []
-    for e in v:
-        if isinstance(e, LaurentSeries):
-            series.append(e)
-        else:
-            r = element(field, e)
-            k = _xpower_degree(r.den)
-            if r.den.degree == 0:
-                series.append(LaurentSeries.from_poly(r.num))
-            elif k >= 0:
-                series.append(LaurentSeries.from_poly(r.num).mul_xpow(-k))
-            else:
-                series.append(expand_rational(r, exp_floor))
-    rows = []
-    for i in range(C.d):
-        acc = LaurentSeries.exact_zero(field)
-        for j in range(C.d):
-            acc = acc + series[j].mul_poly(adj[i][j])
-        rows.append(acc)
-    base = _series_rows_max_val(rows)
-    if base.is_zero:
-        return QEXP_ZERO
-    return QExp(base.exp - ddeg + C.shift)
+    """||v||_C = |adj(H) v| q^(shift - deg det H) for a vector of Rat,
+    Poly, element strings, or exact or truncated series."""
+    vals = [element(C.field, e) for e in v]
+    if any(isinstance(e, LaurentSeries) and not e.exact for e in vals):
+        # expanded rationals must never be the precision bottleneck
+        vals = _as_series(vals, max(p.degree for row in C.adj for p in row) + 1)
+    else:
+        vals = [e.to_rat() for e in vals]
+    base = _frac_norm([0] * C.d, _mat_vec(C.adj, vals))
+    return base if base.is_zero else QExp(base.exp - C.det_H.degree + C.shift)
 
 
 def reduce_lattice(lat: Lattice, C: ConvexBody) -> ReducedBasis:

@@ -20,15 +20,8 @@ from itertools import product
 
 from .errors import BudgetExceeded, PrecisionTooCoarse
 from .ffcore import LaurentSeries, Poly, QExp, Rat, qpow_fraction
-from .lattice import ConvexBody, reduce_lattice
-from .periodic import (
-    PeriodicLattice,
-    _ambient_point,
-    _coords,
-    _frac_norm,
-    _is_series,
-    _tail_pattern,
-)
+from .lattice import ConvexBody, _frac_norm, _is_series, _tail_pattern, reduce_lattice
+from .periodic import PeriodicLattice
 from .exactlinalg import rank_rational
 
 
@@ -46,12 +39,6 @@ def _exact_coords(coords):
     if any(isinstance(y, LaurentSeries) and not y.exact for y in coords):
         return coords
     return [y.to_rat() if isinstance(y, LaurentSeries) else y for y in coords]
-
-
-def _add_poly(y, a: Poly):
-    if isinstance(y, LaurentSeries):
-        return y + LaurentSeries.from_poly(a)
-    return y.add_poly(a)
 
 
 def _poly_upto(field, deg: int):
@@ -83,7 +70,7 @@ def _points_by_definition(S: PeriodicLattice, C: ConvexBody):
     rb = reduce_lattice(S.lattice, C)
     pts = []
     if S.N is not None:
-        phi = _coords(S, rb)[0]
+        phi = rb.from_canonical(S.vecs[0])
         seen = set()
         for Q in _poly_upto(field, S.N):
             coords = [y.mul_poly(Q).frac_part() for y in phi]
@@ -93,7 +80,7 @@ def _points_by_definition(S: PeriodicLattice, C: ConvexBody):
                 seen.add(tuple(coords))
             pts.append(coords)
     else:
-        reps = _coords(S, rb)
+        reps = [rb.from_canonical(v) for v in S.vecs]
         if reps and _is_series(reps[0]):
             zero = LaurentSeries.exact_zero(field)
         else:
@@ -167,13 +154,13 @@ def enumerate_points(S: PeriodicLattice, R: int, C: ConvexBody = None,
             for c in stack:
                 for a in shifts[i]:
                     cc = list(c)
-                    cc[i] = _add_poly(cc[i], a)
+                    cc[i] = cc[i].add_poly(a)
                     nxt.append(cc)
             stack = nxt
         if coords_only:
             out.extend(stack)
         else:
-            out.extend(_ambient_point(rb, c) for c in stack)
+            out.extend(rb.ambient_from_coords(c) for c in stack)
     return out
 
 

@@ -5,13 +5,14 @@ constructors differ.
 
 All fractional data lives in reduced-basis coordinates.  The canonical
 frame is the reduced basis for the sup-norm body; operations taking a
-different body convert coordinates by exact linear algebra and reduce
-into that body's fundamental domain, which does not change the point
-set modulo Lambda.
+different body convert coordinates (ReducedBasis.from_canonical) and
+reduce into that body's fundamental domain, which does not change the
+point set modulo Lambda.
 
 The coordinates of one periodic lattice share one arithmetic backend,
 chosen at construction (_lift): Rat when no input coordinate is a
-series, LaurentSeries for all of them when one is.
+series, LaurentSeries for all of them when one is.  Frame changes,
+norms and tails of both backends live in lattice.py.
 
 The fundamental-domain points form the F_q-span of the n = period_size
 independent generators.  Their tail coefficients are F_q-linear in the
@@ -42,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, product
+from math import comb
 
 from .errors import CapExceeded, InsufficientPrecision, NRational, UndefinedValue
 from .exactlinalg import _echelon_fq, _rref_fq, det_rat, det_series, rank_rational
@@ -49,20 +51,31 @@ from .ffcore import (
     GF,
     LaurentSeries,
     Poly,
-    QEXP_ZERO,
     QExp,
     Rat,
     element,
-    expand_rational,
     format_poly,
-    poly_lcm,
     qpow_fraction,
 )
-from .lattice import ConvexBody, Lattice, ReducedBasis, reduce_lattice
+from .lattice import (
+    ConvexBody,
+    Lattice,
+    ReducedBasis,
+    _as_series,
+    _common_den,
+    _frac_norm,
+    _is_series,
+    _known_tail,
+    _lift,
+    _tail_pattern,
+    reduce_lattice,
+)
 
-# the sizes up to which the d_invariant brute force runs
+# the sizes up to which the d_invariant brute force runs, and the most
+# determinants it computes (0.15-0.3 ms each at q = 3..5)
 _DINV_MAX_D = 3
 _DINV_MAX_N = 2
+_DINV_MAX_DETS = 10**5
 
 
 # --- the periodic lattice type -----------------------------------------------
@@ -109,133 +122,7 @@ class PeriodicLattice:
         return ConvexBody.identity(self.field, self.d)
 
 
-# --- coordinate plumbing ---------------------------------------------------
-
-
-def _is_series(coords) -> bool:
-    """The backend of one coordinate vector; every vector of an instance
-    shares it, except the polynomial unit vectors, which stay Rat."""
-    return isinstance(coords[0], LaurentSeries)
-
-
-def _lift(vals, d: int):
-    """One arithmetic backend for a set of coordinates: all Rat when none
-    is a series, else all series (see _as_series)."""
-    if not any(isinstance(v, LaurentSeries) for v in vals):
-        return list(vals)
-    return _as_series(vals, d)
-
-
-def _as_series(vals, d: int):
-    """Series and Rat coordinates as series: a polynomial exactly, any
-    other rational expanded 4d + 8 + D exponents below the lowest
-    truncated floor (or below x^0), D the largest denominator degree
-    among the rationals, so that the expansion is not what limits the
-    precision of what is computed from it."""
-    floors = [v.floor for v in vals if isinstance(v, LaurentSeries) and not v.exact]
-    dens = [v.den.degree for v in vals if isinstance(v, Rat)]
-    deep = (min(floors) if floors else 0) - 4 * d - 8 - max(dens, default=0)
-    return [
-        v if isinstance(v, LaurentSeries)
-        else LaurentSeries.from_poly(v.num) if v.den.degree == 0
-        else expand_rational(v, deep)
-        for v in vals
-    ]
-
-
-def _frac_norm(exps, coords) -> QExp:
-    """max_i |y_i| q^(e_i) with sound truncation handling.  A refusal
-    names a floor for coords: with a known nonzero coefficient of weight
-    best, knowing every coefficient of weight > best decides the norm;
-    without one, the floor only lowers every coordinate's bound."""
-    if not _is_series(coords):
-        norms = [y.val().exp + e for e, y in zip(exps, coords) if not y.is_zero]
-        return QExp(max(norms)) if norms else QEXP_ZERO
-    best = None
-    pending = []
-    for e_i, y in zip(exps, coords):
-        if y.coeffs:
-            c = y.top + e_i
-            if best is None or c > best:
-                best = c
-        elif not y.exact:
-            pending.append((y.floor - 1) + e_i)
-    if best is not None and all(best >= b for b in pending):
-        return QExp(best)
-    if not pending:
-        return QEXP_ZERO
-    need = best + 1 if best is not None else min(pending) - 1
-    raise InsufficientPrecision(
-        "coordinate norm undecidable at the stored precision floor",
-        needed_floor=need - max(exps),
-    )
-
-
-def _known_tail(y, depth: int):
-    """(the coefficients of x^-1 .. x^-depth of the fractional part of
-    y, how many leading coefficients y knows): a truncated series knows
-    those above its floor, and the ones below read as 0; an exact
-    coordinate knows all of them (None).  The known ones are one slice
-    of the series' coefficients, x^top first."""
-    if isinstance(y, LaurentSeries) and not y.exact:
-        known = max(-y.floor, 0)
-        read = min(known, depth)
-    else:
-        if not isinstance(y, LaurentSeries):
-            y = expand_rational(y, -depth)
-        known, read = None, depth
-    # x^-1 .. x^-read sit at indices top + 1 .. top + read; those above
-    # the top are 0
-    above = min(max(-1 - y.top, 0), read)
-    cs = y.coeffs[y.top + 1 + above:y.top + 1 + read]
-    return (0,) * above + cs + (0,) * (depth - above - len(cs)), known
-
-
-def _tail_pattern(y, depth: int):
-    """Coefficients of x^-1 .. x^-depth of the fractional part of y."""
-    if depth <= 0:
-        return ()
-    tail, known = _known_tail(y, depth)
-    if known is not None and known < depth:
-        raise InsufficientPrecision(
-            f"pattern needs coefficients down to x^-{depth}",
-            needed_floor=-depth,
-        )
-    return tail
-
-
-def _from_ambient(rb: ReducedBasis, vec, d: int):
-    """Ambient vector -> rb-frame coordinates, same backend."""
-    if not _is_series(vec):
-        return rb.coords_from_ambient_rat(vec)
-    # rows that stay exact come back as Rat
-    return _as_series(rb.coords_from_ambient_series(vec), d)
-
-
-def _convert_coords(S: PeriodicLattice, rb: ReducedBasis, coords):
-    """Canonical-frame fractional coords -> rb-frame fractional coords."""
-    rb0 = reduce_lattice(S.lattice, S.base_body())
-    if rb.ashift == rb0.ashift and rb.VP == rb0.VP:
-        # the same basis vectors (a ball only shifts their norms)
-        return list(coords)
-    return [y.frac_part() for y in _from_ambient(rb, _ambient_point(rb0, coords), S.d)]
-
-
-def _ambient_series(rb: ReducedBasis, coords):
-    field = rb.lattice.field
-    out = []
-    for i in range(rb.d):
-        acc = LaurentSeries.exact_zero(field)
-        for j in range(rb.d):
-            acc = acc + coords[j].mul_poly(rb.VP[i][j])
-        out.append(acc.mul_xpow(-rb.ashift))
-    return out
-
-
-def _ambient_point(rb: ReducedBasis, coords):
-    if _is_series(coords):
-        return _ambient_series(rb, coords)
-    return rb.ambient_from_coords(coords)
+# --- coordinates -------------------------------------------------------------
 
 
 def _coords(S: PeriodicLattice, rb: ReducedBasis):
@@ -243,7 +130,7 @@ def _coords(S: PeriodicLattice, rb: ReducedBasis):
     key = rb.body.cache_key()
     hit = S._coord_cache.get(key)
     if hit is None:
-        hit = [_convert_coords(S, rb, v) for v in S.vecs]
+        hit = [rb.from_canonical(v) for v in S.vecs]
         S._coord_cache[key] = hit
     return hit
 
@@ -289,7 +176,7 @@ def make_alpha_lattice(
     coords = _lift(_parse_coords(lat, alpha), lat.d)
     if frame == "ambient":
         rb0 = reduce_lattice(lat, ConvexBody.identity(field, lat.d))
-        coords = _from_ambient(rb0, coords, lat.d)
+        coords = rb0.coords_from_ambient(coords)
     elif frame != "reduced":
         raise ValueError("frame must be 'ambient' or 'reduced'")
     phi = [y.frac_part() for y in coords]
@@ -346,15 +233,6 @@ def make_coset_lattice(lat: Lattice, reps) -> PeriodicLattice:
 
 def _truncated_floors(vecs):
     return [y.floor for v in vecs for y in v if isinstance(y, LaurentSeries) and not y.exact]
-
-
-def _common_den(field: GF, ys) -> Poly:
-    """The lcm of the denominators of exact coordinates, Rats or exact
-    series."""
-    lcm = Poly.one(field)
-    for y in ys:
-        lcm = poly_lcm(lcm, (y.to_rat() if isinstance(y, LaurentSeries) else y).den)
-    return lcm
 
 
 def _first_spanned(field: GF, vecs, reach: int):
@@ -583,10 +461,7 @@ def _rank_would_increase(chosen, cand, d: int):
         rows = [[cols[j][i] for j in range(k)] for i in range(d)]
         return rank_rational(rows) == k
     # the unit columns are Rat polynomials in every instance
-    cols = [
-        col if _is_series(col) else [LaurentSeries.from_poly(y.num) for y in col]
-        for col in cols
-    ]
+    cols = [col if _is_series(col) else _as_series(col, 0) for col in cols]
     undecided_floor = None
     for rows in combinations(range(d), k):
         det = det_series([[cols[j][i] for j in range(k)] for i in rows])
@@ -645,7 +520,7 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
                 if verdict is True:
                     chosen.append(coords)
                     exps.append(norm)
-                    witnesses.append(_ambient_point(rb, coords))
+                    witnesses.append(rb.ambient_from_coords(coords))
                 elif verdict is not False:
                     undecided.append(coords)
             if len(undecided) == len(pending) and len(chosen) < S.d:
@@ -806,7 +681,7 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
         m, _pivots = _rref_fq(S.field, [digits[::-1] for digits in rest])
         coords = _combination(S, rb, m[-1][::-1])
         rep = MinkowskiReport("point", measure_exp, threshold_exp, classes_log)
-        rep.point = _ambient_point(rb, coords)
+        rep.point = rb.ambient_from_coords(coords)
         try:
             rep.point_norm = _frac_norm(rb.exps, coords)
         except InsufficientPrecision as e:
@@ -817,7 +692,7 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
     if rb.exps[0] <= 0:
         coords = _unit_coords(S.field, S.d, 0)
         rep = MinkowskiReport("point", measure_exp, threshold_exp, classes_log)
-        rep.point = _ambient_point(rb, coords)
+        rep.point = rb.ambient_from_coords(coords)
         rep.point_norm = QExp(rb.exps[0])
         rep.point_source = "basis"
         return rep
@@ -828,7 +703,7 @@ def d_invariant(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
     """Smallest nonzero |det| over square systems of representative
     fractional coordinates; brute force over k, index subsets and
     k-subsets of the polynomials of degree <= N, for d <= _DINV_MAX_D
-    and N <= _DINV_MAX_N."""
+    and N <= _DINV_MAX_N, and at most _DINV_MAX_DETS determinants."""
     if S.N is None:
         raise TypeError("d_invariant requires an alpha-form periodic lattice")
     if C is None:
@@ -836,6 +711,13 @@ def d_invariant(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
     if S.d > _DINV_MAX_D or S.N > _DINV_MAX_N:
         raise CapExceeded(
             f"d_invariant brute force is limited to d <= {_DINV_MAX_D}, N <= {_DINV_MAX_N}"
+        )
+    polys = S.field.q ** (S.N + 1) - 1
+    dets = sum(comb(S.d, k) * comb(polys, k) for k in range(1, S.d + 1))
+    if dets > _DINV_MAX_DETS:
+        raise CapExceeded(
+            f"d_invariant brute force would compute {dets} determinants, "
+            f"more than {_DINV_MAX_DETS}"
         )
     field = S.field
     rb = reduce_lattice(S.lattice, C)

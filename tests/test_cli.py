@@ -119,6 +119,19 @@ class TestQueries:
     def test_dinv(self, capsys):
         assert run(capsys, "dinv", W) == (0, "q^-2\n", "")
 
+    def test_dinv_refuses_work_past_its_cap(self, capsys, tmp_path):
+        # within d <= 3, N <= 2, but 2 * 4912 + C(4912, 2) determinants
+        p = write_instance(tmp_path, "q17.json", {
+            "q": 17, "d": 2, "basis": [["1", "0"], ["0", "1"]], "N": 2,
+            "alpha": ["1/(x^3+x+1)", "x/(x^3+2)"],
+        })
+        code, out, err = run(capsys, "dinv", p)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: d_invariant brute force would compute 12071240 determinants, "
+            "more than 100000\n"
+        )
+
     def test_dinv_requires_alpha_form(self, capsys, tmp_path):
         p = write_instance(
             tmp_path, "plain.json",
@@ -222,6 +235,23 @@ class TestErrorPaths:
         )
         code, _, err = run(capsys, "minima", p)
         assert code == 4 and err.startswith("error:")
+
+    @pytest.mark.parametrize("patch, argv, want", [
+        ({"basis": [["x^1000001", "0"], ["0", "1"]]}, ["reduce"], "basis[0][0]: x exponent"),
+        ({"basis": [["1", "0"], ["0", "1 + x^-1000001"]]}, ["reduce"], "basis[1][1]: x exponent"),
+        ({"basis": [["x^1" + "0" * 30, "0"], ["0", "1"]]}, ["reduce"], "basis[0][0]: x exponent"),
+        ({"N": 1, "alpha": ["x^-1", "(1)/(x^1000001 + 1)"]}, ["minima"], "alpha[1]: x exponent"),
+        ({"N": 1, "alpha": ["x^-1", "x^-2"], "precision": -1000001}, ["minima"],
+         "precision"),
+        ({}, ["count", "--radius", "1000001"], "--radius"),
+        ({}, ["count", "--radius", "-1000001"], "--radius"),
+    ])
+    def test_magnitudes_past_the_limit_exit_4(self, capsys, tmp_path, patch, argv, want):
+        # each would build a dense list that long; 10^30 overflowed
+        doc = {"q": 2, "d": 2, "basis": [["1", "0"], ["0", "1"]], **patch}
+        p = write_instance(tmp_path, "big.json", doc)
+        assert run(capsys, *argv, p) == (
+            4, "", f"error: {want}: absolute value above 1000000\n")
 
     def test_precision_too_coarse_exits_3(self, capsys, tmp_path):
         # SPREAD at -2: x^-3 of alpha_2 is cut, but only frac(x * alpha_2)

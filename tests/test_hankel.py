@@ -35,8 +35,8 @@ from fflat.battery import (
 )
 from fflat.cli import _apply_precision
 from fflat.exactlinalg import rank_fq
-from fflat.lattice import reduce_lattice
-from fflat.periodic import _coords, _cut, _pattern_rows, _tail_pattern
+from fflat.lattice import _tail_pattern, reduce_lattice
+from fflat.periodic import _coords, _cut, _pattern_rows
 
 F2 = GF(2)
 F3 = GF(3)

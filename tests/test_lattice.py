@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fflat import (
     GF,
@@ -14,6 +15,7 @@ from fflat import (
     QExp,
     Rat,
     SingularInput,
+    expand_rational,
     covrad_periodic,
     from_lattice,
     norm_in_body,
@@ -21,9 +23,11 @@ from fflat import (
     reduce_lattice,
 )
 from fflat.battery import random_body, random_lattice
+from fflat.lattice import _lift
 
 F2 = GF(2)
 F3 = GF(3)
+F4 = GF(2, 2, (1, 1, 1))
 
 
 def V(field, *entries):
@@ -176,6 +180,49 @@ def test_norm_mixed_rat_and_series():
     ]
     # h^-1 v = (x^-2, x^-1 + ...): sup exponent -1
     assert norm_in_body(v, C) == QExp(-1)
+
+
+def test_norm_lift_reaches_below_the_adjugate_degree():
+    # deg adj(H) = 30 > 4d + 8: the rational is expanded 31 + 2 below
+    # the floor -6, so that x^30 * v_2 still cancels v_1 down to x^-6
+    # and leaves x^-1; the construction lift's margin (16) would refuse
+    C = ConvexBody(F2, [["x^30", "1"], ["1", "0"]])
+    v1 = expand_rational(parse_element(F2, "(x^31 + x^2 + x + 1)/(x^3 + x^2 + x)"), -6)
+    v = [v1.truncated(-6), parse_element(F2, "1/(x^2+x+1)")]
+    assert norm_in_body(v, C) == QExp(-1)
+
+
+@given(
+    st.sampled_from([F2, F3, F4]), st.integers(2, 3), st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+)
+def test_coords_round_trip(field, d, seed, depth):
+    """coords_from_ambient inverts ambient_from_coords: exactly for Rat
+    coordinates, and for truncated ones on every coefficient the result
+    knows."""
+    rng = random.Random(seed)
+    rb = reduce_lattice(random_lattice(rng, field, d), random_body(rng, field, d))
+
+    def rand_poly(n):
+        return Poly(field, [rng.randrange(field.q) for _ in range(n)])
+
+    coords = []
+    for _ in range(d):
+        e = rng.randint(0, 3)
+        den = Poly.monomial(field, 1, e) + rand_poly(e)
+        coords.append(Rat(rand_poly(rng.randint(0, 4)), den))
+    assert rb.coords_from_ambient(rb.ambient_from_coords(coords)) == coords
+    cut = [
+        expand_rational(c, -depth).truncated(-depth) if i == 0 or rng.random() < 0.5 else c
+        for i, c in enumerate(coords)
+    ]
+    got = rb.coords_from_ambient(rb.ambient_from_coords(_lift(cut, d)))
+    for y, c in zip(got, coords):
+        assert isinstance(y, LaurentSeries)
+        if y.exact:
+            assert y.to_rat() == c
+        else:
+            assert y == expand_rational(c, y.floor).truncated(y.floor)
 
 
 def test_ambient_from_coords_is_the_sum_of_its_terms():

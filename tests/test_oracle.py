@@ -298,6 +298,15 @@ def test_oracle_imports_no_closed_form():
         assert hasattr(periodic, name), name
 
     tree = ast.parse(Path(fflat.oracle.__file__).read_text())
-    names = {alias.name for node in ast.walk(tree)
-             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = {alias.name for node in imports for alias in node.names}
     assert not names & CLOSED_FORMS
+    # from fflat.periodic, only the type: everything else there is
+    # closed-form machinery or its plumbing
+    assert "fflat.periodic" not in names
+    from_periodic = {
+        alias.name for node in imports if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in (("periodic", 1), ("fflat.periodic", 0))
+        for alias in node.names
+    }
+    assert from_periodic == {"PeriodicLattice"}

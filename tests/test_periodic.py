@@ -40,15 +40,8 @@ from fflat.errors import BudgetExceeded, CapExceeded
 from fflat.ffcore import Poly, Rat, expand_rational
 from fflat.oracle import _points_by_definition, count_oracle, density_oracle, succmin_oracle
 from fflat.exactlinalg import _rref_fq
-from fflat.periodic import (
-    PeriodicLattice,
-    _ambient_point,
-    _common_den,
-    _first_spanned,
-    _lift,
-    _pattern_rows,
-    _tail_pattern,
-)
+from fflat.lattice import _common_den, _lift, _tail_pattern
+from fflat.periodic import PeriodicLattice, _first_spanned, _pattern_rows
 
 F2 = GF(2)
 F3 = GF(3)
@@ -132,6 +125,21 @@ class TestWFamily:
         lam4 = Lattice.standard(F2, 4)
         with pytest.raises(CapExceeded):
             d_invariant(make_alpha_lattice(lam4, ["x^-2", "x^-3", "x^-4", "x^-5"], 1))
+
+    def test_d_invariant_work_cap_admits_q4_d3_n2(self, monkeypatch):
+        # 45 759 determinants, under the 10^5 cap: the brute force starts
+        lat = Lattice.standard(F4, 3)
+        S = make_alpha_lattice(lat, ["1/(x^3+x+1)", "x/(x^3+(t))", "1/(x^4+x+(t+1))"], 2)
+        calls = []
+
+        def det(rows):
+            calls.append(rows)
+            raise StopIteration
+
+        monkeypatch.setattr("fflat.periodic.det_rat", det)
+        with pytest.raises(StopIteration):
+            d_invariant(S)
+        assert len(calls) == 1
 
     def test_bounds_report(self, W, lam):
         rep = check_bounds(W)
@@ -655,7 +663,7 @@ def test_count_and_mink_point_equal_the_oracle(inst):
         return
     rb = reduce_lattice(S.lattice, body)
     assert rep.point_source == "fractional"
-    assert rep.point == _ambient_point(rb, first[0])
+    assert rep.point == rb.ambient_from_coords(first[0])
     assert rep.point_norm == first[1]
 
 
