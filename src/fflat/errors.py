@@ -45,7 +45,7 @@ class NRational(FFLatError):
 
 
 class CapExceeded(FFLatError):
-    """An enumeration would exceed the configured hard cap."""
+    """The input lies past the sizes a method is exact for (dinv: N > 2)."""
 
 
 class BudgetExceeded(FFLatError):

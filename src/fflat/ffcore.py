@@ -1198,6 +1198,8 @@ def series_from_json(field: GF, obj) -> LaurentSeries:
     floor, top, coeffs = obj["floor"], obj["top"], obj["coeffs"]
     if any(not isinstance(v, int) or isinstance(v, bool) for v in (floor, top)):
         raise ParseError("series floor and top must be integers")
+    check_magnitude(floor, "series floor")
+    check_magnitude(top, "series top")
     exact = obj.get("exact", False)
     if not isinstance(exact, bool):
         raise ParseError(f"series exact must be true or false, got {exact!r}")

@@ -34,16 +34,16 @@ lies in the span of the earlier ones on the coefficients they all
 know, which a row echelon form with the generators inserted as rows,
 in order, decides.  Exact alpha keeps the closed form of that rank,
 the degree of its denominators' lcm.  So nothing here enumerates
-points, and no size cap is needed; only d_invariant, a brute force
-over polynomials, keeps one.
+points, and no size cap is needed.  d_invariant eliminates its fixed
+Cauchy-Binet minors the same way, and keeps one cap, N <= 2, up to
+which every F_q-combination of them is a minor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, product
-from math import comb
+from itertools import combinations, groupby
 
 from .errors import CapExceeded, InsufficientPrecision, NRational, UndefinedValue
 from .exactlinalg import _echelon_fq, _rref_fq, det_rat, det_series, rank_rational
@@ -71,11 +71,8 @@ from .lattice import (
     reduce_lattice,
 )
 
-# the sizes up to which the d_invariant brute force runs, and the most
-# determinants it computes (0.15-0.3 ms each at q = 3..5)
-_DINV_MAX_D = 3
+# d_invariant's one cap (see there)
 _DINV_MAX_N = 2
-_DINV_MAX_DETS = 10**5
 
 
 # --- the periodic lattice type -----------------------------------------------
@@ -343,39 +340,48 @@ def _instance_floor(S: PeriodicLattice, vecs, floor: int) -> int:
 
 
 def _weight_echelon(S: PeriodicLattice, rb: ReducedBasis, stop: int = None):
-    """The generators' pattern matrix in row echelon form, its columns in
+    """_echelon_by_weight on the generators in the rb frame, least
+    significant first; cut's refusal names a floor of the instance (_cut)."""
+    vecs = _coords(S, rb)[::-1]
+    pivots, rest, cut = _echelon_by_weight(S.field, vecs, S.reach, rb.exps, stop)
+    if cut:
+        cut = (cut[0], _cut(S, vecs, cut[1]))
+    return pivots, rest, cut
+
+
+def _echelon_by_weight(field: GF, vecs, reach: int, exps, stop: int = None):
+    """The pattern matrix of the generators frac(x^k * v), k = 0..reach,
+    for each v in vecs in turn, in row echelon form, its columns in
     descending weight: (pivots, rest, cut).
 
-    Row k is generator k, least significant first, then its digit
-    vector; column (i, t) holds the coefficients of x^-t of coordinate i
-    and has weight e_i - t.  A pivot row is zero before its pivot, so it
-    is a point of norm exactly q^(the pivot's weight); pivots lists
-    (weight, digits) as found.  With stop, only the columns of weight >
-    stop are read, and rest, the digit vectors of the rows left without
-    a pivot, spans the points of norm <= q^stop.  Without it, reading
-    goes on until every row has a pivot: an exact coordinate needs depth
-    deg L_i (L_i the lcm of its denominators), a truncated one is read
-    to one past its floor.
+    Row k is generator k, then its digit vector; column (i, t) holds the
+    coefficients of x^-t of coordinate i and has weight exps[i] - t.  A
+    pivot row is zero before its pivot, so it is a point of norm exactly
+    q^(the pivot's weight); pivots lists (weight, digits) as found.
+    With stop, only the columns of weight > stop are read, and rest, the
+    digit vectors of the rows left without a pivot, spans the points of
+    norm <= q^stop.  Without it, reading goes on until every row has a
+    pivot: an exact coordinate needs depth deg L_i (L_i the lcm of its
+    denominators), a truncated one is read to one past its floor.
 
     A coefficient below a floor reads as 0, and a row knows a column
     when all generators in its digits do.  A row without a pivot that
     meets a column it does not know is a point whose norm no known
-    coefficient decides: the elimination stops there, and cut is
-    (the column's weight, the InsufficientPrecision to raise); pivots
-    then holds those of the columns before it, and is exact.  Otherwise
-    cut is None.  Rows keep their order and pivots are only subtracted
-    from later rows, so an alpha row knows what its most significant
-    generator knows; within one weight the columns more generators know
-    come first.
+    coefficient decides: the elimination stops there, and cut is (the
+    column's weight, the depth to which the generators' tails must be
+    known); pivots then holds those of the columns before it, and is
+    exact.  Otherwise cut is None.  Rows keep their order and pivots are
+    only subtracted from later rows, so an alpha row knows what its most
+    significant generator knows; within one weight the columns more
+    generators know come first.
     """
-    field, n, reach = S.field, S.period_size, S.reach
+    n = len(vecs) * (reach + 1)
     if not n:
         return [], [], None
-    vecs = _coords(S, rb)[::-1]
     # generator k is frac(x^shift * vecs[v]): (v, shift)
     gens = [(v, shift) for v in range(len(vecs)) for shift in range(reach + 1)]
     depths = []
-    for i, e in enumerate(rb.exps):
+    for i, e in enumerate(exps):
         ys = [v[i] for v in vecs]
         cuts = [max(-y.floor, 0) for y in ys if isinstance(y, LaurentSeries) and not y.exact]
         exact = [y for y in ys if not isinstance(y, LaurentSeries) or y.exact]
@@ -393,7 +399,7 @@ def _weight_echelon(S: PeriodicLattice, rb: ReducedBasis, stop: int = None):
                 entries.append(tail[t + shift - 1])
                 if known is not None and t + shift > known:
                     unknown |= 1 << k
-            cols.append((rb.exps[i] - t, unknown, t, entries))
+            cols.append((exps[i] - t, unknown, t, entries))
     cols.sort(key=lambda c: (-c[0], c[1].bit_count()))
     m = len(cols)
     rows = [[c[3][k] for c in cols] + [int(j == k) for j in range(n)] for k in range(n)]
@@ -405,8 +411,8 @@ def _weight_echelon(S: PeriodicLattice, rb: ReducedBasis, stop: int = None):
             break
         if any(support[r] & unknown for r in free):
             if stop is not None:
-                t = max(max(e - 1 - stop, 0) for e in rb.exps)
-            return pivots, None, (weight, _cut(S, vecs, t))
+                t = max(max(e - 1 - stop, 0) for e in exps)
+            return pivots, None, (weight, t)
         p = next((r for r in free if rows[r][j]), None)
         if p is None:
             continue
@@ -700,47 +706,37 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
 
 
 def d_invariant(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
-    """Smallest nonzero |det| over square systems of representative
-    fractional coordinates; brute force over k, index subsets and
-    k-subsets of the polynomials of degree <= N, for d <= _DINV_MAX_D
-    and N <= _DINV_MAX_N, and at most _DINV_MAX_DETS determinants."""
+    """Smallest nonzero |det(frac(Q_r * phi_j))|, r = 1..k, j in J, over
+    k, index k-subsets J and polynomials Q_r of degree <= N.  By
+    Cauchy-Binet such a minor is sum_T p_T * mu_T over the k-subsets T
+    of 0..N, p_T the Pluecker coordinates of the Q_r and
+    mu_T = det(frac(x^m * phi_j)), m in T.  For N <= _DINV_MAX_N every
+    nonzero p is that of some Q_r, so the smallest nonzero minor of J is
+    the lowest pivot weight of the mu_T's elimination (_echelon_by_weight,
+    each mu_T one coordinate of weight 0); a cut leaves one undecided."""
     if S.N is None:
         raise TypeError("d_invariant requires an alpha-form periodic lattice")
     if C is None:
         C = S.base_body()
-    if S.d > _DINV_MAX_D or S.N > _DINV_MAX_N:
+    if S.N > _DINV_MAX_N:
         raise CapExceeded(
-            f"d_invariant brute force is limited to d <= {_DINV_MAX_D}, N <= {_DINV_MAX_N}"
+            f"d_invariant is limited to N <= {_DINV_MAX_N}: past it not every "
+            "F_q-combination of the Cauchy-Binet minors is itself a minor"
         )
-    polys = S.field.q ** (S.N + 1) - 1
-    dets = sum(comb(S.d, k) * comb(polys, k) for k in range(1, S.d + 1))
-    if dets > _DINV_MAX_DETS:
-        raise CapExceeded(
-            f"d_invariant brute force would compute {dets} determinants, "
-            f"more than {_DINV_MAX_DETS}"
-        )
-    field = S.field
-    rb = reduce_lattice(S.lattice, C)
-    phi = _coords(S, rb)[0]
-    series = _is_series(phi)
-    det = det_series if series else det_rat
-    qs = [Poly(field, c) for c in product(range(field.q), repeat=S.N + 1) if any(c)]
-    best = None
-    undecided = False
+    phi = _coords(S, reduce_lattice(S.lattice, C))[0]
+    det = det_series if _is_series(phi) else det_rat
+    # A[m][j] = frac(x^m * phi_j)
+    A = [[y.mul_poly(Poly.monomial(S.field, 1, m)).frac_part() for y in phi]
+         for m in range(S.N + 1)]
+    weights, undecided = [], False
     for k in range(1, S.d + 1):
-        for subset in combinations(range(S.d), k):
-            cols = [phi[j] for j in subset]
-            for qtuple in combinations(qs, k):
-                minor = det([[y.mul_poly(Q).frac_part() for y in cols] for Q in qtuple])
-                if series and not minor.coeffs and not minor.exact:
-                    undecided = True
-                    continue
-                v = minor.val()
-                if v.is_zero:
-                    continue
-                if best is None or v < best:
-                    best = v
-    if best is None:
+        for J in combinations(range(S.d), k):
+            mus = [[det([[A[m][j] for j in J] for m in T])]
+                   for T in combinations(range(S.N + 1), k)]
+            pivots, _rest, cut = _echelon_by_weight(S.field, mus, 0, [0])
+            undecided = undecided or cut is not None
+            weights += [w for w, _digits in pivots]
+    if not weights:
         if undecided:
             raise InsufficientPrecision(
                 "all candidate determinants are undecided at the stored floor"
@@ -750,9 +746,9 @@ def d_invariant(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
         # an undecided determinant might be nonzero and smaller
         raise InsufficientPrecision(
             "a candidate determinant is undecided at the stored floor; "
-            f"certified minimum so far is q^{best.exp}"
+            f"certified minimum so far is q^{min(weights)}"
         )
-    return best
+    return QExp(min(weights))
 
 
 @dataclass

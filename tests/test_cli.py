@@ -119,18 +119,32 @@ class TestQueries:
     def test_dinv(self, capsys):
         assert run(capsys, "dinv", W) == (0, "q^-2\n", "")
 
-    def test_dinv_refuses_work_past_its_cap(self, capsys, tmp_path):
-        # within d <= 3, N <= 2, but 2 * 4912 + C(4912, 2) determinants
+    def test_dinv_answers_at_any_q_and_stops_past_n2(self, capsys, tmp_path):
+        # 2 * 4912 + C(4912, 2) minors by definition: the elimination
+        # reads 2 * 3 + 3 Cauchy-Binet minors instead
         p = write_instance(tmp_path, "q17.json", {
             "q": 17, "d": 2, "basis": [["1", "0"], ["0", "1"]], "N": 2,
             "alpha": ["1/(x^3+x+1)", "x/(x^3+2)"],
         })
-        code, out, err = run(capsys, "dinv", p)
-        assert (code, out) == (1, "")
-        assert err == (
-            "error: d_invariant brute force would compute 12071240 determinants, "
-            "more than 100000\n"
-        )
+        assert run(capsys, "dinv", p) == (0, "q^-3\n", "")
+        p = write_instance(tmp_path, "n3.json", {
+            "q": 2, "d": 2, "basis": [["1", "0"], ["0", "1"]], "N": 3,
+            "alpha": ["x^-4", "x^-5"],
+        })
+        assert run(capsys, "dinv", p) == (1, "", (
+            "error: d_invariant is limited to N <= 2: past it not every "
+            "F_q-combination of the Cauchy-Binet minors is itself a minor\n"))
+
+    def test_truncated_dinv_answers_as_its_twin(self, capsys, tmp_path):
+        # the undecided-rank instance of the benchmark: its minima stay
+        # undecided at every floor, its dinv answers
+        doc = {
+            "q": 3, "d": 2, "basis": [["1", "0"], ["0", "1"]], "N": 1,
+            "alpha": ["1/(x^2+1)", "x/(x^2+x+2)"],
+        }
+        twin = run(capsys, "dinv", write_instance(tmp_path, "twin.json", doc))
+        p = write_instance(tmp_path, "trunc.json", dict(doc, precision=-20))
+        assert run(capsys, "dinv", p) == twin == (0, "q^-2\n", "")
 
     def test_dinv_requires_alpha_form(self, capsys, tmp_path):
         p = write_instance(
@@ -245,6 +259,11 @@ class TestErrorPaths:
          "precision"),
         ({}, ["count", "--radius", "1000001"], "--radius"),
         ({}, ["count", "--radius", "-1000001"], "--radius"),
+        # a 30-byte literal; _weight_echelon would read 3 * 10^6 coefficients
+        ({"N": 1, "alpha": [{"floor": -3000000, "top": -3000000, "coeffs": [1]}, "x^-2"]},
+         ["minima"], "alpha[0]: series floor"),
+        ({"N": 1, "alpha": ["x^-1", {"floor": -1, "top": 1000001, "coeffs": [1]}]},
+         ["minima"], "alpha[1]: series top"),
     ])
     def test_magnitudes_past_the_limit_exit_4(self, capsys, tmp_path, patch, argv, want):
         # each would build a dense list that long; 10^30 overflowed

@@ -284,7 +284,7 @@ def test_oracle_with_nonunit_body(W):
 # closed forms the oracles check; importing one would make
 # an oracle agree with what it is meant to test
 CLOSED_FORMS = {
-    "_combination", "_weight_echelon", "succ_minima_periodic", "count_points",
+    "_combination", "_weight_echelon", "_echelon_by_weight", "succ_minima_periodic", "count_points",
     "minkowski_search", "covrad_periodic",
 }
 
@@ -310,3 +310,15 @@ def test_oracle_imports_no_closed_form():
         for alias in node.names
     }
     assert from_periodic == {"PeriodicLattice"}
+
+
+def test_periodic_enumerates_no_polynomials():
+    """d_invariant reads its minors from the one elimination: the brute
+    force over polynomials (itertools.product) and its work count
+    (math.comb) stay out of periodic.py."""
+    tree = ast.parse(Path(import_module("fflat.periodic").__file__).read_text())
+    used = {(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used |= {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    assert not used & {("itertools", "product"), ("math", "comb")}

@@ -7,7 +7,8 @@ alpha = (x^-1, x^-2) in reduced coordinates, N = 1.
 import random
 import signal
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import combinations, groupby, product
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,10 +37,10 @@ from fflat import (
     succ_minima_periodic,
 )
 from fflat.battery import random_body
-from fflat.errors import BudgetExceeded, CapExceeded
+from fflat.errors import BudgetExceeded, CapExceeded, UndefinedValue
 from fflat.ffcore import Poly, Rat, expand_rational
 from fflat.oracle import _points_by_definition, count_oracle, density_oracle, succmin_oracle
-from fflat.exactlinalg import _rref_fq
+from fflat.exactlinalg import _rref_fq, det_rat, det_series
 from fflat.lattice import _common_den, _lift, _tail_pattern
 from fflat.periodic import PeriodicLattice, _first_spanned, _pattern_rows
 
@@ -119,27 +120,13 @@ class TestWFamily:
         assert d_invariant(W) == QExp(-2)
 
     def test_d_invariant_caps(self, lam):
-        # the brute force stops at N <= 2 and d <= 3
+        # past N = 2 some Pluecker vectors are no minor's
         with pytest.raises(CapExceeded):
             d_invariant(make_alpha_lattice(lam, ["x^-4", "x^-5"], 3))
+        # any d: only N bounds the work
         lam4 = Lattice.standard(F2, 4)
-        with pytest.raises(CapExceeded):
-            d_invariant(make_alpha_lattice(lam4, ["x^-2", "x^-3", "x^-4", "x^-5"], 1))
-
-    def test_d_invariant_work_cap_admits_q4_d3_n2(self, monkeypatch):
-        # 45 759 determinants, under the 10^5 cap: the brute force starts
-        lat = Lattice.standard(F4, 3)
-        S = make_alpha_lattice(lat, ["1/(x^3+x+1)", "x/(x^3+(t))", "1/(x^4+x+(t+1))"], 2)
-        calls = []
-
-        def det(rows):
-            calls.append(rows)
-            raise StopIteration
-
-        monkeypatch.setattr("fflat.periodic.det_rat", det)
-        with pytest.raises(StopIteration):
-            d_invariant(S)
-        assert len(calls) == 1
+        S = make_alpha_lattice(lam4, ["x^-2", "x^-3", "x^-4", "x^-5"], 1)
+        assert d_invariant(S) == _dinv_by_definition(S) == QExp(-5)
 
     def test_bounds_report(self, W, lam):
         rep = check_bounds(W)
@@ -490,6 +477,113 @@ def test_sandwich_gate_engages_for_deep_denominators():
     assert rep.passed
     if rep.sandwich_checked:
         assert rep.sandwich_lower_ok and rep.sandwich_upper_ok
+
+
+def test_sandwich_is_evaluated_at_d4():
+    S = make_alpha_lattice(
+        Lattice.standard(F2, 4), ["1/(x^2+x+1)", "x^-2", "x^-3", "1/(x^3+x+1)"], 1
+    )
+    rep = check_bounds(S)
+    assert rep.sandwich_checked and rep.passed
+    assert rep.dinv_exp == _dinv_by_definition(S).exp == -3
+
+
+# --- d_invariant against its definition ----------------------------------
+
+
+def _dinv_by_definition(S, C=None) -> QExp:
+    """The smallest nonzero |det(frac(Q_r * phi_j))|, r = 1..k, j in J,
+    over k, index k-subsets J and k-subsets of the nonzero polynomials
+    of degree <= N, with d_invariant's refusals: a truncated minor with
+    no known nonzero coefficient might be nonzero and smaller."""
+    body = S.base_body() if C is None else C
+    phi = reduce_lattice(S.lattice, body).from_canonical(S.vecs[0])
+    series = isinstance(phi[0], LaurentSeries)
+    det = det_series if series else det_rat
+    qs = [Poly(S.field, c) for c in product(range(S.field.q), repeat=S.N + 1) if any(c)]
+    norms, undecided = [], False
+    for k in range(1, S.d + 1):
+        for J in combinations(range(S.d), k):
+            for Qs in combinations(qs, k):
+                minor = det([[phi[j].mul_poly(Q).frac_part() for j in J] for Q in Qs])
+                if series and not minor.coeffs and not minor.exact:
+                    undecided = True
+                elif not minor.val().is_zero:
+                    norms.append(minor.val())
+    if undecided:
+        raise InsufficientPrecision("a minor is undecided")
+    if not norms:
+        raise UndefinedValue("no nonzero minor")
+    return min(norms)
+
+
+def _minors(q: int, d: int, N: int) -> int:
+    """How many minors _dinv_by_definition computes."""
+    return sum(comb(d, k) * comb(q ** (N + 1) - 1, k) for k in range(1, d + 1))
+
+
+@st.composite
+def _dinv_twins(draw):
+    """(build, body): build(None) is an exact alpha instance over q in
+    {2, 3, 4}, d in {2, 3}, N <= 2, denominators of degree N + 1 or
+    N + 2, build(f) its twin with some or all coordinates truncated at
+    x^f; the body is the unit body or a random one.  Sizes stay where
+    the definition takes well under a second: at most 1000 minors."""
+    F = draw(st.sampled_from([F2, F3, F4]))
+    d = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(0, max(n for n in range(3) if _minors(F.q, d, n) <= 1000)))
+
+    def coord():
+        k = draw(st.integers(N + 1, N + 2))
+        digits = st.lists(st.integers(0, F.q - 1), min_size=k, max_size=k)
+        return Rat(Poly(F, draw(digits)), Poly(F, (*draw(digits), 1)))
+
+    alpha = [coord() for _ in range(d)]
+    cut = [draw(st.booleans()) for _ in range(d)]
+    lat = Lattice.standard(F, d)
+
+    def build(floor):
+        if floor is not None:
+            return make_alpha_lattice(lat, [
+                expand_rational(y, floor).truncated(floor) if c or not any(cut) else y
+                for y, c in zip(alpha, cut)
+            ], N)
+        return make_alpha_lattice(lat, alpha, N)
+
+    seed = draw(st.one_of(st.none(), st.integers(0, 2**16)))
+    return build, None if seed is None else random_body(random.Random(seed), F, d)
+
+
+@given(_dinv_twins())
+def test_d_invariant_is_the_definition(inst):
+    """d_invariant is the smallest nonzero minor of the definition, in
+    the unit body's frame and in a random body's."""
+    build, C = inst
+    try:
+        S = build(None)
+    except NRational:
+        assume(False)
+    assert d_invariant(S, C) == _dinv_by_definition(S, C)
+
+
+@settings(max_examples=100)
+@given(_dinv_twins(), st.integers(-12, -2))
+def test_truncated_d_invariant_answers_as_its_twin(inst, floor):
+    """A truncated d_invariant answers as its exact twin or raises
+    InsufficientPrecision, and answers wherever the definition does."""
+    build, C = inst
+    try:
+        exact, trunc = build(None), build(floor)
+    except (NRational, InsufficientPrecision):
+        assume(False)
+    want = d_invariant(exact, C)
+    try:
+        got = d_invariant(trunc, C)
+    except InsufficientPrecision:
+        with pytest.raises(InsufficientPrecision):
+            _dinv_by_definition(trunc, C)
+        return
+    assert got == want
 
 
 def test_periodic_lattice_accessors(W):
