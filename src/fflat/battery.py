@@ -150,6 +150,9 @@ def parse_grid(text: str):
             raise ParseError(f"grid: bad values for {key!r}") from None
         if not grid[key]:
             raise ParseError(f"grid: empty axis {key!r}")
+        low = {"d": 2, "N": 0}.get(key)
+        if low is not None and min(grid[key]) < low:
+            raise ParseError(f"grid: {key!r} values must be >= {low}, got {min(grid[key])}")
     return grid
 
 

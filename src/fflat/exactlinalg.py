@@ -6,17 +6,20 @@ Each coefficient ring has one elimination that the public functions
 read: row echelon form over F_q by row insertion (rank; reduced by
 back-substitution, kernel vector), fraction-free Bareiss elimination
 over F_q[x] (determinant, rank), and over F_q(x) the same after
-clearing each column's denominators.  Series determinants carry
-precision floors soundly.  popov_reduce detects a singular input
-itself, when a column reduces to zero.
+clearing each column's denominators (the oracles' rank).  One
+determinant, det, serves F_q(x) and truncated series alike by
+cofactor expansion; on series it carries precision floors soundly.
+popov_reduce detects a singular input itself, when a column reduces
+to zero.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from itertools import combinations
 
 from .errors import SingularInput
-from .ffcore import GF, LaurentSeries, Poly, Rat, poly_lcm
+from .ffcore import GF, Poly, poly_lcm
 
 
 # --- F_q matrices --------------------------------------------------------
@@ -198,34 +201,23 @@ def rank_rational(rows) -> int:
     return len(_bareiss(_clear_denominators(rows)[0])[1])
 
 
-def det_rat(rows) -> Rat:
-    """Determinant of a square matrix over F_q(x)."""
-    prows, lcms = _clear_denominators(rows)
-    den = Poly.one(rows[0][0].field)
-    for l in lcms:
-        den = den * l
-    return Rat(det_poly(prows), den)
-
-
-def det_series(rows) -> LaurentSeries:
-    """Determinant of a square matrix of Laurent series, cofactor expansion.
-
-    Precision floors propagate through the series arithmetic, so the
-    result's knowledge window is sound.
-    """
+def det(rows):
+    """Determinant of a square matrix over F_q(x) or of Laurent series:
+    cofactor expansion along the first row, each minor of the lower rows
+    computed once and each sum started from its first term.  On series
+    the precision floors propagate, so the knowledge window is sound."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    field = rows[0][0].field
-    acc = LaurentSeries.exact_zero(field)
-    neg1 = field.neg(1)
-    for j in range(n):
-        sub = det_series([r[:j] + r[j + 1 :] for r in rows[1:]])
-        term = rows[0][j] * sub
-        if j % 2:
-            term = term.scale(neg1)
-        acc = acc + term
-    return acc
+    neg1 = rows[0][0].field.neg(1)
+    # the minors of the last m rows, keyed by their m columns
+    minors = {(j,): rows[-1][j] for j in range(n)}
+    for m in range(2, n + 1):
+        row, prev, minors = rows[n - m], minors, {}
+        for cols in combinations(range(n), m):
+            for pos, j in enumerate(cols):
+                term = row[j] * prev[cols[:pos] + cols[pos + 1:]]
+                term = term.scale(neg1) if pos % 2 else term
+                minors[cols] = minors[cols] + term if pos else term
+    return minors[tuple(range(n))]
 
 
 # --- column reduction of polynomial lattice bases ------------------------

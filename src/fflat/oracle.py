@@ -18,7 +18,7 @@ import os
 from fractions import Fraction
 from itertools import product
 
-from .errors import BudgetExceeded, PrecisionTooCoarse
+from .errors import BudgetExceeded, ParseError, PrecisionTooCoarse
 from .ffcore import LaurentSeries, Poly, QExp, Rat, qpow_fraction
 from .lattice import ConvexBody, _frac_norm, _is_series, _tail_pattern, reduce_lattice
 from .periodic import PeriodicLattice
@@ -27,9 +27,12 @@ from .exactlinalg import rank_rational
 
 def default_budget() -> int:
     raw = os.environ.get("FFLAT_BUDGET")
-    if raw is not None:
+    if raw is None:
+        return 1 << 21
+    try:
         return int(raw)
-    return 1 << 21
+    except ValueError:
+        raise ParseError(f"FFLAT_BUDGET: expected an integer, got {raw!r}") from None
 
 
 def _exact_coords(coords):

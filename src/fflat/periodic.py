@@ -12,7 +12,9 @@ point set modulo Lambda.
 The coordinates of one periodic lattice share one arithmetic backend,
 chosen at construction (_lift): Rat when no input coordinate is a
 series, LaurentSeries for all of them when one is.  Frame changes,
-norms and tails of both backends live in lattice.py.
+norms and tails of both backends live in lattice.py, and one
+determinant (exactlinalg.det) takes either, so neither the minima's
+independence test nor d_invariant branches on the backend.
 
 The fundamental-domain points form the F_q-span of the n = period_size
 independent generators.  Their tail coefficients are F_q-linear in the
@@ -46,7 +48,7 @@ from fractions import Fraction
 from itertools import combinations, groupby
 
 from .errors import CapExceeded, InsufficientPrecision, NRational, UndefinedValue
-from .exactlinalg import _echelon_fq, _rref_fq, det_rat, det_series, rank_rational
+from .exactlinalg import _echelon_fq, _rref_fq, det
 from .ffcore import (
     GF,
     LaurentSeries,
@@ -61,7 +63,6 @@ from .lattice import (
     ConvexBody,
     Lattice,
     ReducedBasis,
-    _as_series,
     _common_den,
     _frac_norm,
     _is_series,
@@ -457,29 +458,29 @@ def _unit_coords(field: GF, d: int, i: int):
     return [one if j == i else zero for j in range(d)]
 
 
-def _rank_would_increase(chosen, cand, d: int):
-    """Does cand leave the K_inf-span of chosen columns?  True, False,
-    or, when truncated minors cannot tell, the InsufficientPrecision
-    to raise if it stays undecided."""
-    cols = chosen + [cand]
-    k = len(cols)
-    if not any(_is_series(col) for col in cols):
-        rows = [[cols[j][i] for j in range(k)] for i in range(d)]
-        return rank_rational(rows) == k
-    # the unit columns are Rat polynomials in every instance
-    cols = [col if _is_series(col) else _as_series(col, 0) for col in cols]
-    undecided_floor = None
-    for rows in combinations(range(d), k):
-        det = det_series([[cols[j][i] for j in range(k)] for i in rows])
-        if det.coeffs:
-            return True
-        if not det.exact and (undecided_floor is None or det.floor > undecided_floor):
-            undecided_floor = det.floor
-    if undecided_floor is None:
+def _independent(points, taken, d: int):
+    """Are the unit vectors e_i, i in taken, and the points K_inf-linearly
+    independent?  True, False, or, when truncated minors cannot tell, the
+    InsufficientPrecision to raise if it stays undecided.  By Laplace
+    expansion along the unit columns they are iff some k x k minor of
+    the k points, on rows outside taken, is nonzero; so a unit vector
+    never enters the arithmetic.  An undecided minor names the floor
+    its leading term needs, and the highest of those is kept."""
+    if not points:
+        return True
+    floors = []
+    for rows in combinations([i for i in range(d) if i not in taken], len(points)):
+        minor = det([[p[i] for p in points] for i in rows])
+        try:
+            if not minor.val().is_zero:
+                return True
+        except InsufficientPrecision as e:
+            floors.append(e.needed_floor)
+    if not floors:
         return False
     return InsufficientPrecision(
         "linear independence undecidable at the stored precision",
-        needed_floor=undecided_floor - 1,
+        needed_floor=max(floors),
     )
 
 
@@ -508,28 +509,35 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
     cands += [(e, 1, i, None) for i, e in enumerate(rb.exps)]
     cands.sort(key=lambda t: t[:3])
     exps = []
-    chosen = []
+    points = []
+    taken = set()
     witnesses = []
     for norm, level in groupby(cands, key=lambda t: t[0]):
-        if len(chosen) == S.d:
+        if len(exps) == S.d:
             break
+        # (the unit vector's index or None for a point, its coordinates)
         pending = [
-            _unit_coords(field, S.d, i) if digits is None else _combination(S, rb, digits)
+            (i, _unit_coords(field, S.d, i)) if digits is None
+            else (None, _combination(S, rb, digits))
             for _w, _kind, i, digits in level
         ]
-        while pending and len(chosen) < S.d:
+        while pending and len(exps) < S.d:
             undecided = []
-            for coords in pending:
-                if len(chosen) == S.d:
+            for unit, coords in pending:
+                if len(exps) == S.d:
                     break
-                verdict = _rank_would_increase(chosen, coords, S.d)
+                if unit is None:
+                    trial = points + [coords], taken
+                else:
+                    trial = points, taken | {unit}
+                verdict = _independent(*trial, S.d)
                 if verdict is True:
-                    chosen.append(coords)
+                    points, taken = trial
                     exps.append(norm)
                     witnesses.append(rb.ambient_from_coords(coords))
                 elif verdict is not False:
-                    undecided.append(coords)
-            if len(undecided) == len(pending) and len(chosen) < S.d:
+                    undecided.append((unit, coords))
+            if len(undecided) == len(pending) and len(exps) < S.d:
                 raise verdict
             pending = undecided
     if len(exps) != S.d:
@@ -724,7 +732,6 @@ def d_invariant(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
             "F_q-combination of the Cauchy-Binet minors is itself a minor"
         )
     phi = _coords(S, reduce_lattice(S.lattice, C))[0]
-    det = det_series if _is_series(phi) else det_rat
     # A[m][j] = frac(x^m * phi_j)
     A = [[y.mul_poly(Poly.monomial(S.field, 1, m)).frac_part() for y in phi]
          for m in range(S.N + 1)]

@@ -380,6 +380,21 @@ class TestErrorPaths:
         code, _, err = run(capsys, "verify", "--grid", "z=1")
         assert code == 4 and err.startswith("error:")
 
+    @pytest.mark.parametrize("grid, err", [
+        ("q=2;d=1;N=0", "error: grid: 'd' values must be >= 2, got 1\n"),
+        ("q=2;d=2,0;N=0", "error: grid: 'd' values must be >= 2, got 0\n"),
+        ("q=2;d=2;N=-1", "error: grid: 'N' values must be >= 0, got -1\n"),
+    ], ids=["d=1", "d=0", "N=-1"])
+    def test_grid_values_out_of_range_exit_4(self, capsys, grid, err):
+        assert run(capsys, "verify", "--grid", grid) == (4, "", err)
+
+    @pytest.mark.parametrize("budget", ["abc", "1.5"])
+    def test_non_integer_budget_exits_4(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("FFLAT_BUDGET", budget)
+        err = f"error: FFLAT_BUDGET: expected an integer, got {budget!r}\n"
+        assert run(capsys, "covrad", "--oracle", W) == (4, "", err)
+        assert run(capsys, "verify", "--grid", "q=2;d=2;N=0") == (4, "", err)
+
 
 class TestVerifyDeterminism:
     def test_bit_identical_reruns(self, capsys):
@@ -555,6 +570,34 @@ def test_undecided_rank_answers_as_its_exact_twin(capsys, tmp_path, floor):
     for cmd, want in (("minima", "q^-1 q^-1\n"), ("density", "1\n")):
         assert run(capsys, cmd, p) == (0, want, "")
         assert run(capsys, cmd, twin) == (0, want, "")
+
+
+# truncated at x^-6, no known coefficient of the minors decides whether
+# some candidate enlarges the span: the independence test refuses
+RANK_REFUSAL = {
+    "q": 2, "d": 3, "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "N": 2,
+    "alpha": ["(1*x^1)/(1*x^1+1*x^3)", "(1*x^1+1*x^2)/(1*x^0+1*x^2+1*x^4+1*x^5)",
+              "(1*x^2+1*x^3)/(1*x^1+1*x^4+1*x^5)"],
+    "precision": -6,
+}
+# the undecided minors need different floors; the refusal names the
+# highest of them
+RANK_REFUSAL_FLOORS = {
+    "q": 2, "d": 3, "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "N": 1,
+    "alpha": ["(1*x^0+1*x^1)/(1*x^0+1*x^1)", "(1*x^1)/(1*x^2+1*x^3)",
+              "(1*x^0)/(1*x^0+1*x^1+1*x^3+1*x^4)"],
+    "precision": -5,
+}
+
+
+@pytest.mark.parametrize("cmd", ["minima", "density", "packrad"])
+@pytest.mark.parametrize("inst, floor", [(RANK_REFUSAL, -8), (RANK_REFUSAL_FLOORS, -7)],
+                         ids=["one-floor", "highest-floor"])
+def test_undecided_rank_refusal_names_its_floor(capsys, tmp_path, cmd, inst, floor):
+    p = write_instance(tmp_path, "trunc.json", inst)
+    assert run(capsys, cmd, p) == (3, "", (
+        "error: linear independence undecidable at the stored precision "
+        f"(needs precision <= {floor})\n"))
 
 
 # a rational coordinate whose expansion starts far below the fixed margin

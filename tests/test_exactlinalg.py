@@ -7,13 +7,13 @@ import signal
 import pytest
 from hypothesis import given, strategies as st
 
-from fflat import GF, Poly, Rat, SingularInput
+from fflat import GF, LaurentSeries, Poly, Rat, SingularInput
 from fflat.exactlinalg import (
     _echelon_fq,
     _rref_fq,
     adjugate_poly,
+    det,
     det_poly,
-    det_rat,
     kernel_vector_fq,
     mat_mul_poly,
     popov_reduce,
@@ -123,8 +123,21 @@ def test_det_rat_clears_denominators():
     x = Poly.x(F3)
     one = Poly.one(F3)
     M = [[Rat(one, x), Rat(Poly.zero(F3))], [Rat(Poly.zero(F3)), Rat(one, x)]]
-    d = det_rat(M)
+    d = det(M)
     assert d.num == one and d.den == x * x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_det_is_the_bareiss_determinant_on_both_backends(n):
+    """det on polynomial entries, read as Rat and as exact series,
+    equals det_poly."""
+    rng = random.Random(n)
+    for _ in range(10):
+        M = _rand_poly_matrix(rng, F3, n)
+        want = Rat.from_poly(det_poly(M))
+        assert det([[Rat.from_poly(p) for p in r] for r in M]) == want
+        got = det([[LaurentSeries.from_poly(p) for p in r] for r in M])
+        assert got.exact and got.to_rat() == want
 
 
 # --- popov_reduce ------------------------------------------------------

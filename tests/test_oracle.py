@@ -284,8 +284,8 @@ def test_oracle_with_nonunit_body(W):
 # closed forms the oracles check; importing one would make
 # an oracle agree with what it is meant to test
 CLOSED_FORMS = {
-    "_combination", "_weight_echelon", "_echelon_by_weight", "succ_minima_periodic", "count_points",
-    "minkowski_search", "covrad_periodic",
+    "_combination", "_weight_echelon", "_echelon_by_weight", "_independent",
+    "succ_minima_periodic", "count_points", "minkowski_search", "covrad_periodic",
 }
 
 
@@ -322,3 +322,14 @@ def test_periodic_enumerates_no_polynomials():
     used |= {(node.value.id, node.attr) for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
     assert not used & {("itertools", "product"), ("math", "comb")}
+
+
+def test_periodic_shares_no_rank_with_the_oracle():
+    """The minima's independence test reads unit-row minors through
+    det: the oracle's rank over F_q(x) (rank_rational) and the series
+    lifting of unit vectors (_as_series) stay out of periodic.py, so the
+    oracle's rank stays independent of the closed form."""
+    tree = ast.parse(Path(import_module("fflat.periodic").__file__).read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not names & {"rank_rational", "_as_series"}

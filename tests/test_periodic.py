@@ -40,9 +40,9 @@ from fflat.battery import random_body
 from fflat.errors import BudgetExceeded, CapExceeded, UndefinedValue
 from fflat.ffcore import Poly, Rat, expand_rational
 from fflat.oracle import _points_by_definition, count_oracle, density_oracle, succmin_oracle
-from fflat.exactlinalg import _rref_fq, det_rat, det_series
+from fflat.exactlinalg import _rref_fq, det, rank_rational
 from fflat.lattice import _common_den, _lift, _tail_pattern
-from fflat.periodic import PeriodicLattice, _first_spanned, _pattern_rows
+from fflat.periodic import PeriodicLattice, _first_spanned, _independent, _pattern_rows
 
 F2 = GF(2)
 F3 = GF(3)
@@ -499,7 +499,6 @@ def _dinv_by_definition(S, C=None) -> QExp:
     body = S.base_body() if C is None else C
     phi = reduce_lattice(S.lattice, body).from_canonical(S.vecs[0])
     series = isinstance(phi[0], LaurentSeries)
-    det = det_series if series else det_rat
     qs = [Poly(S.field, c) for c in product(range(S.field.q), repeat=S.N + 1) if any(c)]
     norms, undecided = [], False
     for k in range(1, S.d + 1):
@@ -606,6 +605,37 @@ def _frac_coord(draw, F, series):
         floor = draw(st.integers(-14, -3))
         return expand_rational(y, floor).truncated(floor)
     return y
+
+
+@st.composite
+def _independence_inputs(draw):
+    """(field, d, points, taken): q in {2, 3}, d <= 4, 1..d points of
+    exact fractional coordinates, the last one at times an F_q(x)-
+    combination of the others, and any set of unit rows taken."""
+    F = draw(st.sampled_from([F2, F3]))
+    d = draw(st.integers(1, 4))
+    points = [[draw(_frac_coord(F, False)) for _ in range(d)]
+              for _ in range(draw(st.integers(1, d)))]
+    if len(points) > 1 and draw(st.booleans()):
+        cs = [draw(_frac_coord(F, False)) for _ in points[1:]]
+        points[-1] = [sum((c * p[i] for c, p in zip(cs, points)), Rat(Poly.zero(F)))
+                      for i in range(d)]
+    return F, d, points, draw(st.sets(st.integers(0, d - 1)))
+
+
+@given(_independence_inputs(), st.integers(-14, -3))
+def test_independent_is_the_rank_with_the_unit_columns(inst, floor):
+    """_independent says whether the points and the unit vectors e_i,
+    i in taken, have full rank over F_q(x); on truncated twins of the
+    points it gives the same verdict or leaves it undecided."""
+    F, d, points, taken = inst
+    zero, one = Rat(Poly.zero(F)), Rat(Poly.one(F))
+    cols = points + [[one if i == t else zero for i in range(d)] for t in sorted(taken)]
+    want = rank_rational([[c[i] for c in cols] for i in range(d)]) == len(cols)
+    assert _independent(points, taken, d) is want
+    twins = [[expand_rational(y, floor).truncated(floor) for y in p] for p in points]
+    got = _independent(twins, taken, d)
+    assert got is want or isinstance(got, InsufficientPrecision)
 
 
 @st.composite
