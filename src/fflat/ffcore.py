@@ -696,12 +696,17 @@ class Rat:
     mul_rat = __mul__
 
     def mul_xpow(self, k: int) -> "Rat":
-        """Multiply by x^k for any integer k."""
-        if k == 0:
+        """Multiply by x^k for any integer k.  num and den are coprime,
+        so only x^min(|k|, v) cancels, v the x-valuation of den (k > 0)
+        or of num (k < 0): no gcd."""
+        if k == 0 or self.is_zero:
             return self
+        low = self.den if k > 0 else self.num
+        m = min(abs(k), next(i for i, c in enumerate(low.coeffs) if c))
+        low = Poly(low.field, low.coeffs[m:])
         if k > 0:
-            return Rat(self.num.shift(k), self.den)
-        return Rat(self.num, self.den.shift(-k))
+            return Rat(self.num.shift(k - m), low, _canonical=True)
+        return Rat(low, self.den.shift(-k - m), _canonical=True)
 
     def to_rat(self) -> "Rat":
         """Itself, as an exact series' to_rat is a Rat."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 
 from .errors import InsufficientPrecision, SingularInput
-from .exactlinalg import adjugate_poly, det_poly, mat_mul_poly, popov_reduce
+from .exactlinalg import det_adjugate, det_poly, mat_mul_poly, popov_reduce
 from .ffcore import (
     GF,
     LaurentSeries,
@@ -74,23 +74,22 @@ def normalize_matrix(field: GF, entries):
 class ConvexBody:
     """A body C = h O^d with h = x^(-shift) H, H a polynomial matrix."""
 
-    __slots__ = ("field", "d", "H", "shift", "_det", "_adj", "_key")
+    __slots__ = ("field", "d", "H", "shift", "det_H", "adj", "_key")
 
     def __init__(self, field: GF, entries):
         self.field = field
         self.H, self.shift = normalize_matrix(field, entries)
         self.d = len(self.H)
-        self._det = det_poly(self.H)
-        if self._det.is_zero:
+        self.det_H, self.adj = det_adjugate(self.H)
+        if self.det_H.is_zero:
             raise SingularInput("convex body matrix has zero determinant")
-        self._adj = None
         self._key = None
 
     @classmethod
     @functools.cache
     def identity(cls, field: GF, d: int) -> "ConvexBody":
         """The unit body O^d, built once per (field, d): nothing mutates
-        a body, and its adjugate and cache key are idempotent lazy caches."""
+        a body, and its cache key is an idempotent lazy cache."""
         one = Poly.one(field)
         zero = Poly.zero(field)
         return cls(field, [[one if i == j else zero for j in range(d)] for i in range(d)])
@@ -103,19 +102,9 @@ class ConvexBody:
         return cls(field, [[diag if i == j else zero for j in range(d)] for i in range(d)])
 
     @property
-    def adj(self):
-        if self._adj is None:
-            self._adj = adjugate_poly(self.H)
-        return self._adj
-
-    @property
-    def det_H(self) -> Poly:
-        return self._det
-
-    @property
     def log_volume(self) -> QExp:
         """m(C) = |det h| as a q-power."""
-        return QExp(self._det.degree - self.d * self.shift)
+        return QExp(self.det_H.degree - self.d * self.shift)
 
     def cache_key(self):
         if self._key is None:
@@ -311,8 +300,8 @@ class ReducedBasis:
         exact is divided as a Rat (LaurentSeries.mul_rat), so series
         input comes back lifted as _lift lifts it."""
         if self._vp_inv is None:
-            det = det_poly(self.VP)
-            self._vp_inv = adjugate_poly(self.VP), Rat(Poly.one(det.field), det)
+            det, adj = det_adjugate(self.VP)
+            self._vp_inv = adj, Rat(Poly.one(det.field), det)
         adj, inv_det = self._vp_inv
         out = [y.mul_xpow(self.ashift).mul_rat(inv_det) for y in _mat_vec(adj, vec)]
         return _as_series(out, 4 * self.d + 8) if _is_series(vec) else out

@@ -242,6 +242,25 @@ def test_rat_lowest_terms(F2):
     assert r.num.is_zero and r.den == Poly.one(F2)
 
 
+@pytest.mark.parametrize("field", FIELDS[:3], ids=lambda f: f"q{f.q}")
+def test_rat_mul_xpow_is_the_reduced_product(field):
+    """mul_xpow cancels only powers of x, without a gcd; it equals
+    Rat(num x^k, den) or Rat(num, den x^-k) with x dividing num or den,
+    and leaves zero alone."""
+    rng = random.Random(field.q)
+
+    def poly(i):
+        coeffs = [rng.randrange(field.q) for _ in range(rng.randint(0, 3))]
+        return Poly(field, [0] * i + coeffs + [1])
+
+    rats = [Rat(Poly.zero(field))]
+    rats += [Rat(poly(rng.randint(0, 4)), poly(rng.randint(0, 4))) for _ in range(30)]
+    for r in rats:
+        for k in range(-8, 9):
+            want = Rat(r.num.shift(k), r.den) if k >= 0 else Rat(r.num, r.den.shift(-k))
+            assert r.mul_xpow(k) == want
+
+
 def test_expand_rational_examples(F2):
     one = expand_rational(parse_element(F2, "x/x"), -5)
     assert one.exact and one.coeffs == (1,) and one.top == 0
