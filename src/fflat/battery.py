@@ -14,10 +14,10 @@ import random
 from fractions import Fraction
 
 from .errors import NRational, ParseError, SingularInput
-from .exactlinalg import det_poly, mat_mul_poly, popov_reduce
+from .exactlinalg import mat_mul_poly, popov_reduce
 from .ffcore import GF, Poly, QExp, Rat, field_of_order
 from .lattice import ConvexBody, Lattice, norm_in_body, reduce_lattice
-from .oracle import count_oracle, covrad_oracle, density_oracle, succmin_oracle
+from .oracle import count_oracle, covrad_oracle, density_oracle, det_poly, succmin_oracle
 from .periodic import (
     PeriodicLattice,
     check_bounds,

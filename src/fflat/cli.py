@@ -119,15 +119,17 @@ def load_instance(path: str) -> Instance:
     unknown = set(raw) - _INSTANCE_KEYS
     if unknown:
         raise ParseError(f"unknown field {sorted(unknown)[0]!r}")
-    if "q" not in raw or not isinstance(raw["q"], int):
+    # type(...) is int: a JSON true or false is a bool, which isinstance
+    # would take for the integer 1 or 0
+    if type(raw.get("q")) is not int:
         raise ParseError("q: required integer")
     modulus = raw.get("modulus")
     if modulus is not None and not isinstance(modulus, list):
         raise ParseError("modulus: expected a coefficient list")
-    if modulus and not all(isinstance(c, int) and not isinstance(c, bool) for c in modulus):
+    if modulus and not all(type(c) is int for c in modulus):
         raise ParseError("modulus: coefficients must be integers")
     field = field_of_order(raw["q"], tuple(modulus) if modulus else None)
-    if "d" not in raw or not isinstance(raw["d"], int):
+    if type(raw.get("d")) is not int:
         raise ParseError("d: required integer")
     d = raw["d"]
     if "basis" not in raw:
@@ -163,9 +165,9 @@ def load_instance(path: str) -> Instance:
         frame = raw.get("frame", "reduced")
         if frame not in ("ambient", "reduced"):
             raise ParseError("frame: must be 'ambient' or 'reduced'")
-        if "N" not in raw or not isinstance(raw["N"], int) or raw["N"] < 0:
+        if type(raw.get("N")) is not int or raw["N"] < 0:
             raise ParseError("N: required nonnegative integer with alpha")
-        N = raw["N"]
+        N = check_magnitude(raw["N"], "N")
         if precision is not None:
             alpha = [_apply_precision(field, a, precision) for a in alpha]
         periodic = make_alpha_lattice(lattice, alpha, N, frame=frame)

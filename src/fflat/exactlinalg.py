@@ -2,16 +2,15 @@
 
 Matrices are plain lists of rows.  Entries are ints (F_q), Poly, Rat,
 or LaurentSeries depending on the function.  Everything here is exact.
-Each coefficient ring has one elimination that the public functions
-read: row echelon form over F_q by row insertion (rank; reduced by
-back-substitution, kernel vector), fraction-free Bareiss elimination
-over F_q[x] (determinant, rank), and over F_q(x) the same after
-clearing each column's denominators (the oracles' rank).  One table
-of minors, built by cofactor expansion without a division, serves det
-(F_q(x) and truncated series alike; on series it carries precision
-floors soundly) and det_adjugate (over F_q[x], for h^(-1) = adj/det).
-popov_reduce detects a singular input itself, when a column reduces
-to zero.
+Each coefficient ring has one elimination: over F_q the row echelon
+form by row insertion (reduced by back-substitution for the kernel
+vector), over F_q[x] the column reduction popov_reduce, which detects
+a singular input itself, when a column reduces to zero.  One table of
+minors, built by cofactor expansion without a division, gives every
+determinant the closed forms read: det (F_q[x], F_q(x) and truncated
+series alike; on series it carries precision floors soundly) and
+det_adjugate (over F_q[x], for h^(-1) = adj/det).  The oracles keep
+their own determinant and rank (Bareiss elimination, in oracle.py).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from bisect import insort
 from itertools import combinations
 
 from .errors import SingularInput
-from .ffcore import GF, Poly, poly_lcm
+from .ffcore import GF, Poly
 
 
 # --- F_q matrices --------------------------------------------------------
@@ -63,11 +62,6 @@ def _rref_fq(field: GF, rows):
     return m + [[0] * ncols for _ in range(len(rows) - len(m))], pivots
 
 
-def rank_fq(field: GF, rows) -> int:
-    """Rank of a matrix over F_q; rows of int-encoded entries."""
-    return len(_echelon_fq(field, rows)[1])
-
-
 def kernel_vector_fq(field: GF, rows):
     """First right-kernel basis vector of M over F_q, or None if none.
 
@@ -106,77 +100,6 @@ def mat_mul_poly(A, B):
     return out
 
 
-def _bareiss(rows):
-    """Fraction-free (Bareiss) forward elimination over F_q[x].
-
-    Returns (matrix, pivot columns, sign of the row permutation).
-    Columns without a pivot are skipped.  Every entry below the pivot
-    rows stays a minor of the input, so each division by the previous
-    pivot is exact and the last pivot of a nonsingular square input is
-    its determinant up to the sign.
-    """
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    pivots = []
-    sign = 1
-    prev = None
-    for col in range(ncols):
-        k = len(pivots)
-        if k == nrows:
-            break
-        pivot = next((r for r in range(k, nrows) if not m[r][col].is_zero), None)
-        if pivot is None:
-            continue
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        p = m[k][col]
-        for i in range(k + 1, nrows):
-            for j in range(col + 1, ncols):
-                num = m[i][j] * p - m[i][col] * m[k][j]
-                if prev is not None:
-                    num, rem = divmod(num, prev)
-                    assert rem.is_zero, "Bareiss division must be exact"
-                m[i][j] = num
-            m[i][col] = Poly.zero(p.field)
-        prev = p
-        pivots.append(col)
-    return m, pivots, sign
-
-
-def det_poly(rows) -> Poly:
-    """Determinant over F_q[x]: the last Bareiss pivot."""
-    n = len(rows)
-    m, pivots, sign = _bareiss(rows)
-    if len(pivots) < n:
-        return Poly.zero(rows[0][0].field)
-    d = m[n - 1][n - 1]
-    return d.scale(d.field.neg(1)) if sign < 0 else d
-
-
-def _clear_denominators(rows):
-    """Scale each column of a matrix over F_q(x) by the lcm of its
-    denominators: (polynomial matrix, column lcms)."""
-    lcms = []
-    for j in range(len(rows[0])):
-        l = Poly.one(rows[0][j].field)
-        for r in rows:
-            l = poly_lcm(l, r[j].den)
-        lcms.append(l)
-    return [[e.num * (l // e.den) for e, l in zip(r, lcms)] for r in rows], lcms
-
-
-def rank_rational(rows) -> int:
-    """Rank of a matrix over F_q(x).
-
-    Equals the rank over the ambient Laurent series field because the
-    entries are rational.  Column scaling clears denominators.
-    """
-    if not rows or not rows[0]:
-        return 0
-    return len(_bareiss(_clear_denominators(rows)[0])[1])
-
-
 def _minor_table(rows):
     """table[m][cols] is the minor of the last m rows on the columns
     cols (ascending), m = 1..n; table[0] is empty.  Each is the cofactor
@@ -198,7 +121,8 @@ def _minor_table(rows):
 
 
 def det(rows):
-    """Determinant over F_q(x) or of Laurent series: the full minor."""
+    """Determinant over F_q[x], F_q(x) or of Laurent series: the full
+    minor."""
     return _minor_table(rows)[-1][tuple(range(len(rows)))]
 
 

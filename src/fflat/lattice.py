@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 
 from .errors import InsufficientPrecision, SingularInput
-from .exactlinalg import det_adjugate, det_poly, mat_mul_poly, popov_reduce
+from .exactlinalg import det, det_adjugate, mat_mul_poly, popov_reduce
 from .ffcore import (
     GF,
     LaurentSeries,
@@ -116,9 +116,10 @@ class ConvexBody:
 
 
 class Lattice:
-    """A lattice g R^d with g = x^(-shift) G, det g != 0, d >= 2."""
+    """A lattice g R^d with g = x^(-shift) G, det g != 0, d >= 2;
+    log_det = log_q |det g|."""
 
-    __slots__ = ("field", "d", "G", "shift", "_det", "_reductions")
+    __slots__ = ("field", "d", "G", "shift", "log_det", "_reductions")
 
     def __init__(self, field: GF, basis):
         self.field = field
@@ -126,9 +127,10 @@ class Lattice:
         self.d = len(self.G)
         if self.d < 2:
             raise ValueError("lattice dimension must be at least 2")
-        self._det = det_poly(self.G)
-        if self._det.is_zero:
+        det_G = det(self.G)
+        if det_G.is_zero:
             raise SingularInput("lattice basis has zero determinant")
+        self.log_det = det_G.degree - self.d * self.shift
         self._reductions = {}
 
     @classmethod
@@ -136,10 +138,6 @@ class Lattice:
         one = Poly.one(field)
         zero = Poly.zero(field)
         return cls(field, [[one if i == j else zero for j in range(d)] for i in range(d)])
-
-    @property
-    def log_det(self) -> int:
-        return self._det.degree - self.d * self.shift
 
 
 # --- coordinates: one arithmetic backend per vector --------------------------
@@ -271,16 +269,15 @@ class ReducedBasis:
     """
 
     __slots__ = (
-        "lattice", "body", "exps", "VP", "RP", "U", "ashift", "norm_shift", "_vp_inv",
+        "lattice", "body", "exps", "VP", "RP", "ashift", "norm_shift", "_vp_inv",
     )
 
-    def __init__(self, lattice, body, exps, VP, RP, U, ashift, norm_shift):
+    def __init__(self, lattice, body, exps, VP, RP, ashift, norm_shift):
         self.lattice = lattice
         self.body = body
         self.exps = exps
         self.VP = VP
         self.RP = RP
-        self.U = U
         self.ashift = ashift
         self.norm_shift = norm_shift
         self._vp_inv = None
@@ -369,7 +366,7 @@ def reduce_lattice(lat: Lattice, C: ConvexBody) -> ReducedBasis:
     norm_shift = C.shift - lat.shift - C.det_H.degree
     exps = [dg + norm_shift for dg in degs]
     VP = mat_mul_poly(lat.G, U)
-    rb = ReducedBasis(lat, C, exps, VP, RP, U, lat.shift, norm_shift)
+    rb = ReducedBasis(lat, C, exps, VP, RP, lat.shift, norm_shift)
     lat._reductions[key] = rb
     return rb
 

@@ -10,6 +10,10 @@ by the rep/lattice splitting (a rep in the ball times the lattice
 shifts that keep it there); its points are built only where the rank
 test of the minima needs them.  The closed-form routines elsewhere
 must agree exactly; these exist so that agreement is checkable.
+
+Bareiss elimination is the oracles' own determinant (det_poly, which
+verify reads too) and rank over F_q(x) (rank_rational); the closed
+forms read exactlinalg's minor table instead, and share neither.
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import BudgetExceeded, ParseError, PrecisionTooCoarse
-from .ffcore import LaurentSeries, Poly, QExp, Rat, qpow_fraction
+from .ffcore import LaurentSeries, Poly, QExp, Rat, poly_lcm, qpow_fraction
 from .lattice import ConvexBody, _frac_norm, _is_series, _tail_pattern, reduce_lattice
 from .periodic import PeriodicLattice
-from .exactlinalg import rank_rational
 
 
 def default_budget() -> int:
@@ -33,6 +36,77 @@ def default_budget() -> int:
         return int(raw)
     except ValueError:
         raise ParseError(f"FFLAT_BUDGET: expected an integer, got {raw!r}") from None
+
+
+def _bareiss(rows):
+    """Fraction-free (Bareiss) forward elimination over F_q[x].
+
+    Returns (matrix, pivot columns, sign of the row permutation).
+    Columns without a pivot are skipped.  Every entry below the pivot
+    rows stays a minor of the input, so each division by the previous
+    pivot is exact and the last pivot of a nonsingular square input is
+    its determinant up to the sign.
+    """
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
+    sign = 1
+    prev = None
+    for col in range(ncols):
+        k = len(pivots)
+        if k == nrows:
+            break
+        pivot = next((r for r in range(k, nrows) if not m[r][col].is_zero), None)
+        if pivot is None:
+            continue
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        p = m[k][col]
+        for i in range(k + 1, nrows):
+            for j in range(col + 1, ncols):
+                num = m[i][j] * p - m[i][col] * m[k][j]
+                if prev is not None:
+                    num, rem = divmod(num, prev)
+                    assert rem.is_zero, "Bareiss division must be exact"
+                m[i][j] = num
+            m[i][col] = Poly.zero(p.field)
+        prev = p
+        pivots.append(col)
+    return m, pivots, sign
+
+
+def det_poly(rows) -> Poly:
+    """Determinant over F_q[x]: the last Bareiss pivot."""
+    n = len(rows)
+    m, pivots, sign = _bareiss(rows)
+    if len(pivots) < n:
+        return Poly.zero(rows[0][0].field)
+    d = m[n - 1][n - 1]
+    return d.scale(d.field.neg(1)) if sign < 0 else d
+
+
+def _clear_denominators(rows):
+    """Scale each column of a matrix over F_q(x) by the lcm of its
+    denominators: (polynomial matrix, column lcms)."""
+    lcms = []
+    for j in range(len(rows[0])):
+        l = Poly.one(rows[0][j].field)
+        for r in rows:
+            l = poly_lcm(l, r[j].den)
+        lcms.append(l)
+    return [[e.num * (l // e.den) for e, l in zip(r, lcms)] for r in rows], lcms
+
+
+def rank_rational(rows) -> int:
+    """Rank of a matrix over F_q(x).
+
+    Equals the rank over the ambient Laurent series field because the
+    entries are rational.  Column scaling clears denominators.
+    """
+    if not rows or not rows[0]:
+        return 0
+    return len(_bareiss(_clear_denominators(rows)[0])[1])
 
 
 def _exact_coords(coords):

@@ -35,8 +35,9 @@ from fflat import (
     reduce_lattice,
     succ_minima_periodic,
 )
-from fflat.exactlinalg import det_poly, mat_mul_poly, popov_reduce
+from fflat.exactlinalg import mat_mul_poly, popov_reduce
 from fflat.ffcore import Poly, field_of_order as _make_field
+from fflat.oracle import det_poly
 from fflat.battery import (
     _feasible_radius_grid,
     _random_instance,

@@ -264,6 +264,9 @@ class TestErrorPaths:
          ["minima"], "alpha[0]: series floor"),
         ({"N": 1, "alpha": ["x^-1", {"floor": -1, "top": 1000001, "coeffs": [1]}]},
          ["minima"], "alpha[1]: series top"),
+        # the construction certificate would build one window per generator
+        ({"N": 100000000, "alpha": ["x^-1", "x^-2"], "precision": -3}, ["minima"], "N"),
+        ({"N": 1000001, "alpha": ["x^-1", "x^-2"]}, ["count"], "N"),
     ])
     def test_magnitudes_past_the_limit_exit_4(self, capsys, tmp_path, patch, argv, want):
         # each would build a dense list that long; 10^30 overflowed
@@ -271,6 +274,19 @@ class TestErrorPaths:
         p = write_instance(tmp_path, "big.json", doc)
         assert run(capsys, *argv, p) == (
             4, "", f"error: {want}: absolute value above 1000000\n")
+
+    @pytest.mark.parametrize("patch, want", [
+        ({"q": True}, "q: required integer"),
+        ({"d": True}, "d: required integer"),
+        ({"N": True, "alpha": ["x^-1", "x^-2"]}, "N: required nonnegative integer with alpha"),
+        ({"N": False, "alpha": ["x^-1", "x^-2"]}, "N: required nonnegative integer with alpha"),
+    ])
+    def test_json_booleans_are_not_integers(self, capsys, tmp_path, patch, want):
+        # bool is an int in Python: true read as 1 and false as 0
+        doc = {"q": 2, "d": 2, "basis": [["1", "0"], ["0", "1"]], **patch}
+        p = write_instance(tmp_path, "bool.json", doc)
+        for cmd in ("minima", "count"):
+            assert run(capsys, cmd, p) == (4, "", f"error: {want}\n")
 
     def test_precision_too_coarse_exits_3(self, capsys, tmp_path):
         # SPREAD at -2: x^-3 of alpha_2 is cut, but only frac(x * alpha_2)

@@ -34,7 +34,7 @@ from fflat.battery import (
     random_lattice,
 )
 from fflat.cli import _apply_precision
-from fflat.exactlinalg import rank_fq
+from fflat.exactlinalg import _echelon_fq
 from fflat.lattice import _tail_pattern, reduce_lattice
 from fflat.periodic import _coords, _cut, _pattern_rows
 
@@ -283,7 +283,7 @@ def _scan_covrad(S, C=None):
             rows = _rows_from_tails(vecs, reach, deps)
         except InsufficientPrecision:
             raise _cut(S, vecs, max(deps)) from None
-        return rank_fq(S.field, rows) == sum(deps)
+        return len(_echelon_fq(S.field, rows)[1]) == sum(deps)
 
     ell = -rb.exps[-1]
     try:

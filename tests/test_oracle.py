@@ -325,11 +325,27 @@ def test_periodic_enumerates_no_polynomials():
 
 
 def test_periodic_shares_no_rank_with_the_oracle():
-    """The minima's independence test reads unit-row minors through
-    det: the oracle's rank over F_q(x) (rank_rational) and the series
-    lifting of unit vectors (_as_series) stay out of periodic.py, so the
-    oracle's rank stays independent of the closed form."""
-    tree = ast.parse(Path(import_module("fflat.periodic").__file__).read_text())
-    names = {alias.name for node in ast.walk(tree)
-             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    assert not names & {"rank_rational", "_as_series"}
+    """The closed forms and the checkers share no determinant or rank.
+    The minima's independence test reads unit-row minors through det,
+    and every closed-form determinant is the minor table's: the oracle's
+    Bareiss determinant and rank over F_q(x) stay out of exactlinalg,
+    lattice and periodic, and the series lifting of unit vectors
+    (_as_series) out of periodic.py.  The oracle and the verify battery
+    in turn import none of the minor table's determinants."""
+    def names(module):
+        tree = ast.parse(Path(import_module(module).__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        return imported, defined
+
+    bareiss = {"_bareiss", "det_poly", "_clear_denominators", "rank_rational"}
+    for module in ("fflat.exactlinalg", "fflat.lattice", "fflat.periodic"):
+        imported, defined = names(module)
+        assert not (imported | defined) & bareiss, module
+    assert not names("fflat.periodic")[0] & {"_as_series"}
+    # the names guarded against exist, so the guard checks something
+    assert bareiss <= names("fflat.oracle")[1]
+    assert {"det", "det_adjugate", "_minor_table"} <= names("fflat.exactlinalg")[1]
+    for module in ("fflat.oracle", "fflat.battery"):
+        assert not names(module)[0] & {"det", "det_adjugate", "_minor_table"}, module

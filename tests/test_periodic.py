@@ -39,8 +39,10 @@ from fflat import (
 from fflat.battery import random_body
 from fflat.errors import BudgetExceeded, CapExceeded, UndefinedValue
 from fflat.ffcore import Poly, Rat, expand_rational
-from fflat.oracle import _points_by_definition, count_oracle, density_oracle, succmin_oracle
-from fflat.exactlinalg import _rref_fq, det, rank_rational
+from fflat.oracle import (
+    _points_by_definition, count_oracle, density_oracle, rank_rational, succmin_oracle,
+)
+from fflat.exactlinalg import _rref_fq, det
 from fflat.lattice import _common_den, _lift, _tail_pattern
 from fflat.periodic import PeriodicLattice, _first_spanned, _independent, _pattern_rows
 
