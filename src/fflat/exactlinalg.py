@@ -28,11 +28,12 @@ from .ffcore import GF, Poly
 def _echelon_fq(field: GF, rows):
     """Row echelon form over F_q, the rows inserted in order: (basis,
     independent).  basis holds (pivot column, row) sorted by pivot; a
-    basis row is zero before its pivot, which is 1.  independent lists
-    the indices of the rows that the earlier rows do not span: those
-    that do not reduce to zero against the basis built so far."""
+    basis row is zero before its pivot, which is 1.  independent maps
+    each row that the earlier rows do not span, in order, to the pivot
+    of the basis row it adds: the first column c such that on columns
+    0..c it leaves their span."""
     basis = []
-    independent = []
+    independent = {}
     for i, row in enumerate(rows):
         row = list(row)
         for col, b in basis:
@@ -42,7 +43,7 @@ def _echelon_fq(field: GF, rows):
         if col is None:
             continue
         insort(basis, (col, field.scale_coeffs(row, field.inv(row[col]))))
-        independent.append(i)
+        independent[i] = col
     return basis, independent
 
 

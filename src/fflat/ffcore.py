@@ -40,6 +40,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _field_order(p: int, k: int) -> int:
+    """q = p^k, or the ParseError that refuses a field of that order."""
+    if p > 17 or not _is_prime(p):
+        raise ParseError(f"field characteristic must be a prime <= 17, got {p}")
+    if k < 1:
+        raise ParseError(f"extension degree must be >= 1, got {k}")
+    q = p**k
+    if q > 2**16:
+        raise ParseError(f"field size {q} exceeds the 2^16 ceiling")
+    return q
+
+
 def _fp_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
@@ -80,13 +92,7 @@ class GF:
     __slots__ = ("p", "k", "q", "modulus", "_residues", "_log", "_exp", "_zech")
 
     def __init__(self, p: int, k: int = 1, modulus=None):
-        if not _is_prime(p) or p > 17:
-            raise ParseError(f"field characteristic must be a prime <= 17, got {p}")
-        if k < 1:
-            raise ParseError(f"extension degree must be >= 1, got {k}")
-        q = p**k
-        if q > 2**16:
-            raise ParseError(f"field size {q} exceeds the 2^16 ceiling")
+        q = _field_order(p, k)
         if k == 1:
             if modulus is not None and list(modulus) != [0, 1]:
                 raise ParseError("modulus is only meaningful for k > 1")
@@ -389,6 +395,8 @@ def field_of_order(q: int, modulus=None) -> GF:
     p, k = _prime_power(q)
     if k == 1 or modulus is not None:
         return GF(p, k, modulus)
+    # before the scan, which would try up to q candidates
+    _field_order(p, k)
     for n in range(p ** k, 2 * p ** k):
         digits = []
         v = n
@@ -1208,6 +1216,8 @@ def series_from_json(field: GF, obj) -> LaurentSeries:
     exact = obj.get("exact", False)
     if not isinstance(exact, bool):
         raise ParseError(f"series exact must be true or false, got {exact!r}")
+    if top < floor - 1:
+        raise ParseError(f"series top {top} must be at least floor {floor} - 1")
     if not isinstance(coeffs, list) or len(coeffs) != top - floor + 1:
         raise ParseError(
             f"series coeffs must list top..floor: expected {top - floor + 1} entries"

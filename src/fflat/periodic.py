@@ -29,12 +29,13 @@ every generator has a pivot it gives the candidates of the successive
 minima, and with them the packing radius and density; read down to the
 lowest weight at which there are at most n columns of that weight or
 more it gives the covering radius (covrad_periodic), from how many
-pivots those columns take.  The patterns are also the construction
-certificate (_first_spanned): N-irrationality of truncated alpha and
-independence of the coset representatives both say that no generator
-lies in the span of the earlier ones on the coefficients they all
-know, which a row echelon form with the generators inserted as rows,
-in order, decides.  Exact alpha keeps the closed form of that rank,
+pivots those columns take.  The same columns are also the
+construction certificate (_first_spanned): N-irrationality of
+truncated alpha and independence of the coset representatives both say
+that no generator lies in the span of the earlier ones on the
+coefficients they all know, which one row echelon form, its columns
+ordered by the first generator that does not know them, decides.
+Exact alpha keeps the closed form of that rank,
 the degree of its denominators' lcm.  So nothing here enumerates
 points, and no size cap is needed.  d_invariant eliminates its fixed
 Cauchy-Binet minors the same way, and keeps one cap, N <= 2, up to
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations, groupby, repeat
 
 from .errors import CapExceeded, InsufficientPrecision, NRational, UndefinedValue
 from .exactlinalg import _echelon_fq, _rref_fq, det
@@ -241,47 +242,26 @@ def _first_spanned(field: GF, vecs, reach: int):
     one vector v and k = 0..reach (the alpha form), or the vectors
     themselves (reach 0).  Generator m counts as spanned when it lies in
     the F_q-span of generators 0..m-1 on the tail coefficients that all
-    of them know: a truncated coordinate is read down to the highest
-    floor among them, an exact one down to the degree of its common
-    denominator, which separates all combinations of exact tails.  A
-    spanned generator m is exactly a combination with top digit m that
-    has no known nonzero coefficient.  Generators that share a window
-    are decided by one row echelon form of their pattern rows, inserted
-    in order: generator m is spanned when its row reduces to zero
-    against rows 0..m-1.  Each tail is read once, as deep as any window
-    needs.
+    of them know (see _pattern_columns).  A spanned generator m is
+    exactly a combination with top digit m that has no known nonzero
+    coefficient.  With the columns ordered by the first generator that
+    does not know them, that generator last, those that generators 0..m
+    all know are a prefix; those generator 0 does not know are in none.
+    One row echelon form, the generators inserted as rows in order,
+    decides every m: a basis row with its pivot past the prefix is zero
+    on it, so generator m is spanned iff its row has no pivot inside.
     """
-    d = len(vecs[0])
-    trunc = [
-        [y.floor if isinstance(y, LaurentSeries) and not y.exact else None for y in v]
-        for v in vecs
-    ]
-    dens = [
-        _common_den(field, [v[i] for v, fl in zip(vecs, trunc) if fl[i] is None]).degree
-        for i in range(d)
-    ]
-
-    def window(m):
-        shift = min(m, reach)
-        out = []
-        for i in range(d):
-            fs = [fl[i] for fl in trunc[:m + 1] if fl[i] is not None]
-            out.append(max(-(max(fs) + shift), 0) if fs else dens[i])
-        return tuple(out)
-
-    # (depths, the generators that share them)
-    windows = [
-        (depths, list(run)) for depths, run in groupby(range(len(vecs) + reach), key=window)
-    ]
-    need = [max(depths[i] + min(run[-1], reach) for depths, run in windows) for i in range(d)]
-    tails = [[_known_tail(y, dep)[0] for y, dep in zip(v, need)] for v in vecs]
-    for depths, run in windows:
-        hi = run[-1]
-        rows = _pattern_rows(tails[:hi + 1], min(hi, reach), depths)
-        independent = _echelon_fq(field, rows)[1]
-        spanned = [m for m in run if m not in independent]
-        if spanned:
-            return spanned[0]
+    n = len(vecs) * (reach + 1)
+    cols = [c for c in _pattern_columns(vecs, reach, _pattern_depths(field, vecs)) if not c[2] & 1]
+    # the first generator that does not know a column is its mask's lowest bit
+    cols.sort(key=lambda c: c[2] & -c[2] or 1 << n, reverse=True)
+    # with no columns there are no rows either, and generator 0 is spanned
+    independent = _echelon_fq(field, list(zip(*(c[3] for c in cols))))[1]
+    for m in range(n):
+        j = independent.get(m)
+        # the pivot is inside the prefix iff generators 0..m all know it
+        if j is None or cols[j][2] & ((2 << m) - 1):
+            return m
     return None
 
 
@@ -293,17 +273,43 @@ def from_lattice(lat: Lattice) -> PeriodicLattice:
 # --- tail patterns -----------------------------------------------------------
 
 
-def _pattern_rows(tails, reach: int, depths):
-    """Tail pattern rows of the generators frac(x^k * v), k = 0..reach,
-    for each vector v in turn, sliced from its coordinates' tails read
-    at least depths[i] + reach deep: row k reads the coefficients
-    x^-(t+k) of each coordinate v_i, t = 1..depths[i] (the stacked
-    Hankel matrices transposed), so no series is multiplied."""
-    return [
-        [c for tail, dep in zip(row, depths) for c in tail[k:k + dep]]
-        for row in tails
-        for k in range(reach + 1)
-    ]
+def _pattern_depths(field: GF, vecs):
+    """How deep the pattern matrix reads each coordinate: to deg L_i,
+    L_i the lcm of its exact denominators, which separates all
+    combinations of exact tails, and to one past its truncated floors."""
+    depths = []
+    for i in range(len(vecs[0])):
+        ys = [v[i] for v in vecs]
+        cuts = [max(-y.floor, 0) for y in ys if isinstance(y, LaurentSeries) and not y.exact]
+        exact = [y for y in ys if not isinstance(y, LaurentSeries) or y.exact]
+        depths.append(max(_common_den(field, exact).degree, max(cuts, default=-1) + 1))
+    return depths
+
+
+def _pattern_columns(vecs, reach: int, depths):
+    """The pattern matrix of the generators frac(x^k * v), k = 0..reach,
+    for each v in vecs in turn, by columns: (i, t, the generators that
+    do not know it as a bit mask, its entries) for the coefficient of
+    x^-t of coordinate i, t = 1..depths[i].  That of frac(x^k y) is the
+    coefficient of x^-(t+k) of y (the stacked Hankel matrices
+    transposed), so no series is multiplied.  A truncated y knows those
+    above its floor, and the others read as 0."""
+    gens = [(v, shift) for v in range(len(vecs)) for shift in range(reach + 1)]
+    cols = []
+    for i, dep in enumerate(depths):
+        if not dep:
+            continue
+        tails = [_known_tail(v[i], dep + reach) for v in vecs]
+        rows = [tails[v][0][shift:shift + dep] for v, shift in gens]
+        unknown = [0] * dep
+        for k, (v, shift) in enumerate(gens):
+            known = tails[v][1]
+            if known is not None:
+                # generator k does not know the columns t > known - shift
+                for j in range(max(known - shift, 0), dep):
+                    unknown[j] |= 1 << k
+        cols += zip(repeat(i), range(1, dep + 1), unknown, zip(*rows))
+    return cols
 
 
 def hankel(alpha, m: int, n: int):
@@ -351,65 +357,45 @@ def _weight_echelon(S: PeriodicLattice, rb: ReducedBasis, stop: int = None):
 
 
 def _echelon_by_weight(field: GF, vecs, reach: int, exps, stop: int = None):
-    """The pattern matrix of the generators frac(x^k * v), k = 0..reach,
-    for each v in vecs in turn, in row echelon form, its columns in
-    descending weight: (pivots, rest, cut).
+    """The pattern matrix of the generators (_pattern_columns) in row
+    echelon form, its columns in descending weight: (pivots, rest, cut).
 
-    Row k is generator k, then its digit vector; column (i, t) holds the
-    coefficients of x^-t of coordinate i and has weight exps[i] - t.  A
-    pivot row is zero before its pivot, so it is a point of norm exactly
-    q^(the pivot's weight); pivots lists (weight, digits) as found.
-    With stop, only the columns of weight > stop are read, and rest, the
-    digit vectors of the rows left without a pivot, spans the points of
-    norm <= q^stop.  Without it, reading goes on until every row has a
-    pivot: an exact coordinate needs depth deg L_i (L_i the lcm of its
-    denominators), a truncated one is read to one past its floor.
+    Row k is generator k, then its digit vector; column (i, t) has
+    weight exps[i] - t.  A pivot row is zero before its pivot, so it is
+    a point of norm exactly q^(the pivot's weight); pivots lists
+    (weight, digits) as found.  With stop, only the columns of weight
+    > stop are read, and rest, the digit vectors of the rows left
+    without a pivot, spans the points of norm <= q^stop.  Without it,
+    reading goes on until every row has a pivot (_pattern_depths).
 
-    A coefficient below a floor reads as 0, and a row knows a column
-    when all generators in its digits do.  A row without a pivot that
-    meets a column it does not know is a point whose norm no known
-    coefficient decides: the elimination stops there, and cut is (the
-    column's weight, the depth to which the generators' tails must be
-    known); pivots then holds those of the columns before it, and is
-    exact.  Otherwise cut is None.  Rows keep their order and pivots are
-    only subtracted from later rows, so an alpha row knows what its most
-    significant generator knows; within one weight the columns more
-    generators know come first.
+    A row knows a column when all generators in its digits do.  A row
+    without a pivot that meets a column it does not know is a point
+    whose norm no known coefficient decides: the elimination stops
+    there, and cut is (the column's weight, the depth to which the
+    generators' tails must be known); pivots then holds those of the
+    columns before it, and is exact.  Otherwise cut is None.  Rows keep
+    their order and pivots are only subtracted from later rows, so an
+    alpha row knows what its most significant generator knows; within
+    one weight the columns more generators know come first.
     """
     n = len(vecs) * (reach + 1)
     if not n:
         return [], [], None
-    # generator k is frac(x^shift * vecs[v]): (v, shift)
-    gens = [(v, shift) for v in range(len(vecs)) for shift in range(reach + 1)]
-    depths = []
-    for i, e in enumerate(exps):
-        ys = [v[i] for v in vecs]
-        cuts = [max(-y.floor, 0) for y in ys if isinstance(y, LaurentSeries) and not y.exact]
-        exact = [y for y in ys if not isinstance(y, LaurentSeries) or y.exact]
-        dep = max(_common_den(field, exact).degree, max(cuts, default=-1) + 1)
-        depths.append(dep if stop is None else max(min(dep, e - 1 - stop), 0))
-    tails = [[_known_tail(y, dep + reach) for y, dep in zip(v, depths)] for v in vecs]
-    # (weight, the generators that do not know the column as a bit mask,
-    # t, the column's entries)
-    cols = []
-    for i, dep in enumerate(depths):
-        for t in range(1, dep + 1):
-            entries, unknown = [], 0
-            for k, (v, shift) in enumerate(gens):
-                tail, known = tails[v][i]
-                entries.append(tail[t + shift - 1])
-                if known is not None and t + shift > known:
-                    unknown |= 1 << k
-            cols.append((exps[i] - t, unknown, t, entries))
-    cols.sort(key=lambda c: (-c[0], c[1].bit_count()))
+    depths = _pattern_depths(field, vecs)
+    if stop is not None:
+        depths = [max(min(dep, e - 1 - stop), 0) for dep, e in zip(depths, exps)]
+    cols = _pattern_columns(vecs, reach, depths)
+    # descending weight exps[i] - t, then fewer generators not knowing it
+    cols.sort(key=lambda c: (c[1] - exps[c[0]], c[2].bit_count()))
     m = len(cols)
     rows = [[c[3][k] for c in cols] + [int(j == k) for j in range(n)] for k in range(n)]
     support = [1 << k for k in range(n)]
     free = list(range(n))
     pivots = []
-    for j, (weight, unknown, t, _entries) in enumerate(cols):
+    for j, (i, t, unknown, _entries) in enumerate(cols):
         if not free:
             break
+        weight = exps[i] - t
         if any(support[r] & unknown for r in free):
             if stop is not None:
                 t = max(max(e - 1 - stop, 0) for e in exps)

@@ -234,6 +234,35 @@ class TestErrorPaths:
         code, _, err = run(capsys, "minima", p)
         assert code == 4 and err.startswith("error:")
 
+    @pytest.mark.parametrize("q, want", [
+        (2**17, "field size 131072 exceeds the 2^16 ceiling"),
+        (2**31, "field size 2147483648 exceeds the 2^16 ceiling"),
+        (19**2, "field characteristic must be a prime <= 17, got 19"),
+    ])
+    def test_field_order_is_refused_before_the_modulus_scan(self, capsys, tmp_path, q, want):
+        """The default modulus is the first irreducible one of up to q
+        candidates: GF's own refusal comes first, not after the scan."""
+        def bail(*_):
+            raise TimeoutError("the field order was not refused within 5 s")
+
+        p = write_instance(
+            tmp_path, "bigq.json", {"q": q, "d": 2, "basis": [["1", "0"], ["0", "1"]]})
+        old = signal.signal(signal.SIGALRM, bail)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            assert run(capsys, "reduce", p) == (4, "", f"error: {want}\n")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+
+    def test_series_top_below_its_floor_names_both(self, capsys, tmp_path):
+        p = write_instance(tmp_path, "top.json", {
+            "q": 2, "d": 2, "basis": [["1", "0"], ["0", "1"]], "N": 1,
+            "alpha": [{"floor": 0, "top": -5, "coeffs": []}, "x^-2"],
+        })
+        assert run(capsys, "minima", p) == (
+            4, "", "error: alpha[0]: series top -5 must be at least floor 0 - 1\n")
+
     def test_bad_element_names_location(self, capsys, tmp_path):
         p = write_instance(
             tmp_path, "el.json",
@@ -264,7 +293,7 @@ class TestErrorPaths:
          ["minima"], "alpha[0]: series floor"),
         ({"N": 1, "alpha": ["x^-1", {"floor": -1, "top": 1000001, "coeffs": [1]}]},
          ["minima"], "alpha[1]: series top"),
-        # the construction certificate would build one window per generator
+        # the construction certificate would build one pattern row per generator
         ({"N": 100000000, "alpha": ["x^-1", "x^-2"], "precision": -3}, ["minima"], "N"),
         ({"N": 1000001, "alpha": ["x^-1", "x^-2"]}, ["count"], "N"),
     ])

@@ -296,9 +296,12 @@ def _rref_by_columns(field, rows):
     st.sampled_from([F2, F3, F4]), st.integers(0, 6), st.integers(0, 6), st.integers(0, 10**6)
 )
 def test_echelon_fq_row_profile_and_rref(field, m, n, seed):
-    """independent is the greedy row-rank profile; the basis is an
-    echelon form sorted by pivot; the back-substituted form is the
-    reduced row echelon form, zero rows and all."""
+    """independent's keys are the greedy row-rank profile, and each
+    value is the pivot of the basis row that row adds: the first column
+    c on which M[i] restricted to columns 0..c leaves the span of the
+    earlier rows restricted alike.  The basis is an echelon form sorted
+    by pivot; the back-substituted form is the reduced row echelon
+    form, zero rows and all."""
     rng = random.Random(seed)
     density = rng.random()
     M = [[rng.randrange(field.q) if rng.random() < density else 0 for _ in range(n)]
@@ -311,9 +314,15 @@ def test_echelon_fq_row_profile_and_rref(field, m, n, seed):
     basis, independent = _echelon_fq(field, M)
     ranks = [rank_fq(field, M[:i]) for i in range(m + 1)]
     assert ranks == [len(_rref_by_columns(field, M[:i])[1]) for i in range(m + 1)]
-    assert independent == [i for i in range(m) if ranks[i + 1] > ranks[i]]
+    assert list(independent) == [i for i in range(m) if ranks[i + 1] > ranks[i]]
+
+    def rank_on(rows, c):
+        return len(_rref_by_columns(field, [row[:c + 1] for row in rows])[1])
+
+    for i, col in independent.items():
+        assert col == min(c for c in range(n) if rank_on(M[:i + 1], c) > rank_on(M[:i], c))
     pivots = [col for col, _row in basis]
-    assert pivots == sorted(pivots) and len(basis) == len(independent)
+    assert pivots == sorted(pivots) == sorted(independent.values())
     for col, row in basis:
         assert not any(row[:col]) and row[col] == 1
     assert _rref_fq(field, M) == _rref_by_columns(field, M)

@@ -36,7 +36,8 @@ from fflat.battery import (
 from fflat.cli import _apply_precision
 from fflat.exactlinalg import _echelon_fq
 from fflat.lattice import _tail_pattern, reduce_lattice
-from fflat.periodic import _coords, _cut, _pattern_rows
+from fflat.periodic import _coords, _cut
+from test_periodic import _pattern_rows
 
 F2 = GF(2)
 F3 = GF(3)

@@ -42,9 +42,10 @@ from fflat.ffcore import Poly, Rat, expand_rational
 from fflat.oracle import (
     _points_by_definition, count_oracle, density_oracle, rank_rational, succmin_oracle,
 )
-from fflat.exactlinalg import _rref_fq, det
+from fflat.exactlinalg import _echelon_fq, _rref_fq, det
 from fflat.lattice import _common_den, _lift, _tail_pattern
-from fflat.periodic import PeriodicLattice, _first_spanned, _independent, _pattern_rows
+from fflat import periodic
+from fflat.periodic import PeriodicLattice, _first_spanned, _independent
 
 F2 = GF(2)
 F3 = GF(3)
@@ -379,6 +380,19 @@ def test_certified_truncated_cosets_have_certified_twins(data):
     assert make_coset_lattice(lam, exact).period_size == S.period_size == n
 
 
+def _pattern_rows(tails, reach: int, depths):
+    """Tail pattern rows of the generators frac(x^k * v), k = 0..reach,
+    for each vector v in turn, sliced from its coordinates' tails read
+    at least depths[i] + reach deep: row k reads the coefficients
+    x^-(t+k) of each coordinate v_i, t = 1..depths[i] (the stacked
+    Hankel matrices transposed)."""
+    return [
+        [c for tail, dep in zip(row, depths) for c in tail[k:k + dep]]
+        for row in tails
+        for k in range(reach + 1)
+    ]
+
+
 def _transposed_first_spanned(field, vecs, reach: int):
     """The construction certificate as the transposed elimination
     decided it, kept as a reference: per window, the generators are the
@@ -422,23 +436,24 @@ def _transposed_first_spanned(field, vecs, reach: int):
 def _certificate_inputs(draw):
     """(field, vecs, reach) as the constructors hand them to
     _first_spanned, over q in {2, 3, 4}, d in {2, 3}: one alpha with
-    reach N <= 4, or one to four coset vectors, some of them
+    reach N <= 8, or one to four coset vectors, some of them
     combinations of the earlier ones; coordinates exact Rats, truncated
-    at one floor or at unequal floors, or a mix of both."""
+    at one floor or at unequal floors down to x^-12, or a mix of both,
+    so that the generators know many different sets of columns."""
     F = draw(st.sampled_from([F2, F3, F4]))
     d = draw(st.sampled_from([2, 3]))
     mode = draw(st.sampled_from(["exact", "equal", "unequal", "mixed"]))
-    floor = draw(st.integers(-8, -1))
+    floor = draw(st.integers(-12, -1))
 
     def cut(y):
         if mode == "exact" or (mode == "mixed" and draw(st.booleans())):
             return y
-        f = floor if mode == "equal" else draw(st.integers(-8, -1))
+        f = floor if mode == "equal" else draw(st.integers(-12, -1))
         return expand_rational(y, f).truncated(f)
 
     digit = st.integers(0, F.q - 1)
     if draw(st.booleans()):
-        reach = draw(st.integers(0, 4))
+        reach = draw(st.integers(0, 8))
         vecs = [[draw(_frac_coord(F, False)) for _ in range(d)]]
     else:
         reach = 0
@@ -459,6 +474,29 @@ def _certificate_inputs(draw):
 def test_first_spanned_matches_the_transposed_certificate(inst):
     F, vecs, reach = inst
     assert _first_spanned(F, vecs, reach) == _transposed_first_spanned(F, vecs, reach)
+
+
+@pytest.mark.parametrize("make", [
+    lambda lam: make_alpha_lattice(lam, [LaurentSeries(F2, [1, 0, 1, 1, 0, 1, 1, 1], -8),
+                                         LaurentSeries(F2, [1, 1, 0, 1, 0], -6)], 4),
+    lambda lam: make_coset_lattice(lam, [
+        [LaurentSeries(F2, [1, 0, 1, 1, 0, 1], -7), "1/(x^2 + x + 1)"],
+        [LaurentSeries(F2, [0, 1, 1], -4), LaurentSeries(F2, [1, 1, 0, 1, 1], -5)],
+        ["x^-1", "x^-3"],
+    ]),
+], ids=["alpha", "cosets"])
+def test_construction_certificate_is_one_elimination(lam, monkeypatch, make):
+    """The generators here know different sets of columns, yet one row
+    echelon form of the whole pattern matrix decides every generator."""
+    calls = []
+
+    def counted(field, rows):
+        calls.append(len(rows))
+        return _echelon_fq(field, rows)
+
+    monkeypatch.setattr(periodic, "_echelon_fq", counted)
+    S = make(lam)
+    assert len(calls) == 1 and calls[0] == S.period_size
 
 
 def test_check_bounds_random_f3():
