@@ -6,11 +6,11 @@ Each coefficient ring has one elimination: over F_q the row echelon
 form by row insertion (reduced by back-substitution for the kernel
 vector), over F_q[x] the column reduction popov_reduce, which detects
 a singular input itself, when a column reduces to zero.  One table of
-minors, built by cofactor expansion without a division, gives every
-determinant the closed forms read: det (F_q[x], F_q(x) and truncated
-series alike; on series it carries precision floors soundly) and
-det_adjugate (over F_q[x], for h^(-1) = adj/det).  The oracles keep
-their own determinant and rank (Bareiss elimination, in oracle.py).
+minors, grown a row at a time by cofactor expansion without a division,
+holds every minor the closed forms read (F_q[x], F_q(x) and truncated
+series alike; on series it carries precision floors soundly), and
+det_adjugate (over F_q[x], for h^(-1) = adj/det) reads two.  The oracles
+keep their own determinant and rank (Bareiss elimination, in oracle.py).
 """
 
 from __future__ import annotations
@@ -101,30 +101,26 @@ def mat_mul_poly(A, B):
     return out
 
 
-def _minor_table(rows):
+def _minor_table(rows, below=None):
     """table[m][cols] is the minor of the last m rows on the columns
-    cols (ascending), m = 1..n; table[0] is empty.  Each is the cofactor
-    expansion along its first row over table[m - 1], its sum started
-    from its first term: no division, and on series the precision
-    floors propagate, so the knowledge window is sound."""
-    n = len(rows)
+    cols (ascending), for k x w rows, k <= w; table[0] is empty.  The
+    rows go on top of those of below, a table whose levels are kept.
+    Each minor is the cofactor expansion along its first row over the
+    level below (level 1: the entries), its sum started from its first
+    term: no division, and on series the precision floors propagate, so
+    the knowledge window is sound."""
+    w = len(rows[0])
     neg1 = rows[0][0].field.neg(1)
-    table = [{}, {(j,): rows[-1][j] for j in range(n)}]
-    for m in range(2, n + 1):
-        row, prev, minors = rows[n - m], table[-1], {}
-        for cols in combinations(range(n), m):
+    table = [{}] if below is None else list(below)
+    for row in reversed(rows):
+        prev, minors = table[-1], {}
+        for cols in combinations(range(w), len(table)):
             for pos, j in enumerate(cols):
-                term = row[j] * prev[cols[:pos] + cols[pos + 1:]]
+                term = row[j] * prev[cols[:pos] + cols[pos + 1:]] if prev else row[j]
                 term = term.scale(neg1) if pos % 2 else term
                 minors[cols] = minors[cols] + term if pos else term
         table.append(minors)
     return table
-
-
-def det(rows):
-    """Determinant over F_q[x], F_q(x) or of Laurent series: the full
-    minor."""
-    return _minor_table(rows)[-1][tuple(range(len(rows)))]
 
 
 def det_adjugate(rows):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isqrt
 
 from .errors import InsufficientPrecision, ParseError
 
@@ -40,6 +41,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# the largest field order GF admits
+_MAX_Q = 2**16
+
+
 def _field_order(p: int, k: int) -> int:
     """q = p^k, or the ParseError that refuses a field of that order."""
     if p > 17 or not _is_prime(p):
@@ -47,7 +52,7 @@ def _field_order(p: int, k: int) -> int:
     if k < 1:
         raise ParseError(f"extension degree must be >= 1, got {k}")
     q = p**k
-    if q > 2**16:
+    if q > _MAX_Q:
         raise ParseError(f"field size {q} exceeds the 2^16 ceiling")
     return q
 
@@ -370,14 +375,16 @@ class GF:
 
 
 def _prime_power(q: int):
+    """(p, k) with q = p^k, by trial division.  Past the largest field
+    order only the primes up to 17, the characteristics GF admits, are
+    tried: without one of them q is refused by its size alone."""
     if q < 2:
         raise ParseError(f"q: must be a prime power >= 2, got {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
+    limit = 17 if q > _MAX_Q else isqrt(q)
+    p = next((p for p in range(2, limit + 1) if q % p == 0), None)
+    if p is None:
+        if q > _MAX_Q:
+            raise ParseError(f"field size {q} exceeds the 2^16 ceiling")
         return q, 1
     k = 0
     m = q

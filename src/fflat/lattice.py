@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 
 from .errors import InsufficientPrecision, SingularInput
-from .exactlinalg import det, det_adjugate, mat_mul_poly, popov_reduce
+from .exactlinalg import _minor_table, det_adjugate, mat_mul_poly, popov_reduce
 from .ffcore import (
     GF,
     LaurentSeries,
@@ -127,7 +127,7 @@ class Lattice:
         self.d = len(self.G)
         if self.d < 2:
             raise ValueError("lattice dimension must be at least 2")
-        det_G = det(self.G)
+        (det_G,) = _minor_table(self.G)[-1].values()
         if det_G.is_zero:
             raise SingularInput("lattice basis has zero determinant")
         self.log_det = det_G.degree - self.d * self.shift

@@ -12,9 +12,10 @@ point set modulo Lambda.
 The coordinates of one periodic lattice share one arithmetic backend,
 chosen at construction (_lift): Rat when no input coordinate is a
 series, LaurentSeries for all of them when one is.  Frame changes,
-norms and tails of both backends live in lattice.py, and one
-determinant (exactlinalg.det) takes either, so neither the minima's
-independence test nor d_invariant branches on the backend.
+norms and tails of both backends live in lattice.py, and the minor
+table (exactlinalg._minor_table) takes either, so neither the minima's
+independence test, which grows one table of the picked points by a
+level per candidate, nor d_invariant branches on the backend.
 
 The fundamental-domain points form the F_q-span of the n = period_size
 independent generators.  Their tail coefficients are F_q-linear in the
@@ -37,9 +38,10 @@ coefficients they all know, which one row echelon form, its columns
 ordered by the first generator that does not know them, decides.
 Exact alpha keeps the closed form of that rank,
 the degree of its denominators' lcm.  So nothing here enumerates
-points, and no size cap is needed.  d_invariant eliminates its fixed
-Cauchy-Binet minors the same way, and keeps one cap, N <= 2, up to
-which every F_q-combination of them is a minor.
+points, and no size cap is needed.  d_invariant reads its fixed
+Cauchy-Binet minors off one minor table per column set, eliminates
+them the same way, and keeps one cap, N <= 2, up to which every
+F_q-combination of them is a minor.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from fractions import Fraction
 from itertools import combinations, groupby, repeat
 
 from .errors import CapExceeded, InsufficientPrecision, NRational, UndefinedValue
-from .exactlinalg import _echelon_fq, _rref_fq, det
+from .exactlinalg import _echelon_fq, _minor_table, _rref_fq
 from .ffcore import (
     GF,
     LaurentSeries,
@@ -273,16 +275,21 @@ def from_lattice(lat: Lattice) -> PeriodicLattice:
 # --- tail patterns -----------------------------------------------------------
 
 
-def _pattern_depths(field: GF, vecs):
+def _pattern_depths(field: GF, vecs, clip=None):
     """How deep the pattern matrix reads each coordinate: to deg L_i,
     L_i the lcm of its exact denominators, which separates all
-    combinations of exact tails, and to one past its truncated floors."""
+    combinations of exact tails, and to one past its truncated floors;
+    with clip, at most clip[i], and 0 without an lcm where clip[i] <= 0."""
     depths = []
     for i in range(len(vecs[0])):
+        if clip is not None and clip[i] <= 0:
+            depths.append(0)
+            continue
         ys = [v[i] for v in vecs]
         cuts = [max(-y.floor, 0) for y in ys if isinstance(y, LaurentSeries) and not y.exact]
         exact = [y for y in ys if not isinstance(y, LaurentSeries) or y.exact]
-        depths.append(max(_common_den(field, exact).degree, max(cuts, default=-1) + 1))
+        dep = max(_common_den(field, exact).degree, max(cuts, default=-1) + 1)
+        depths.append(dep if clip is None else min(dep, clip[i]))
     return depths
 
 
@@ -381,10 +388,8 @@ def _echelon_by_weight(field: GF, vecs, reach: int, exps, stop: int = None):
     n = len(vecs) * (reach + 1)
     if not n:
         return [], [], None
-    depths = _pattern_depths(field, vecs)
-    if stop is not None:
-        depths = [max(min(dep, e - 1 - stop), 0) for dep, e in zip(depths, exps)]
-    cols = _pattern_columns(vecs, reach, depths)
+    clip = None if stop is None else [e - 1 - stop for e in exps]
+    cols = _pattern_columns(vecs, reach, _pattern_depths(field, vecs, clip))
     # descending weight exps[i] - t, then fewer generators not knowing it
     cols.sort(key=lambda c: (c[1] - exps[c[0]], c[2].bit_count()))
     m = len(cols)
@@ -444,19 +449,19 @@ def _unit_coords(field: GF, d: int, i: int):
     return [one if j == i else zero for j in range(d)]
 
 
-def _independent(points, taken, d: int):
-    """Are the unit vectors e_i, i in taken, and the points K_inf-linearly
-    independent?  True, False, or, when truncated minors cannot tell, the
-    InsufficientPrecision to raise if it stays undecided.  By Laplace
-    expansion along the unit columns they are iff some k x k minor of
-    the k points, on rows outside taken, is nonzero; so a unit vector
-    never enters the arithmetic.  An undecided minor names the floor
-    its leading term needs, and the highest of those is kept."""
-    if not points:
+def _independent(minors, taken):
+    """Are the unit vectors e_i, i in taken, and the k points K_inf-
+    linearly independent, minors the top level of the points' minor
+    table ({} for no points)?  True, False, or, when truncated minors
+    cannot tell, the InsufficientPrecision to raise if it stays
+    undecided.  By Laplace expansion along the unit columns they are iff
+    some minor on coordinates outside taken is nonzero; so a unit vector
+    never enters the arithmetic.  An undecided minor names the floor its
+    leading term needs, and the highest of those is kept."""
+    if not minors:
         return True
     floors = []
-    for rows in combinations([i for i in range(d) if i not in taken], len(points)):
-        minor = det([[p[i] for p in points] for i in rows])
+    for minor in [m for cols, m in minors.items() if taken.isdisjoint(cols)]:
         try:
             if not minor.val().is_zero:
                 return True
@@ -495,7 +500,8 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
     cands += [(e, 1, i, None) for i, e in enumerate(rb.exps)]
     cands.sort(key=lambda t: t[:3])
     exps = []
-    points = []
+    # the picked points' minor table, one row per point, the newest on top
+    table = [{}]
     taken = set()
     witnesses = []
     for norm, level in groupby(cands, key=lambda t: t[0]):
@@ -513,12 +519,12 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
                 if len(exps) == S.d:
                     break
                 if unit is None:
-                    trial = points + [coords], taken
+                    trial = _minor_table([coords], table), taken
                 else:
-                    trial = points, taken | {unit}
-                verdict = _independent(*trial, S.d)
+                    trial = table, taken | {unit}
+                verdict = _independent(trial[0][-1], trial[1])
                 if verdict is True:
-                    points, taken = trial
+                    table, taken = trial
                     exps.append(norm)
                     witnesses.append(rb.ambient_from_coords(coords))
                 elif verdict is not False:
@@ -704,10 +710,12 @@ def d_invariant(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
     k, index k-subsets J and polynomials Q_r of degree <= N.  By
     Cauchy-Binet such a minor is sum_T p_T * mu_T over the k-subsets T
     of 0..N, p_T the Pluecker coordinates of the Q_r and
-    mu_T = det(frac(x^m * phi_j)), m in T.  For N <= _DINV_MAX_N every
-    nonzero p is that of some Q_r, so the smallest nonzero minor of J is
-    the lowest pivot weight of the mu_T's elimination (_echelon_by_weight,
-    each mu_T one coordinate of weight 0); a cut leaves one undecided."""
+    mu_T = det(frac(x^m * phi_j)), m in T, the top level of the minor
+    table of J's rows frac(x^m * phi_j), m = 0..N.  For N <= _DINV_MAX_N
+    every nonzero p is that of some Q_r, so the smallest nonzero minor of
+    J is the lowest pivot weight of the mu_T's elimination
+    (_echelon_by_weight, each mu_T one coordinate of weight 0); a cut
+    leaves one undecided."""
     if S.N is None:
         raise TypeError("d_invariant requires an alpha-form periodic lattice")
     if C is None:
@@ -718,15 +726,14 @@ def d_invariant(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
             "F_q-combination of the Cauchy-Binet minors is itself a minor"
         )
     phi = _coords(S, reduce_lattice(S.lattice, C))[0]
-    # A[m][j] = frac(x^m * phi_j)
-    A = [[y.mul_poly(Poly.monomial(S.field, 1, m)).frac_part() for y in phi]
-         for m in range(S.N + 1)]
+    # A[j][m] = frac(x^m * phi_j)
+    A = [[y.mul_poly(Poly.monomial(S.field, 1, m)).frac_part() for m in range(S.N + 1)]
+         for y in phi]
     weights, undecided = [], False
-    for k in range(1, S.d + 1):
+    for k in range(1, min(S.d, S.N + 1) + 1):
         for J in combinations(range(S.d), k):
-            mus = [[det([[A[m][j] for j in J] for m in T])]
-                   for T in combinations(range(S.N + 1), k)]
-            pivots, _rest, cut = _echelon_by_weight(S.field, mus, 0, [0])
+            mus = _minor_table([A[j] for j in J])[-1].values()
+            pivots, _rest, cut = _echelon_by_weight(S.field, [[mu] for mu in mus], 0, [0])
             undecided = undecided or cut is not None
             weights += [w for w, _digits in pivots]
     if not weights:

@@ -238,10 +238,13 @@ class TestErrorPaths:
         (2**17, "field size 131072 exceeds the 2^16 ceiling"),
         (2**31, "field size 2147483648 exceeds the 2^16 ceiling"),
         (19**2, "field characteristic must be a prime <= 17, got 19"),
+        (2**61 - 1, "field size 2305843009213693951 exceeds the 2^16 ceiling"),
     ])
     def test_field_order_is_refused_before_the_modulus_scan(self, capsys, tmp_path, q, want):
         """The default modulus is the first irreducible one of up to q
-        candidates: GF's own refusal comes first, not after the scan."""
+        candidates: GF's own refusal comes first, not after the scan.  A
+        prime q as large as 2^61 - 1 is refused without a trial division
+        up to its square root."""
         def bail(*_):
             raise TimeoutError("the field order was not refused within 5 s")
 

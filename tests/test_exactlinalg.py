@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 from fflat import GF, LaurentSeries, Poly, Rat, SingularInput
 from fflat.exactlinalg import (
     _echelon_fq,
+    _minor_table,
     _rref_fq,
-    det,
     det_adjugate,
     kernel_vector_fq,
     mat_mul_poly,
@@ -24,6 +24,12 @@ F2 = GF(2)
 F3 = GF(3)
 F4 = GF(2, 2, (1, 1, 1))
 F9 = GF(3, 2, (2, 2, 1))
+
+
+def det(rows):
+    """The determinant: the one minor on the top level of the table."""
+    (value,) = _minor_table(rows)[-1].values()
+    return value
 
 
 def rank_fq(field, rows):
@@ -183,6 +189,30 @@ def test_det_is_the_bareiss_determinant_on_both_backends(n):
         assert det([[Rat.from_poly(p) for p in r] for r in M]) == want
         got = det([[LaurentSeries.from_poly(p) for p in r] for r in M])
         assert got.exact and got.to_rat() == want
+
+
+@pytest.mark.parametrize("k,w", [(1, 1), (1, 4), (2, 3), (3, 3), (3, 5), (4, 4)])
+def test_minor_table_grows_a_row_at_a_time(k, w):
+    """A k x w table holds every minor of the last m rows on every
+    m-set of columns, the determinant of that submatrix (det_poly), its
+    levels in combinations order; grown one row at a time on top of the
+    rows below, it is the same table."""
+    rng = random.Random(f"{k}-{w}")
+    for _ in range(5):
+        M = [[_poly(F3, [rng.randrange(3) for _ in range(3)]) for _ in range(w)]
+             for _ in range(k)]
+        table = _minor_table(M)
+        assert len(table) == k + 1 and table[0] == {}
+        for m in range(1, k + 1):
+            assert list(table[m]) == list(itertools.combinations(range(w), m))
+            for cols, minor in table[m].items():
+                assert minor == det_poly([[row[j] for j in cols] for row in M[k - m:]])
+        grown = None
+        for row in reversed(M):
+            grown = _minor_table([row], grown)
+        assert grown == table
+        if k > 1:
+            assert _minor_table(M[:1], _minor_table(M[1:])) == table
 
 
 # --- popov_reduce ------------------------------------------------------

@@ -326,11 +326,12 @@ def test_periodic_enumerates_no_polynomials():
 
 def test_periodic_shares_no_rank_with_the_oracle():
     """The closed forms and the checkers share no determinant or rank.
-    The minima's independence test reads unit-row minors through det,
-    and every closed-form determinant is the minor table's: the oracle's
-    Bareiss determinant and rank over F_q(x) stay out of exactlinalg,
-    lattice and periodic, and the series lifting of unit vectors
-    (_as_series) out of periodic.py.  The oracle and the verify battery
+    The minima's independence test and the d-invariant read their
+    minors off the minor table, and every closed-form determinant is
+    the minor table's, with no det besides it: the oracle's Bareiss
+    determinant and rank over F_q(x) stay out of exactlinalg, lattice
+    and periodic, and the series lifting of unit vectors (_as_series)
+    out of periodic.py.  The oracle and the verify battery
     in turn import none of the minor table's determinants."""
     def names(module):
         tree = ast.parse(Path(import_module(module).__file__).read_text())
@@ -346,6 +347,8 @@ def test_periodic_shares_no_rank_with_the_oracle():
     assert not names("fflat.periodic")[0] & {"_as_series"}
     # the names guarded against exist, so the guard checks something
     assert bareiss <= names("fflat.oracle")[1]
-    assert {"det", "det_adjugate", "_minor_table"} <= names("fflat.exactlinalg")[1]
+    assert {"det_adjugate", "_minor_table"} <= names("fflat.exactlinalg")[1]
+    assert "det" not in names("fflat.exactlinalg")[1]
+    assert "_minor_table" in names("fflat.periodic")[0]
     for module in ("fflat.oracle", "fflat.battery"):
         assert not names(module)[0] & {"det", "det_adjugate", "_minor_table"}, module

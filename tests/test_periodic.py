@@ -42,10 +42,11 @@ from fflat.ffcore import Poly, Rat, expand_rational
 from fflat.oracle import (
     _points_by_definition, count_oracle, density_oracle, rank_rational, succmin_oracle,
 )
-from fflat.exactlinalg import _echelon_fq, _rref_fq, det
+from fflat.exactlinalg import _echelon_fq, _minor_table, _rref_fq
 from fflat.lattice import _common_den, _lift, _tail_pattern
 from fflat import periodic
 from fflat.periodic import PeriodicLattice, _first_spanned, _independent
+from test_exactlinalg import det
 
 F2 = GF(2)
 F3 = GF(3)
@@ -499,6 +500,23 @@ def test_construction_certificate_is_one_elimination(lam, monkeypatch, make):
     assert len(calls) == 1 and calls[0] == S.period_size
 
 
+def test_count_takes_no_lcm_where_the_stop_clips_every_coordinate(monkeypatch):
+    """count reads only the columns of weight > 0: a coordinate with
+    e_i <= 1 reads none, and the lcm of its denominators is not taken."""
+    S = make_coset_lattice(
+        Lattice.standard(F2, 2), [["1/(x^3+x+1)", "x^-1"], ["x^-2", "1/(x^2+x+1)"]])
+    calls = []
+
+    def counted(field, ys):
+        calls.append(len(ys))
+        return _common_den(field, ys)
+
+    monkeypatch.setattr(periodic, "_common_den", counted)
+    got = count_points(S, radius=1)
+    assert not calls
+    assert got == count_oracle(S, 1)
+
+
 def test_check_bounds_random_f3():
     lam3 = Lattice(F3, [["x", "1"], ["0", "x"]])
     S3 = make_alpha_lattice(lam3, ["x^-1", "2*x^-2"], 0)
@@ -665,17 +683,68 @@ def _independence_inputs(draw):
 
 @given(_independence_inputs(), st.integers(-14, -3))
 def test_independent_is_the_rank_with_the_unit_columns(inst, floor):
-    """_independent says whether the points and the unit vectors e_i,
-    i in taken, have full rank over F_q(x); on truncated twins of the
-    points it gives the same verdict or leaves it undecided."""
+    """_independent says whether the first k points and the unit vectors
+    e_i, i in taken, have full rank over F_q(x), read off the top level
+    of the points' minor table grown one point at a time, the newest on
+    top; on truncated twins of the points it gives the same verdict or
+    leaves it undecided."""
     F, d, points, taken = inst
     zero, one = Rat(Poly.zero(F)), Rat(Poly.one(F))
-    cols = points + [[one if i == t else zero for i in range(d)] for t in sorted(taken)]
-    want = rank_rational([[c[i] for c in cols] for i in range(d)]) == len(cols)
-    assert _independent(points, taken, d) is want
-    twins = [[expand_rational(y, floor).truncated(floor) for y in p] for p in points]
-    got = _independent(twins, taken, d)
-    assert got is want or isinstance(got, InsufficientPrecision)
+    units = [[one if i == t else zero for i in range(d)] for t in sorted(taken)]
+    table = twins = [{}]
+    for k in range(len(points) + 1):
+        if k:
+            table = _minor_table([points[k - 1]], table)
+            twin = [expand_rational(y, floor).truncated(floor) for y in points[k - 1]]
+            twins = _minor_table([twin], twins)
+        cols = points[:k] + units
+        want = rank_rational([[c[i] for c in cols] for i in range(d)]) == len(cols)
+        assert _independent(table[-1], taken) is want
+        got = _independent(twins[-1], taken)
+        assert got is want or isinstance(got, InsufficientPrecision)
+
+
+def test_minima_grow_one_minor_table(monkeypatch):
+    """Each point candidate of the minima is one new row, one new level
+    of minors, on top of the table of the points picked so far: no
+    minor of the picked points is computed twice."""
+    S = make_alpha_lattice(
+        Lattice.standard(F2, 3), ["1/(x^4+x+1)", "1/(x^4+x^3+1)", "x^-1+x^-3"], 3)
+    calls, grown = [], []
+
+    def recorded(rows, below=None):
+        calls.append((len(rows), below))
+        grown.append(_minor_table(rows, below))
+        return grown[-1]
+
+    monkeypatch.setattr(periodic, "_minor_table", recorded)
+    exps, _w = succ_minima_periodic(S)
+    assert exps == succmin_oracle(S)
+    # more candidates than points picked: some were dependent
+    assert len(calls) > len({id(below) for _n, below in calls})
+    assert calls[0] == (1, [{}])
+    for (n, below), (_n, prev) in zip(calls[1:], calls):
+        assert n == 1
+        # the kept table, or the one its last pick returned
+        assert below is prev or (
+            any(below is t for t in grown) and len(below) == len(prev) + 1)
+
+
+def test_d_invariant_takes_one_minor_table_per_column_set(monkeypatch):
+    """At N = 2 the mu_T of each column set J are the top level of one
+    minor table of J's rows frac(x^m * phi_j), m = 0..2."""
+    S = make_alpha_lattice(
+        Lattice.standard(F2, 3), ["1/(x^3+x+1)", "x^-2+x^-3", "1/(x^4+x+1)"], 2)
+    calls = []
+
+    def recorded(rows, below=None):
+        calls.append((len(rows), len(rows[0]), below))
+        return _minor_table(rows, below)
+
+    monkeypatch.setattr(periodic, "_minor_table", recorded)
+    got = d_invariant(S)
+    assert calls == [(k, 3, None) for k in range(1, 4) for _J in combinations(range(3), k)]
+    assert got == _dinv_by_definition(S)
 
 
 @st.composite
