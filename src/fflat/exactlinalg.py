@@ -3,8 +3,8 @@
 Matrices are plain lists of rows.  Entries are ints (F_q), Poly, Rat,
 or LaurentSeries depending on the function.  Everything here is exact.
 Each coefficient ring has one elimination: over F_q the row echelon
-form by row insertion (reduced by back-substitution for the kernel
-vector), over F_q[x] the column reduction popov_reduce, which detects
+form by row insertion (the kernel vector back-substitutes into its
+basis), over F_q[x] the column reduction popov_reduce, which detects
 a singular input itself, when a column reduces to zero.  One table of
 minors, grown a row at a time by cofactor expansion without a division,
 holds every minor the closed forms read (F_q[x], F_q(x) and truncated
@@ -16,6 +16,7 @@ keep their own determinant and rank (Bareiss elimination, in oracle.py).
 from __future__ import annotations
 
 from bisect import insort
+from functools import reduce
 from itertools import combinations
 
 from .errors import SingularInput
@@ -47,36 +48,23 @@ def _echelon_fq(field: GF, rows):
     return basis, independent
 
 
-def _rref_fq(field: GF, rows):
-    """Reduced row echelon form over F_q: (matrix, pivot columns); the
-    pivot of column pivots[i] is 1 and sits in row i, and the rows past
-    the rank are zero.  The echelon form, back-substituted."""
-    basis = _echelon_fq(field, rows)[0]
-    pivots = [col for col, _b in basis]
-    m = [b for _col, b in basis]
-    for i in range(len(m) - 1, 0, -1):
-        col = pivots[i]
-        for r in range(i):
-            if m[r][col]:
-                m[r] = field.add_coeffs(m[r], field.scale_coeffs(m[i], field.neg(m[r][col])))
-    ncols = len(rows[0]) if rows else 0
-    return m + [[0] * ncols for _ in range(len(rows) - len(m))], pivots
-
-
 def kernel_vector_fq(field: GF, rows):
     """First right-kernel basis vector of M over F_q, or None if none.
 
-    Deterministic: reduced row echelon form, first free column chosen.
+    Deterministic: 1 on the echelon form's first free column, and the
+    pivots before it, the first basis rows, solved from the last back.
     """
-    m, pivots = _rref_fq(field, rows)
-    ncols = len(m[0]) if m else 0
+    basis = _echelon_fq(field, rows)[0]
+    ncols = len(rows[0]) if rows else 0
+    pivots = {col for col, _b in basis}
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
         return None
     vec = [0] * ncols
     vec[free] = 1
-    for row, col in enumerate(pivots):
-        vec[col] = field.neg(m[row][free])
+    for col, b in reversed(basis[:free]):
+        terms = map(field.mul, b[col + 1:free + 1], vec[col + 1:free + 1])
+        vec[col] = field.neg(reduce(field.add, terms, 0))
     return vec
 
 

@@ -8,7 +8,8 @@ Conventions used throughout the package:
   series loops add plain int products and reduce mod p once per output
   coefficient.  Extension fields with q <= 2^8 look elements up in
   log/antilog/Zech tables built when the GF is constructed; larger ones
-  compute in F_p[t] modulo the defining polynomial.
+  compute on base-p digit vectors in F_p[t] modulo the defining
+  polynomial, with the coefficient kernels of the prime field F_p.
 * Polynomials store coefficient tuples lowest degree first with no
   trailing zeros.  The zero polynomial has an empty tuple and degree -1.
 * Rational functions are kept canonical: gcd(num, den) = 1, den monic.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from .errors import InsufficientPrecision, ParseError
@@ -57,23 +59,19 @@ def _field_order(p: int, k: int) -> int:
     return q
 
 
-def _fp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _base_digits(n: int, base: int, k: int) -> list[int]:
+    """The k lowest base-`base` digits of n, lowest first."""
+    out = []
+    for _ in range(k):
+        out.append(n % base)
+        n //= base
+    return out
 
 
-def _fp_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by b over F_p; b nonzero, coefficients lowest first."""
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bc) % p
-        _fp_trim(a)
-    return a
+@cache
+def _prime_field(p: int) -> GF:
+    """F_p, built once: its kernels are F_p[t] for every F_p^k."""
+    return GF(p)
 
 
 # extension fields up to this size compute with log/antilog/Zech tables;
@@ -94,7 +92,7 @@ class GF:
     choice of arithmetic lives here alone.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_residues", "_log", "_exp", "_zech")
+    __slots__ = ("p", "k", "q", "modulus", "_fp", "_residues", "_log", "_exp", "_zech")
 
     def __init__(self, p: int, k: int = 1, modulus=None):
         q = _field_order(p, k)
@@ -113,12 +111,13 @@ class GF:
             if modulus[-1] != 1:
                 inv = pow(modulus[-1], p - 2, p)
                 modulus = tuple(c * inv % p for c in modulus)
-            if not self._irreducible(list(modulus), p):
+            if not self._irreducible(modulus, _prime_field(p)):
                 raise ParseError(f"modulus {list(modulus)} is reducible over F_{p}")
         self.p = p
         self.k = k
         self.q = q
         self.modulus = modulus
+        self._fp = _prime_field(p) if k > 1 else None  # the digits' kernels
         # byte c -> c mod p, for products packed one coefficient a byte
         self._residues = bytes(c % p for c in range(256))
         self._log = self._exp = self._zech = None
@@ -126,20 +125,14 @@ class GF:
             self._build_tables()
 
     @staticmethod
-    def _irreducible(m: list[int], p: int) -> bool:
+    def _irreducible(m, fp: GF) -> bool:
+        """Whether no monic polynomial of degree 1..deg/2 over fp divides m."""
         deg = len(m) - 1
-        for d in range(1, deg // 2 + 1):
-            # all monic divisor candidates of degree d
-            for n in range(p**d):
-                cand = []
-                v = n
-                for _ in range(d):
-                    cand.append(v % p)
-                    v //= p
-                cand.append(1)
-                if not _fp_mod(m, cand, p):
-                    return False
-        return True
+        return all(
+            any(fp.divmod_coeffs(m, _base_digits(n, fp.p, d + 1))[1])
+            for d in range(1, deg // 2 + 1)
+            for n in range(fp.p**d, 2 * fp.p**d)
+        )
 
     def _build_tables(self):
         """Powers of a primitive element g (found by search: t need not
@@ -164,11 +157,7 @@ class GF:
     # -- encoding --
 
     def digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        return _base_digits(a, self.p, self.k)
 
     def undigits(self, ds) -> int:
         n = 0
@@ -183,26 +172,20 @@ class GF:
     def elements(self) -> range:
         return range(self.q)
 
-    # -- digit arithmetic in F_p[t] modulo the defining polynomial --
+    # -- digit arithmetic in F_p[t] modulo the defining polynomial, on
+    # the prime field's kernels --
 
     def _digit_add(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
-        return self.undigits((x + y) % self.p for x, y in zip(da, db))
+        return self.undigits(self._fp.add_coeffs(self.digits(a), self.digits(b)))
 
     def _digit_neg(self, a: int) -> int:
-        return self.undigits(-x % self.p for x in self.digits(a))
+        return self.undigits(self._fp.neg_coeffs(self.digits(a)))
 
     def _digit_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        prod = _fp_mod(prod, list(self.modulus), self.p)
-        return self.undigits(prod + [0] * (self.k - len(prod)))
+        prod = self._fp.mul_coeffs(self.digits(a), self.digits(b))
+        return self.undigits(self._fp.divmod_coeffs(prod, self.modulus)[1])
 
     # -- arithmetic on encoded elements --
 
@@ -404,16 +387,10 @@ def field_of_order(q: int, modulus=None) -> GF:
         return GF(p, k, modulus)
     # before the scan, which would try up to q candidates
     _field_order(p, k)
-    for n in range(p ** k, 2 * p ** k):
-        digits = []
-        v = n
-        for _ in range(k + 1):
-            digits.append(v % p)
-            v //= p
-        if digits[-1] != 1:
-            continue
+    # every n in [p^k, 2 p^k) has k + 1 base-p digits, the top one 1
+    for n in range(p**k, 2 * p**k):
         try:
-            return GF(p, k, tuple(digits))
+            return GF(p, k, tuple(_base_digits(n, p, k + 1)))
         except ParseError:
             continue
     raise ParseError(f"no modulus found for q={q}")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import BudgetExceeded, ParseError, PrecisionTooCoarse
-from .ffcore import LaurentSeries, Poly, QExp, Rat, poly_lcm, qpow_fraction
+from .ffcore import LaurentSeries, Poly, QExp, Rat, _base_digits, poly_lcm, qpow_fraction
 from .lattice import ConvexBody, _frac_norm, _is_series, _tail_pattern, reduce_lattice
 from .periodic import PeriodicLattice
 
@@ -123,14 +123,8 @@ def _poly_upto(field, deg: int):
     if deg < 0:
         yield Poly.zero(field)
         return
-    q = field.q
-    for n in range(q ** (deg + 1)):
-        coeffs = []
-        v = n
-        for _ in range(deg + 1):
-            coeffs.append(v % q)
-            v //= q
-        yield Poly(field, tuple(coeffs))
+    for n in range(field.q ** (deg + 1)):
+        yield Poly(field, tuple(_base_digits(n, field.q, deg + 1)))
 
 
 def _points_by_definition(S: PeriodicLattice, C: ConvexBody):

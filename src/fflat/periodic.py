@@ -51,7 +51,7 @@ from fractions import Fraction
 from itertools import combinations, groupby, repeat
 
 from .errors import CapExceeded, InsufficientPrecision, NRational, UndefinedValue
-from .exactlinalg import _echelon_fq, _minor_table, _rref_fq
+from .exactlinalg import _echelon_fq, _minor_table
 from .ffcore import (
     GF,
     LaurentSeries,
@@ -667,10 +667,10 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
     C: the first nonzero fundamental-domain point of norm <= 1 in
     counting order, else the first reduced vector.  That point has the
     least significant top digit among the rows left without a pivot:
-    the last one once their digit vectors are in reduced echelon form,
-    most significant digit first.  The search is exhaustive by the
-    ultrametric splitting, so a no_point outcome is a certified
-    counterexample to the measure hypothesis guaranteeing a point.
+    the last row of their digit vectors' echelon form, most significant
+    digit first.  The search is exhaustive by the ultrametric splitting,
+    so a no_point outcome is a certified counterexample to the measure
+    hypothesis guaranteeing a point.
     """
     if C is None:
         C = S.base_body()
@@ -684,8 +684,8 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
     if not measure_exp > threshold_exp:
         return MinkowskiReport("inapplicable", measure_exp, threshold_exp, classes_log)
     if rest:
-        m, _pivots = _rref_fq(S.field, [digits[::-1] for digits in rest])
-        coords = _combination(S, rb, m[-1][::-1])
+        last = _echelon_fq(S.field, [digits[::-1] for digits in rest])[0][-1][1]
+        coords = _combination(S, rb, last[::-1])
         rep = MinkowskiReport("point", measure_exp, threshold_exp, classes_log)
         rep.point = rb.ambient_from_coords(coords)
         try:
@@ -773,32 +773,6 @@ class BoundsReport:
         if self.sandwich_checked:
             ok = ok and self.sandwich_lower_ok and self.sandwich_upper_ok
         return ok
-
-    def as_dict(self):
-        out = {
-            "exps": list(self.exps),
-            "logdet": self.logdet,
-            "logm": self.logm,
-            "period_size": self.period_size,
-            "first_minimum_bound": {
-                "lhs_exp": self.bnd_first_lhs,
-                "rhs_exp": self.bnd_rhs,
-                "ok": self.bnd_first_ok,
-            },
-            "product_bound": {
-                "lhs_exp": self.bnd_prod_lhs,
-                "rhs_exp": self.bnd_rhs,
-                "ok": self.bnd_prod_ok,
-            },
-            "sandwich_checked": self.sandwich_checked,
-        }
-        if self.sandwich_checked:
-            out["sandwich"] = {
-                "dinv_exp": self.dinv_exp,
-                "lower_ok": self.sandwich_lower_ok,
-                "upper_ok": self.sandwich_upper_ok,
-            }
-        return out
 
 
 def check_bounds(S: PeriodicLattice, C: ConvexBody = None) -> BoundsReport:

@@ -1,6 +1,7 @@
 """Base arithmetic: F_q, polynomials, rationals, series, parsing."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,21 +64,23 @@ def _digit_reference(field):
     defining polynomial: the element encoding itself, kept apart from
     GF's tables and kernels."""
     p, k, m = field.p, field.k, field.modulus
-    digits = [[a // p**i % p for i in range(k)] for a in range(field.q)]
+
+    def digits(a):
+        return [a // p**i % p for i in range(k)]
 
     def undigits(ds):
         return sum(d % p * p**i for i, d in enumerate(ds))
 
     def add(a, b):
-        return undigits(x + y for x, y in zip(digits[a], digits[b]))
+        return undigits(x + y for x, y in zip(digits(a), digits(b)))
 
     def neg(a):
-        return undigits(-x for x in digits[a])
+        return undigits(-x for x in digits(a))
 
     def mul(a, b):
         prod = [0] * (2 * k - 1)
-        for i, x in enumerate(digits[a]):
-            for j, y in enumerate(digits[b], i):
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b), i):
                 prod[j] += x * y
         for top in range(2 * k - 2, k - 1, -1):  # m is monic
             c = prod[top] % p
@@ -107,22 +110,57 @@ def test_non_primitive_t_has_order_5():
     assert mul(mul(t2, t2), 2) == 1
 
 
+# past 2^8 the extension fields compute on digit vectors with the prime
+# field's kernels: the packed product at 2^9, 3^6 and 2^16, the
+# schoolbook one at 17^2, whose (p-1)^2 leaves no byte room
+DIGIT_PATH_FIELDS = [_make_field(2**9), _make_field(17**2), _make_field(3**6), _make_field(2**16)]
+
+
 @pytest.mark.parametrize(
     "field",
-    FIELDS + [GF(3, 2, (2, 2, 1)), NON_PRIMITIVE_T, _make_field(2**8), _make_field(3**5)],
+    FIELDS
+    + [GF(3, 2, (2, 2, 1)), NON_PRIMITIVE_T, _make_field(2**8), _make_field(3**5)]
+    + DIGIT_PATH_FIELDS,
     ids=lambda f: f"q{f.q}_{''.join(map(str, f.modulus))}",
 )
 def test_field_arithmetic_equals_digit_reference(field):
+    """Every pair up to 2^8 elements; past that 2000 sampled pairs, 200
+    at 2^16, where the reference inverse dominates the time."""
     add, neg, mul, inv = _digit_reference(field)
-    els = range(field.q)
-    for a in els:
+    q = field.q
+    if q <= 2**8:
+        pairs = list(product(range(q), repeat=2))
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(200 if q == 2**16 else 2000)]
+    for a in sorted({a for a, _b in pairs}):
         assert field.neg(a) == neg(a)
         if a:
             assert field.inv(a) == inv(a)
-        for b in els:
-            assert field.add(a, b) == add(a, b)
-            assert field.sub(a, b) == add(a, neg(b))
-            assert field.mul(a, b) == mul(a, b)
+    for a, b in pairs:
+        assert field.add(a, b) == add(a, b)
+        assert field.sub(a, b) == add(a, neg(b))
+        assert field.mul(a, b) == mul(a, b)
+
+
+def test_default_moduli_are_pinned():
+    """field_of_order's modulus, the first irreducible one in base-p
+    counting order, for the orders the CLI and the battery build."""
+    pinned = {
+        4: (1, 1, 1),
+        8: (1, 1, 0, 1),
+        9: (1, 0, 1),
+        16: (1, 1, 0, 0, 1),
+        25: (2, 0, 1),
+        27: (1, 2, 0, 1),
+        49: (1, 0, 1),
+        289: (3, 0, 1),
+        512: (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+        729: (2, 1, 0, 0, 0, 0, 1),
+        2**16: (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,),
+        3**10: (1, 0, 2) + (0,) * 7 + (1,),
+    }
+    assert {q: _make_field(q).modulus for q in pinned} == pinned
 
 
 def test_field_construction_rejects():

@@ -352,3 +352,39 @@ def test_periodic_shares_no_rank_with_the_oracle():
     assert "_minor_table" in names("fflat.periodic")[0]
     for module in ("fflat.oracle", "fflat.battery"):
         assert not names(module)[0] & {"det", "det_adjugate", "_minor_table"}, module
+
+
+def test_one_fp_polynomial_arithmetic_and_one_fq_elimination():
+    """Over F_q the one elimination is the row-insertion echelon, with no
+    reduced form beside it: the kernel vector and the mink-search point
+    read its basis.  Over F_p the one polynomial arithmetic is GF's
+    coefficient kernels: the extension fields' digit arithmetic and the
+    irreducibility test call them, and every remainder in ffcore is
+    divmod_coeffs'."""
+    def functions(module):
+        tree = ast.parse(Path(import_module(module).__file__).read_text())
+        return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def calls(node):
+        return {n.func.attr if isinstance(n.func, ast.Attribute) else n.func.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.Call) and isinstance(n.func, (ast.Attribute, ast.Name))}
+
+    linalg = functions("fflat.exactlinalg")
+    assert "_echelon_fq" in linalg and "_rref_fq" not in linalg
+    assert "_echelon_fq" in calls(linalg["kernel_vector_fq"])
+    assert "_echelon_fq" in calls(functions("fflat.periodic")["minkowski_search"])
+    ffcore = functions("fflat.ffcore")
+    assert not set(ffcore) & {"_fp_mod", "_fp_trim"}
+    kernels = {
+        "_digit_add": {"add_coeffs"},
+        "_digit_neg": {"neg_coeffs"},
+        "_digit_mul": {"mul_coeffs", "divmod_coeffs"},
+        "_irreducible": {"divmod_coeffs"},
+    }
+    for name, used in kernels.items():
+        assert used <= calls(ffcore[name]), name
+    remainders = {name for name in ffcore if "mod" in name or "rem" in name}
+    assert remainders == {"divmod_coeffs", "__divmod__", "__mod__"}
+    assert "divmod_coeffs" in calls(ffcore["__divmod__"])
+    assert "divmod" in calls(ffcore["__mod__"])

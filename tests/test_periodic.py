@@ -42,11 +42,11 @@ from fflat.ffcore import Poly, Rat, expand_rational
 from fflat.oracle import (
     _points_by_definition, count_oracle, density_oracle, rank_rational, succmin_oracle,
 )
-from fflat.exactlinalg import _echelon_fq, _minor_table, _rref_fq
+from fflat.exactlinalg import _echelon_fq, _minor_table
 from fflat.lattice import _common_den, _lift, _tail_pattern
 from fflat import periodic
 from fflat.periodic import PeriodicLattice, _first_spanned, _independent
-from test_exactlinalg import det
+from test_exactlinalg import _rref_by_columns, det
 
 F2 = GF(2)
 F3 = GF(3)
@@ -426,7 +426,7 @@ def _transposed_first_spanned(field, vecs, reach: int):
             for v in vecs[:hi + 1]
         ]
         rows = _pattern_rows(tails, reach_hi, depths)
-        pivots = _rref_fq(field, list(zip(*rows)))[1]
+        pivots = _rref_by_columns(field, list(zip(*rows)))[1]
         spanned = [m for m in run if m not in pivots]
         if spanned:
             return spanned[0]
@@ -523,9 +523,8 @@ def test_check_bounds_random_f3():
     rep = check_bounds(S3)
     assert rep.passed
     assert rep.period_size == 1
-    d = rep.as_dict()
-    assert d["first_minimum_bound"]["ok"] and d["product_bound"]["ok"]
-    assert d["sandwich_checked"] and d["sandwich"]["lower_ok"]
+    assert rep.bnd_first_ok and rep.bnd_prod_ok
+    assert rep.sandwich_checked and rep.sandwich_lower_ok
 
 
 def test_sandwich_gate_engages_for_deep_denominators():
