@@ -60,20 +60,17 @@ _INSTANCE_KEYS = {
 
 
 class Instance:
-    __slots__ = ("field", "lattice", "body", "periodic", "kind", "N")
+    # kind is "alpha", "reps" or "plain": empty reps build a plain
+    # lattice, yet covrad --bounds still refuses them
+    __slots__ = ("periodic", "body", "kind")
 
-    def __init__(self, field, lattice, body, periodic, kind, N):
-        self.field = field
-        self.lattice = lattice
-        self.body = body
+    def __init__(self, periodic, body, kind):
         self.periodic = periodic
+        self.body = body
         self.kind = kind
-        self.N = N
 
     def body_or_unit(self) -> ConvexBody:
-        if self.body is not None:
-            return self.body
-        return ConvexBody.identity(self.field, self.lattice.d)
+        return self.periodic.base_body() if self.body is None else self.body
 
 
 def _parse_entry(field, obj, where: str):
@@ -171,7 +168,7 @@ def load_instance(path: str) -> Instance:
         if precision is not None:
             alpha = [_apply_precision(field, a, precision) for a in alpha]
         periodic = make_alpha_lattice(lattice, alpha, N, frame=frame)
-        return Instance(field, lattice, body, periodic, "alpha", N)
+        return Instance(periodic, body, "alpha")
     if raw.get("frame") is not None:
         raise ParseError("frame: only valid with alpha")
     if raw.get("N") is not None:
@@ -195,8 +192,8 @@ def load_instance(path: str) -> Instance:
             periodic = make_coset_lattice(lattice, reps)
         except ValueError as e:
             raise ParseError(f"reps: {e}") from None
-        return Instance(field, lattice, body, periodic, "reps", None)
-    return Instance(field, lattice, body, from_lattice(lattice), "plain", None)
+        return Instance(periodic, body, "reps")
+    return Instance(from_lattice(lattice), body, "plain")
 
 
 # --- output helpers ---------------------------------------------------------
@@ -242,7 +239,7 @@ def _vector_strings(vec) -> list:
 
 
 def _cmd_reduce(inst: Instance, args) -> int:
-    rb = reduce_lattice(inst.lattice, inst.body_or_unit())
+    rb = reduce_lattice(inst.periodic.lattice, inst.body_or_unit())
     mat = [[format_rat(r) for r in row] for row in rb.ambient_basis()]
     lines = ["minima: " + " ".join(f"q^{e}" for e in rb.exps), "basis:"]
     for row in mat:
@@ -274,12 +271,12 @@ def _cmd_covrad(inst: Instance, args) -> int:
             code = 2
     if args.bounds:
         if inst.kind == "alpha":
-            N = inst.N
+            N = S.N
         elif inst.kind == "plain":
             N = 0
         else:
             raise ParseError("--bounds requires an alpha or plain instance")
-        lo, hi = covrad_bounds(inst.lattice, N, C)
+        lo, hi = covrad_bounds(S.lattice, N, C)
         lines.append(f"bounds: {lo} <= {val.exp} <= {hi.exp}")
         obj["bounds"] = {"lower": str(lo), "upper": hi.exp}
         if not (lo <= Fraction(val.exp) and val <= hi):

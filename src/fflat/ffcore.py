@@ -704,6 +704,9 @@ class Rat:
         """Itself, as an exact series' to_rat is a Rat."""
         return self
 
+    def eff_floor(self):
+        return None  # every coefficient is known, as in an exact series
+
     def scale(self, c: int) -> "Rat":
         """Multiply by the constant c of F_q."""
         return Rat(self.num.scale(c), self.den, _canonical=True)

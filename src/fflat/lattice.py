@@ -10,7 +10,8 @@ Columns are basis vectors throughout.
 A coordinate vector is all Rat, or all LaurentSeries when one input is
 a truncated series (_lift).  Changes of frame (ReducedBasis methods)
 and the weighted max norm (_frac_norm, also behind norm_in_body) each
-have one implementation for both.
+have one implementation for both, which asks each coordinate what it
+knows (eff_floor, val); _mat_vec puts a Rat vector over one denominator.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _as_series(vals, margin: int):
     truncated floor (or below x^0), D the largest denominator degree
     among the rationals, so that the expansion is not what limits the
     precision of what is computed from it."""
-    floors = [v.floor for v in vals if isinstance(v, LaurentSeries) and not v.exact]
+    floors = [f for v in vals if (f := v.eff_floor()) is not None]
     dens = [v.den.degree for v in vals if isinstance(v, Rat)]
     deep = (min(floors) if floors else 0) - margin - max(dens, default=0)
     return [
@@ -187,7 +188,11 @@ def _common_den(field: GF, ys) -> Poly:
 
 def _mat_vec(M, vec):
     """M @ vec for a polynomial matrix M and a vector of Poly, of Rat or
-    of LaurentSeries."""
+    of LaurentSeries; a Rat vector as one numerator per entry over the
+    lcm of its denominators, so each output is reduced once."""
+    if isinstance(vec[0], Rat):
+        lcm = _common_den(vec[0].field, vec)
+        return [Rat(acc, lcm) for acc in _mat_vec(M, [y.num * (lcm // y.den) for y in vec])]
     out = []
     for row in M:
         acc = None
@@ -203,18 +208,16 @@ def _frac_norm(exps, coords) -> QExp:
     names a floor for coords: with a known nonzero coefficient of weight
     best, knowing every coefficient of weight > best decides the norm;
     without one, the floor only lowers every coordinate's bound."""
-    if not _is_series(coords):
-        norms = [y.val().exp + e for e, y in zip(exps, coords) if not y.is_zero]
-        return QExp(max(norms)) if norms else QEXP_ZERO
     best = None
     pending = []
     for e_i, y in zip(exps, coords):
-        if y.coeffs:
-            c = y.top + e_i
-            if best is None or c > best:
-                best = c
-        elif not y.exact:
-            pending.append((y.floor - 1) + e_i)
+        try:
+            v = y.val()
+        except InsufficientPrecision as exc:
+            pending.append(exc.needed_floor + e_i)
+            continue
+        if not v.is_zero and (best is None or v.exp + e_i > best):
+            best = v.exp + e_i
     if best is not None and all(best >= b for b in pending):
         return QExp(best)
     if not pending:
@@ -232,8 +235,8 @@ def _known_tail(y, depth: int):
     those above its floor, and the ones below read as 0; an exact
     coordinate knows all of them (None).  The known ones are one slice
     of the series' coefficients, x^top first."""
-    if isinstance(y, LaurentSeries) and not y.exact:
-        known = max(-y.floor, 0)
+    if (floor := y.eff_floor()) is not None:
+        known = max(-floor, 0)
         read = min(known, depth)
     else:
         if not isinstance(y, LaurentSeries):
@@ -262,23 +265,22 @@ def _tail_pattern(y, depth: int):
 class ReducedBasis:
     """Reduction of a lattice with respect to a body.
 
-    exps[i] = log_q lambda_i.  Columns of x^(-ashift) VP are the reduced
-    vectors in ambient coordinates.  RP = adj(H) @ VP tracks norms: for
+    exps[i] = log_q lambda_i.  Columns of x^(-lattice.shift) VP are the
+    reduced vectors in ambient coordinates.  RP = adj(H) @ VP tracks norms: for
     polynomial coefficients c, || sum c_i v^(i) ||_C = q^(max column
     degree of RP@c + norm_shift), and that equals max |c_i| q^(e_i).
     """
 
     __slots__ = (
-        "lattice", "body", "exps", "VP", "RP", "ashift", "norm_shift", "_vp_inv",
+        "lattice", "body", "exps", "VP", "RP", "norm_shift", "_vp_inv",
     )
 
-    def __init__(self, lattice, body, exps, VP, RP, ashift, norm_shift):
+    def __init__(self, lattice, body, exps, VP, RP, norm_shift):
         self.lattice = lattice
         self.body = body
         self.exps = exps
         self.VP = VP
         self.RP = RP
-        self.ashift = ashift
         self.norm_shift = norm_shift
         self._vp_inv = None
 
@@ -293,48 +295,35 @@ class ReducedBasis:
 
     def coords_from_ambient(self, vec):
         """Coordinates y with sum y_i v^(i) = vec, in vec's backend:
-        y = x^ashift adj(VP) vec / det(VP).  A series row that stays
+        y = x^shift adj(VP) vec / det(VP).  A series row that stays
         exact is divided as a Rat (LaurentSeries.mul_rat), so series
         input comes back lifted as _lift lifts it."""
         if self._vp_inv is None:
             det, adj = det_adjugate(self.VP)
             self._vp_inv = adj, Rat(Poly.one(det.field), det)
         adj, inv_det = self._vp_inv
-        out = [y.mul_xpow(self.ashift).mul_rat(inv_det) for y in _mat_vec(adj, vec)]
+        out = [y.mul_xpow(self.lattice.shift).mul_rat(inv_det) for y in _mat_vec(adj, vec)]
         return _as_series(out, 4 * self.d + 8) if _is_series(vec) else out
 
     def ambient_from_coords(self, coords):
         """sum coords[i] v^(i): series for series coords, else Rat (coords
-        Poly or Rat).
-
-        Each Rat ambient coordinate is one numerator over lcm(coordinate
-        denominators) * x^ashift, reduced once.
+        Poly or Rat).  Each Rat ambient coordinate is one numerator over
+        the lcm of the coordinate denominators (_mat_vec), times x^-shift.
         """
-        if _is_series(coords):
-            return [y.mul_xpow(-self.ashift) for y in _mat_vec(self.VP, coords)]
-        field = self.lattice.field
-        coords = [c.to_rat() for c in coords]
-        lcm = _common_den(field, coords)
-        nums = [c.num * (lcm // c.den) for c in coords]
-        den = lcm.shift(self.ashift)
-        out = []
-        for i in range(self.d):
-            acc = Poly.zero(field)
-            for j in range(self.d):
-                acc = acc + nums[j] * self.VP[i][j]
-            out.append(Rat(acc, den))
-        return out
+        if not _is_series(coords):
+            coords = [c.to_rat() for c in coords]
+        return [y.mul_xpow(-self.lattice.shift) for y in _mat_vec(self.VP, coords)]
 
     def ambient_basis(self):
-        """The reduced vectors x^(-ashift) VP as a matrix of Rat, columns
+        """The reduced vectors x^(-shift) VP as a matrix of Rat, columns
         the vectors."""
-        return [[Rat.from_poly(p).mul_xpow(-self.ashift) for p in row] for row in self.VP]
+        return [[Rat.from_poly(p).mul_xpow(-self.lattice.shift) for p in row] for row in self.VP]
 
     def from_canonical(self, coords):
         """Fractional coordinates in the canonical frame, the reduced
         basis for the unit body, as fractional coordinates in this one."""
         rb0 = reduce_lattice(self.lattice, ConvexBody.identity(self.lattice.field, self.d))
-        if self.ashift == rb0.ashift and self.VP == rb0.VP:
+        if self.VP == rb0.VP:
             # the same basis vectors (a ball only shifts their norms)
             return list(coords)
         ambient = rb0.ambient_from_coords(coords)
@@ -345,7 +334,7 @@ def norm_in_body(v, C: ConvexBody) -> QExp:
     """||v||_C = |adj(H) v| q^(shift - deg det H) for a vector of Rat,
     Poly, element strings, or exact or truncated series."""
     vals = [element(C.field, e) for e in v]
-    if any(isinstance(e, LaurentSeries) and not e.exact for e in vals):
+    if any(e.eff_floor() is not None for e in vals):
         # expanded rationals must never be the precision bottleneck
         vals = _as_series(vals, max(p.degree for row in C.adj for p in row) + 1)
     else:
@@ -366,7 +355,7 @@ def reduce_lattice(lat: Lattice, C: ConvexBody) -> ReducedBasis:
     norm_shift = C.shift - lat.shift - C.det_H.degree
     exps = [dg + norm_shift for dg in degs]
     VP = mat_mul_poly(lat.G, U)
-    rb = ReducedBasis(lat, C, exps, VP, RP, lat.shift, norm_shift)
+    rb = ReducedBasis(lat, C, exps, VP, RP, norm_shift)
     lat._reductions[key] = rb
     return rb
 

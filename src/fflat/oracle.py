@@ -113,9 +113,9 @@ def _exact_coords(coords):
     """A rep's coordinates as Rat; a rep with a truncated coordinate
     stays in series (every coordinate of an instance shares one
     backend)."""
-    if any(isinstance(y, LaurentSeries) and not y.exact for y in coords):
+    if any(y.eff_floor() is not None for y in coords):
         return coords
-    return [y.to_rat() if isinstance(y, LaurentSeries) else y for y in coords]
+    return [y.to_rat() for y in coords]
 
 
 def _poly_upto(field, deg: int):
@@ -254,7 +254,7 @@ def succmin_oracle(S: PeriodicLattice, C: ConvexBody = None,
         return list(hit)
     rb = reduce_lattice(S.lattice, C)
     pts = _points_by_definition(S, C)
-    if any(isinstance(y, LaurentSeries) and not y.exact for coords, _n in pts for y in coords):
+    if any(y.eff_floor() is not None for coords, _n in pts for y in coords):
         raise PrecisionTooCoarse(
             "the successive-minima oracle needs exact coordinates (its rank "
             "test is over F_q(x)); this instance has truncated series coordinates"

@@ -233,7 +233,7 @@ def make_coset_lattice(lat: Lattice, reps) -> PeriodicLattice:
 
 
 def _truncated_floors(vecs):
-    return [y.floor for v in vecs for y in v if isinstance(y, LaurentSeries) and not y.exact]
+    return [f for v in vecs for y in v if (f := y.eff_floor()) is not None]
 
 
 def _first_spanned(field: GF, vecs, reach: int):
@@ -286,8 +286,8 @@ def _pattern_depths(field: GF, vecs, clip=None):
             depths.append(0)
             continue
         ys = [v[i] for v in vecs]
-        cuts = [max(-y.floor, 0) for y in ys if isinstance(y, LaurentSeries) and not y.exact]
-        exact = [y for y in ys if not isinstance(y, LaurentSeries) or y.exact]
+        cuts = [max(-f, 0) for y in ys if (f := y.eff_floor()) is not None]
+        exact = [y for y in ys if y.eff_floor() is None]
         dep = max(_common_den(field, exact).degree, max(cuts, default=-1) + 1)
         depths.append(dep if clip is None else min(dep, clip[i]))
     return depths
@@ -727,8 +727,7 @@ def d_invariant(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
         )
     phi = _coords(S, reduce_lattice(S.lattice, C))[0]
     # A[j][m] = frac(x^m * phi_j)
-    A = [[y.mul_poly(Poly.monomial(S.field, 1, m)).frac_part() for m in range(S.N + 1)]
-         for y in phi]
+    A = [[y.mul_xpow(m).frac_part() for m in range(S.N + 1)] for y in phi]
     weights, undecided = [], False
     for k in range(1, min(S.d, S.N + 1) + 1):
         for J in combinations(range(S.d), k):

@@ -477,6 +477,18 @@ def test_reps_instance(capsys, tmp_path):
     assert code == 0 and out == "q^-1 q^-1\n"
 
 
+def test_empty_reps_answer_as_plain_but_refuse_bounds(capsys, tmp_path):
+    """Empty reps build the plain lattice, and the instance stays a reps
+    instance: covrad answers as on the plain one, --bounds refuses."""
+    base = {"q": 2, "d": 2, "basis": [["1", "0"], ["0", "1"]]}
+    reps = write_instance(tmp_path, "reps.json", dict(base, reps=[]))
+    plain = write_instance(tmp_path, "plain.json", base)
+    assert run(capsys, "covrad", reps) == run(capsys, "covrad", plain)
+    assert run(capsys, "covrad", "--bounds", reps) == (
+        4, "", "error: --bounds requires an alpha or plain instance\n")
+    assert run(capsys, "covrad", "--bounds", plain)[0] == 0
+
+
 def test_extension_field_default_modulus(capsys, tmp_path):
     p = write_instance(tmp_path, "q4.json", {
         "q": 4, "d": 2, "basis": [["x", "1"], ["0", "x"]],

@@ -23,7 +23,8 @@ from fflat import (
     reduce_lattice,
 )
 from fflat.battery import random_body, random_lattice
-from fflat.lattice import _lift
+from fflat.exactlinalg import det_adjugate
+from fflat.lattice import _frac_norm, _lift
 
 F2 = GF(2)
 F3 = GF(3)
@@ -72,7 +73,7 @@ def test_identity_body_reduces_w_as_before():
               ConvexBody.identity(F2, 2)):
         rb = reduce_lattice(Lattice.standard(F2, 2), C)
         assert rb.exps == [0, 0]
-        assert rb.ashift == 0
+        assert rb.lattice.shift == 0
         assert rb.VP == [[Poly.one(F2), Poly.zero(F2)], [Poly.zero(F2), Poly.one(F2)]]
 
 
@@ -226,19 +227,34 @@ def test_coords_round_trip(field, d, seed, depth):
 
 
 def test_ambient_from_coords_is_the_sum_of_its_terms():
-    # reference: sum_j c_j * x^-ashift VP[i][j], term by term in Rat
+    # reference: sum_j c_j * x^-shift VP[i][j], term by term in Rat
     # arithmetic; coordinates are Poly or Rat, the denominators of degree
-    # 1 and 2 often shared or with common factors
+    # 1 and 2 often shared or with common factors, and one vector all
+    # zero.  The way back, x^shift adj(VP) v / det(VP), and the norm,
+    # adj(H) v read against deg det(H), are summed term by term too.
     rng = random.Random(11)
+
+    def term_sum(M, vec, scale):
+        out = []
+        for row in M:
+            acc = Rat.from_poly(Poly.zero(scale.field))
+            for p, y in zip(row, vec):
+                acc = acc + Rat.from_poly(p) * y
+            out.append(acc * scale)
+        return out
+
     for field in (F2, F3, GF(2, 2, (1, 1, 1))):
         for d in (2, 3):
             lat = random_lattice(rng, field, d)
             rb = reduce_lattice(lat, random_body(rng, field, d))
-            xs = Poly.monomial(field, 1, rb.ashift)
+            C = rb.body
+            xs = Poly.monomial(field, 1, rb.lattice.shift)
+            det_vp, adj_vp = det_adjugate(rb.VP)
 
             def rand_poly(lo, hi):
                 return Poly(field, [rng.randrange(field.q) for _ in range(rng.randint(lo, hi))])
 
+            cases = [[Poly.zero(field)] * d]
             for _ in range(20):
                 cs = []
                 for _ in range(d):
@@ -246,11 +262,79 @@ def test_ambient_from_coords_is_the_sum_of_its_terms():
                     e = rng.randint(1, 2)
                     den = Poly.monomial(field, 1, e) + rand_poly(0, e)
                     cs.append(num if rng.random() < 0.3 else Rat(num, den))
-                want = []
-                for i in range(d):
-                    acc = Rat.from_poly(Poly.zero(field))
-                    for j, c in enumerate(cs):
-                        c = Rat.from_poly(c) if isinstance(c, Poly) else c
-                        acc = acc + c * Rat(rb.VP[i][j], xs)
-                    want.append(acc)
+                cases.append(cs)
+            for cs in cases:
+                rats = [c.to_rat() for c in cs]
+                want = term_sum(rb.VP, rats, Rat(Poly.one(field), xs))
                 assert rb.ambient_from_coords(cs) == want
+                back = term_sum(adj_vp, want, Rat(xs, det_vp))
+                assert rb.coords_from_ambient(want) == back == rats
+                h_v = term_sum(C.adj, want, Rat.from_poly(Poly.one(field)))
+                top = max(y.val() for y in h_v)
+                norm = top if top.is_zero else QExp(top.exp - C.det_H.degree + C.shift)
+                assert norm_in_body(want, C) == norm
+
+
+def _frac_norm_two_branches(exps, coords):
+    """(norm, None), or (None, needed_floor) for a refusal: the weighted
+    max norm with one branch per backend, a Rat one and a series one."""
+    if not isinstance(coords[0], LaurentSeries):
+        norms = [y.val().exp + e for e, y in zip(exps, coords) if not y.is_zero]
+        return (QExp(max(norms)) if norms else QExp(None)), None
+    best = None
+    pending = []
+    for e_i, y in zip(exps, coords):
+        if y.coeffs:
+            c = y.top + e_i
+            if best is None or c > best:
+                best = c
+        elif not y.exact:
+            pending.append((y.floor - 1) + e_i)
+    if best is not None and all(best >= b for b in pending):
+        return QExp(best), None
+    if not pending:
+        return QExp(None), None
+    need = best + 1 if best is not None else min(pending) - 1
+    return None, need - max(exps)
+
+
+@st.composite
+def _norm_case(draw):
+    """(exps, coords): a Rat vector, or a series vector whose entries
+    are exact (the zero too), truncated with a known nonzero leading
+    coefficient, or truncated with no coefficient known."""
+    field = draw(st.sampled_from([F2, F3]))
+    d = draw(st.integers(2, 4))
+    exps = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    digit = st.integers(0, field.q - 1)
+    coords = []
+    if draw(st.booleans()):
+        for _ in range(d):
+            num = Poly(field, draw(st.lists(digit, max_size=4)))
+            den = Poly(field, draw(st.lists(digit, max_size=3)) + [1])
+            coords.append(Rat(num, den))
+        return exps, coords
+    for _ in range(d):
+        kind = draw(st.sampled_from(["exact", "known", "unknown"]))
+        floor = draw(st.integers(-8, 2))
+        cs = draw(st.lists(digit, max_size=4))
+        if kind == "known":
+            cs = [draw(st.integers(1, field.q - 1))] + cs
+        elif kind == "unknown":
+            cs = []
+        coords.append(LaurentSeries(field, cs, floor, exact=kind == "exact"))
+    return exps, coords
+
+
+@given(_norm_case())
+def test_frac_norm_is_the_two_branch_formula(case):
+    """The one loop over val() answers as the Rat branch and the series
+    branch did, and a refusal names the same floor."""
+    exps, coords = case
+    norm, need = _frac_norm_two_branches(exps, coords)
+    if need is None:
+        assert _frac_norm(exps, coords) == norm
+    else:
+        with pytest.raises(InsufficientPrecision) as exc:
+            _frac_norm(exps, coords)
+        assert exc.value.needed_floor == need

@@ -388,3 +388,35 @@ def test_one_fp_polynomial_arithmetic_and_one_fq_elimination():
     assert remainders == {"divmod_coeffs", "__divmod__", "__mod__"}
     assert "divmod_coeffs" in calls(ffcore["__divmod__"])
     assert "divmod" in calls(ffcore["__mod__"])
+
+
+def test_each_coordinate_answers_for_itself():
+    """What a coordinate knows is its own answer (eff_floor, val), not a
+    test of its type: lattice, periodic and the oracle read no .exact,
+    the norm is one loop over val(), the way back to ambient
+    coordinates is _mat_vec's one exact product, and a Rat knows its
+    floor as an exact series does."""
+    def tree(module):
+        return ast.parse(Path(import_module(module).__file__).read_text())
+
+    def calls(node):
+        return {n.func.attr if isinstance(n.func, ast.Attribute) else n.func.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.Call) and isinstance(n.func, (ast.Attribute, ast.Name))}
+
+    def loops(node):
+        return sum(isinstance(n, (ast.For, ast.While)) for n in ast.walk(node))
+
+    for module in ("fflat.lattice", "fflat.periodic", "fflat.oracle"):
+        reads = [n.lineno for n in ast.walk(tree(module))
+                 if isinstance(n, ast.Attribute) and n.attr == "exact"]
+        assert not reads, (module, reads)
+    lattice = {node.name: node for node in ast.walk(tree("fflat.lattice"))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_is_series" not in calls(lattice["_frac_norm"])
+    assert loops(lattice["_frac_norm"]) == 1
+    assert "_mat_vec" in calls(lattice["ambient_from_coords"])
+    assert loops(lattice["ambient_from_coords"]) == 0
+    rat = next(node for node in ast.walk(tree("fflat.ffcore"))
+               if isinstance(node, ast.ClassDef) and node.name == "Rat")
+    assert "eff_floor" in {n.name for n in rat.body if isinstance(n, ast.FunctionDef)}
