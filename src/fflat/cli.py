@@ -40,6 +40,7 @@ from .ffcore import (
 from .lattice import ConvexBody, Lattice, reduce_lattice
 from .oracle import covrad_oracle
 from .periodic import (
+    _minima,
     count_points,
     covrad_bounds,
     covrad_periodic,
@@ -50,7 +51,6 @@ from .periodic import (
     minkowski_search,
     packing_density,
     packing_radius,
-    succ_minima_periodic,
 )
 
 _INSTANCE_KEYS = {
@@ -249,7 +249,7 @@ def _cmd_reduce(inst: Instance, args) -> int:
 
 
 def _cmd_minima(inst: Instance, args) -> int:
-    exps, _w = succ_minima_periodic(inst.periodic, inst.body_or_unit())
+    exps, _picks = _minima(inst.periodic, inst.body_or_unit())
     _emit(args, [" ".join(f"q^{e}" for e in exps)], {"exps": exps})
     return 0
 

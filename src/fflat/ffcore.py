@@ -574,6 +574,10 @@ class Poly:
         """self * p, under the name Rat and LaurentSeries share."""
         return self * p
 
+    def val(self) -> QExp:
+        """Absolute value exponent, under the name Rat and LaurentSeries share."""
+        return QEXP_ZERO if self.is_zero else QExp(self.degree)
+
     def __divmod__(self, other: "Poly"):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -737,8 +741,6 @@ class Rat:
 
 def abs_value(f) -> QExp:
     """|f| as a QExp for a Poly or Rat."""
-    if isinstance(f, Poly):
-        return QEXP_ZERO if f.is_zero else QExp(f.degree)
     return f.val()
 
 

@@ -13,9 +13,11 @@ The coordinates of one periodic lattice share one arithmetic backend,
 chosen at construction (_lift): Rat when no input coordinate is a
 series, LaurentSeries for all of them when one is.  Frame changes,
 norms and tails of both backends live in lattice.py, and the minor
-table (exactlinalg._minor_table) takes either, so neither the minima's
-independence test, which grows one table of the picked points by a
-level per candidate, nor d_invariant branches on the backend.
+table (exactlinalg._minor_table) takes either, so d_invariant does not
+branch on the backend.  The minima's independence test grows one table
+of the picked points by a level per candidate; an exact point enters
+it with each column scaled to a polynomial (see _minima), so the table
+takes no gcd, and a series point as it is.
 
 The fundamental-domain points form the F_q-span of the n = period_size
 independent generators.  Their tail coefficients are F_q-linear in the
@@ -456,8 +458,11 @@ def _independent(minors, taken):
     cannot tell, the InsufficientPrecision to raise if it stays
     undecided.  By Laplace expansion along the unit columns they are iff
     some minor on coordinates outside taken is nonzero; so a unit vector
-    never enters the arithmetic.  An undecided minor names the floor its
-    leading term needs, and the highest of those is kept."""
+    never enters the arithmetic, nor does a witness, which only
+    succ_minima_periodic builds.  A minor is a Poly (exact points, column
+    scaled) or a series, and val() reads either.  An undecided minor
+    names the floor its leading term needs, and the highest of those is
+    kept."""
     if not minors:
         return True
     floors = []
@@ -476,7 +481,19 @@ def _independent(minors, taken):
 
 
 def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
-    """Successive minima exponents of S for C, with witness vectors.
+    """Successive minima exponents of S for C, with witness vectors: the
+    picks of _minima in the ambient frame.  Only here are witnesses
+    built; the closed forms that read just the exponents call _minima."""
+    if C is None:
+        C = S.base_body()
+    exps, picks = _minima(S, C)
+    rb = reduce_lattice(S.lattice, C)
+    return exps, [rb.ambient_from_coords(coords) for coords in picks]
+
+
+def _minima(S: PeriodicLattice, C: ConvexBody = None):
+    """Successive minima exponents of S for C, and the coordinates of
+    the picked candidates in the rb frame.
 
     By the ultrametric splitting of f + w into its fractional and
     lattice parts, the points of norm <= q^s span the same K_inf-space
@@ -488,6 +505,13 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
     truncated minor cannot decide is retried once the rest of its norm
     level is picked, and only one still undecided then, with fewer than
     d picked, raises.
+
+    An exact point enters the minor table with column i scaled by L_i,
+    the lcm of coordinate i's denominators over the generators, which
+    the denominator of every point's coordinate i divides: its entries
+    are polynomials, and each minor is the unscaled one times the L_i of
+    its columns, zero exactly when that is.  Series rows enter as they
+    are.
     """
     if C is None:
         C = S.base_body()
@@ -496,6 +520,8 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
     pivots, _rest, cut = _weight_echelon(S, rb)
     if cut:
         raise cut[1]
+    vecs = _coords(S, rb)
+    lcms = None if vecs and _is_series(vecs[0]) else [_common_den(field, ys) for ys in zip(*vecs)]
     cands = [(w, 0, idx, digits) for idx, (w, digits) in enumerate(pivots)]
     cands += [(e, 1, i, None) for i, e in enumerate(rb.exps)]
     cands.sort(key=lambda t: t[:3])
@@ -503,7 +529,7 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
     # the picked points' minor table, one row per point, the newest on top
     table = [{}]
     taken = set()
-    witnesses = []
+    picks = []
     for norm, level in groupby(cands, key=lambda t: t[0]):
         if len(exps) == S.d:
             break
@@ -519,14 +545,16 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
                 if len(exps) == S.d:
                     break
                 if unit is None:
-                    trial = _minor_table([coords], table), taken
+                    row = coords if lcms is None else [
+                        y.num * (L // y.den) for y, L in zip(coords, lcms)]
+                    trial = _minor_table([row], table), taken
                 else:
                     trial = table, taken | {unit}
                 verdict = _independent(trial[0][-1], trial[1])
                 if verdict is True:
                     table, taken = trial
                     exps.append(norm)
-                    witnesses.append(rb.ambient_from_coords(coords))
+                    picks.append(coords)
                 elif verdict is not False:
                     undecided.append((unit, coords))
             if len(undecided) == len(pending) and len(exps) < S.d:
@@ -534,12 +562,12 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
             pending = undecided
     if len(exps) != S.d:
         raise UndefinedValue("could not find d independent points")
-    return exps, witnesses
+    return exps, picks
 
 
 def packing_radius(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
     """Largest r with disjoint rC-translates around S: q^(e_1 - 1)."""
-    exps, _w = succ_minima_periodic(S, C)
+    exps, _picks = _minima(S, C)
     return QExp(exps[0] - 1)
 
 
@@ -547,7 +575,7 @@ def packing_density(S: PeriodicLattice, C: ConvexBody = None) -> Fraction:
     """Density of the packing by packing-radius copies of C."""
     if C is None:
         C = S.base_body()
-    exps, _w = succ_minima_periodic(S, C)
+    exps, _picks = _minima(S, C)
     e1 = exps[0]
     exp = S.period_size + S.d * e1 + C.log_volume.exp - S.lattice.log_det
     return qpow_fraction(S.field.q, exp)
@@ -780,7 +808,7 @@ def check_bounds(S: PeriodicLattice, C: ConvexBody = None) -> BoundsReport:
     frame of C) also the two-sided product sandwich."""
     if C is None:
         C = S.base_body()
-    exps, _w = succ_minima_periodic(S, C)
+    exps, _picks = _minima(S, C)
     logdet = S.lattice.log_det
     logm = C.log_volume.exp
     rhs = logdet - logm - S.period_size

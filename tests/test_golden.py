@@ -2,11 +2,11 @@
 compared byte for byte (exit code, stdout, stderr) with recorded runs.
 
 The instances under data/golden cover a plain lattice with a body,
-exact alpha, an ambient frame with a body, a precision floor, a
-truncated literal beside a rational, exact and truncated coset
-representatives, a mixed exact-series/rational alpha, q = 4 with a
-modulus, q = 3, an N-rational alpha (exit 1) and a construction refusal
-(exit 3).  Regenerate expected.json, after checking that a change of
+exact alpha, exact alpha at d = 4 whose minima pick four points, an
+ambient frame with a body, a precision floor, a truncated literal
+beside a rational, exact and truncated coset representatives, a mixed
+exact-series/rational alpha, q = 4 with a modulus, q = 3, an
+N-rational alpha (exit 1) and a construction refusal (exit 3).  Regenerate expected.json, after checking that a change of
 output is intended, with
 
     PYTHONPATH=src python tests/test_golden.py

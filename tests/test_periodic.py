@@ -9,9 +9,10 @@ import signal
 from fractions import Fraction
 from itertools import combinations, groupby, product
 from math import comb
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fflat import (
     GF,
@@ -36,6 +37,7 @@ from fflat import (
     reduce_lattice,
     succ_minima_periodic,
 )
+from fflat import cli
 from fflat.battery import random_body
 from fflat.errors import BudgetExceeded, CapExceeded, UndefinedValue
 from fflat.ffcore import Poly, Rat, expand_rational
@@ -43,7 +45,7 @@ from fflat.oracle import (
     _points_by_definition, count_oracle, density_oracle, rank_rational, succmin_oracle,
 )
 from fflat.exactlinalg import _echelon_fq, _minor_table
-from fflat.lattice import _common_den, _lift, _tail_pattern
+from fflat.lattice import ReducedBasis, _common_den, _lift, _tail_pattern
 from fflat import periodic
 from fflat.periodic import PeriodicLattice, _first_spanned, _independent
 from test_exactlinalg import _rref_by_columns, det
@@ -727,6 +729,126 @@ def test_minima_grow_one_minor_table(monkeypatch):
         # the kept table, or the one its last pick returned
         assert below is prev or (
             any(below is t for t in grown) and len(below) == len(prev) + 1)
+
+
+def _minima_with_rat_minors(S, C):
+    """The minima's greedy pick with the points' own Rat (or series)
+    coordinates in the minor table and one ambient witness per pick: the
+    reference for the column-scaled table and the witnesses on demand."""
+    rb = reduce_lattice(S.lattice, C)
+    pivots, _rest, cut = periodic._weight_echelon(S, rb)
+    if cut:
+        raise cut[1]
+    cands = [(w, 0, idx, digits) for idx, (w, digits) in enumerate(pivots)]
+    cands += [(e, 1, i, None) for i, e in enumerate(rb.exps)]
+    cands.sort(key=lambda t: t[:3])
+    exps, table, taken, witnesses = [], [{}], set(), []
+    for norm, level in groupby(cands, key=lambda t: t[0]):
+        if len(exps) == S.d:
+            break
+        pending = [
+            (i, periodic._unit_coords(S.field, S.d, i)) if digits is None
+            else (None, periodic._combination(S, rb, digits))
+            for _w, _kind, i, digits in level
+        ]
+        while pending and len(exps) < S.d:
+            undecided = []
+            for unit, coords in pending:
+                if len(exps) == S.d:
+                    break
+                if unit is None:
+                    trial = _minor_table([coords], table), taken
+                else:
+                    trial = table, taken | {unit}
+                verdict = _independent(trial[0][-1], trial[1])
+                if verdict is True:
+                    table, taken = trial
+                    exps.append(norm)
+                    witnesses.append(rb.ambient_from_coords(coords))
+                elif verdict is not False:
+                    undecided.append((unit, coords))
+            if len(undecided) == len(pending) and len(exps) < S.d:
+                raise verdict
+            pending = undecided
+    if len(exps) != S.d:
+        raise UndefinedValue("could not find d independent points")
+    return exps, witnesses
+
+
+@st.composite
+def _minima_instances(draw):
+    """(periodic lattice, body): q in {2, 3}, d in {2, 3, 4}, exact alpha
+    (N-rational admitted) or coset representatives with denominators of
+    degree 1..3, or their twins truncated at a floor between x^-6 and
+    x^-1, shallow enough that some minima refuse; the unit body or a
+    ball."""
+    F = draw(st.sampled_from([F2, F3]))
+    d = draw(st.integers(2, 4))
+    diag = [draw(st.sampled_from(["1", "x", "x^-1", "x+1", "x^2"])) for _ in range(d)]
+    basis = [[diag[i] if i == j else ("0" if i > j else draw(st.sampled_from(["0", "1", "x"])))
+              for j in range(d)] for i in range(d)]
+    lat = Lattice(F, basis)
+    floor = draw(st.one_of(st.none(), st.integers(-6, -1)))
+
+    def cut(vals):
+        return vals if floor is None else [expand_rational(y, floor).truncated(floor) for y in vals]
+
+    try:
+        if draw(st.booleans()):
+            alpha = [draw(_frac_coord(F, False)) for _ in range(d)]
+            S = make_alpha_lattice(lat, cut(alpha), draw(st.integers(0, 3)),
+                                   require_irrational=False)
+        else:
+            reps = [[draw(_frac_coord(F, False)) for _ in range(d)]
+                    for _ in range(draw(st.integers(1, 3)))]
+            S = make_coset_lattice(lat, [cut(rep) for rep in reps])
+    except (NRational, InsufficientPrecision, ValueError):
+        assume(False)
+    ball = draw(st.one_of(st.none(), st.integers(-1, 1)))
+    return S, S.base_body() if ball is None else ConvexBody.ball(F, d, ball)
+
+
+# two points of this instance have different denominators in one
+# column: unless each is scaled to the column's lcm, its minors change
+_UNEQUAL_DENOMINATORS = make_coset_lattice(
+    Lattice.standard(F2, 2), [["x^-1", "1/(x+1)"], ["x^-2", "1/(x+1)"]])
+
+
+@given(_minima_instances())
+@example((_UNEQUAL_DENOMINATORS, _UNEQUAL_DENOMINATORS.base_body()))
+def test_minima_equal_the_pick_with_rat_minors(inst):
+    """The column-scaled minor table picks as the table of the points'
+    own coordinates does: the same exponents and witnesses, or the same
+    refusal naming the same floor."""
+    S, C = inst
+    assert _outcome(succ_minima_periodic, S, C) == _outcome(_minima_with_rat_minors, S, C)
+
+
+def test_minima_take_polynomial_minors_and_build_no_witness(monkeypatch, capsys):
+    """On exact input the minima's minor table receives only Poly
+    entries, and minima, packrad, density and the bounds build no
+    ambient witness; only succ_minima_periodic does."""
+    path = str(Path(__file__).parent / "data" / "golden" / "alpha_d4.json")
+    entries = []
+
+    def recorded(rows, below=None):
+        entries.extend(type(y) for row in rows for y in row)
+        return _minor_table(rows, below)
+
+    def unread_witness(self, coords):
+        raise AssertionError("an ambient witness was built")
+
+    monkeypatch.setattr(periodic, "_minor_table", recorded)
+    monkeypatch.setattr(ReducedBasis, "ambient_from_coords", unread_witness)
+    for cmd in ("minima", "packrad", "density"):
+        assert cli.main([cmd, path]) == 0
+    # the instance's minima pick points, so the table was grown
+    assert entries and set(entries) == {Poly}
+    assert capsys.readouterr().out.split("\n")[0] == "q^-1 q^0 q^0 q^0"
+    S = cli.load_instance(path).periodic
+    assert check_bounds(S).exps == [-1, 0, 0, 0]
+    with pytest.raises(AssertionError, match="witness"):
+        succ_minima_periodic(S)
 
 
 def test_d_invariant_takes_one_minor_table_per_column_set(monkeypatch):
