@@ -23,9 +23,7 @@ from .ffcore import (
     Poly,
     QExp,
     Rat,
-    abs_value,
     expand_rational,
-    frac_part,
     parse_element,
 )
 from .lattice import (
@@ -42,7 +40,6 @@ from .periodic import (
     covrad_periodic,
     d_invariant,
     from_lattice,
-    hankel,
     make_alpha_lattice,
     make_coset_lattice,
     minkowski_search,

@@ -157,7 +157,7 @@ def parse_grid(text: str):
 
 
 def _feasible_radius_grid(S, R: int, limit: int = 60_000) -> bool:
-    rb = reduce_lattice(S.lattice, S.base_body())
+    rb = reduce_lattice(S.lattice)
     total = S.field.q ** S.period_size
     for e in rb.exps:
         total *= S.field.q ** max(R - e + 1, 0)
@@ -273,7 +273,7 @@ def _check_covrad(rng, grid):
                 Z = make_alpha_lattice(
                     lat, ["0"] * d, 0, require_irrational=False
                 )
-                rb = reduce_lattice(lat, Z.base_body())
+                rb = reduce_lattice(lat)
                 if covrad_periodic(Z) != QExp(rb.exps[-1] - 1):
                     return False, f"alpha=0 corollary broken q={q} d={d}"
                 n += 1
@@ -288,7 +288,7 @@ def _check_packing(rng, grid):
             for N in grid["N"]:
                 for _ in range(2):
                     S = _random_instance(rng, field, d, min(N, 1))
-                    rb = reduce_lattice(S.lattice, S.base_body())
+                    rb = reduce_lattice(S.lattice)
                     R0 = max(rb.exps[-1], 0) + 1
                     if not _feasible_radius_grid(S, R0 + 1):
                         continue
@@ -312,15 +312,14 @@ def _check_succmin(rng, grid):
             for N in grid["N"]:
                 for _ in range(2):
                     S = _random_instance(rng, field, d, min(N, 1))
-                    rb = reduce_lattice(S.lattice, S.base_body())
+                    rb = reduce_lattice(S.lattice)
                     if not _feasible_radius_grid(S, max(rb.exps[-1], 0) + 1):
                         continue
                     exps, wits = succ_minima_periodic(S)
                     if exps != succmin_oracle(S):
                         return False, f"minima mismatch q={q} d={d} N={N}"
-                    C = S.base_body()
                     for e, w in zip(exps, wits):
-                        if norm_in_body(w, C) != QExp(e):
+                        if norm_in_body(w, rb.body) != QExp(e):
                             return False, f"witness norm mismatch q={q} d={d}"
                     n += 1
     return True, f"{n} instances"

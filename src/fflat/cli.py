@@ -28,7 +28,6 @@ from .errors import (
 )
 from .ffcore import (
     LaurentSeries,
-    QExp,
     check_magnitude,
     element,
     expand_rational,
@@ -68,9 +67,6 @@ class Instance:
         self.periodic = periodic
         self.body = body
         self.kind = kind
-
-    def body_or_unit(self) -> ConvexBody:
-        return self.periodic.base_body() if self.body is None else self.body
 
 
 def _parse_entry(field, obj, where: str):
@@ -199,12 +195,6 @@ def load_instance(path: str) -> Instance:
 # --- output helpers ---------------------------------------------------------
 
 
-def _fmt_qexp(v: QExp) -> str:
-    if v.is_zero:
-        return "0"
-    return f"q^{v.exp}"
-
-
 @contextlib.contextmanager
 def _exact_int_output():
     """Lift Python's limit on the digits of an int printed in decimal
@@ -239,7 +229,7 @@ def _vector_strings(vec) -> list:
 
 
 def _cmd_reduce(inst: Instance, args) -> int:
-    rb = reduce_lattice(inst.periodic.lattice, inst.body_or_unit())
+    rb = reduce_lattice(inst.periodic.lattice, inst.body)
     mat = [[format_rat(r) for r in row] for row in rb.ambient_basis()]
     lines = ["minima: " + " ".join(f"q^{e}" for e in rb.exps), "basis:"]
     for row in mat:
@@ -249,21 +239,21 @@ def _cmd_reduce(inst: Instance, args) -> int:
 
 
 def _cmd_minima(inst: Instance, args) -> int:
-    exps, _picks = _minima(inst.periodic, inst.body_or_unit())
+    exps, _picks = _minima(inst.periodic, inst.body)
     _emit(args, [" ".join(f"q^{e}" for e in exps)], {"exps": exps})
     return 0
 
 
 def _cmd_covrad(inst: Instance, args) -> int:
-    C = inst.body_or_unit()
+    C = inst.body
     S = inst.periodic
     val = covrad_periodic(S, C)
-    lines = [_fmt_qexp(val)]
+    lines = [str(val)]
     obj = {"exp": val.exp}
     code = 0
     if args.oracle:
         oval = covrad_oracle(S, C)
-        lines.append(f"oracle: {_fmt_qexp(oval)}")
+        lines.append(f"oracle: {oval}")
         obj["oracle"] = {"exp": oval.exp}
         if oval != val:
             lines.append("MISMATCH")
@@ -288,13 +278,13 @@ def _cmd_covrad(inst: Instance, args) -> int:
 
 
 def _cmd_packrad(inst: Instance, args) -> int:
-    val = packing_radius(inst.periodic, inst.body_or_unit())
-    _emit(args, [_fmt_qexp(val)], {"exp": val.exp})
+    val = packing_radius(inst.periodic, inst.body)
+    _emit(args, [str(val)], {"exp": val.exp})
     return 0
 
 
 def _cmd_density(inst: Instance, args) -> int:
-    val = packing_density(inst.periodic, inst.body_or_unit())
+    val = packing_density(inst.periodic, inst.body)
     _emit(args, [str(val)], {"density": str(val)})
     return 0
 
@@ -303,7 +293,7 @@ def _cmd_count(inst: Instance, args) -> int:
     if args.radius is not None:
         n = count_points(inst.periodic, radius=check_magnitude(args.radius, "--radius"))
     else:
-        n = count_points(inst.periodic, inst.body_or_unit())
+        n = count_points(inst.periodic, inst.body)
     _emit(args, [str(n)], {"count": n})
     return 0
 
@@ -311,13 +301,13 @@ def _cmd_count(inst: Instance, args) -> int:
 def _cmd_dinv(inst: Instance, args) -> int:
     if inst.kind != "alpha":
         raise ParseError("dinv requires an alpha instance")
-    val = d_invariant(inst.periodic, inst.body_or_unit())
-    _emit(args, [_fmt_qexp(val)], {"exp": val.exp})
+    val = d_invariant(inst.periodic, inst.body)
+    _emit(args, [str(val)], {"exp": val.exp})
     return 0
 
 
 def _cmd_mink_search(inst: Instance, args) -> int:
-    rep = minkowski_search(inst.periodic, inst.body_or_unit())
+    rep = minkowski_search(inst.periodic, inst.body)
     lines = [
         f"status: {rep.status}",
         f"measure: q^{rep.measure_exp}",
@@ -327,7 +317,7 @@ def _cmd_mink_search(inst: Instance, args) -> int:
     if rep.point is not None:
         pt = _vector_strings(rep.point)
         lines.append("point: " + "  ".join(pt))
-        lines.append(f"norm: {_fmt_qexp(rep.point_norm)}")
+        lines.append(f"norm: {rep.point_norm}")
         obj["point"] = pt
         obj["norm_exp"] = rep.point_norm.exp
     _emit(args, lines, obj)

@@ -613,8 +613,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
+    """Monic lcm; lcm(0, b) = 0, and a nonzero constant operand gives
+    the other made monic, without a gcd."""
     if a.is_zero or b.is_zero:
         return Poly.zero(a.field)
+    if a.degree == 0 or b.degree == 0:
+        return (b if a.degree == 0 else a).monic()
     g = poly_gcd(a, b)
     return ((a * b) // g).monic()
 
@@ -737,11 +741,6 @@ class Rat:
 
     def __repr__(self):
         return format_rat(self)
-
-
-def abs_value(f) -> QExp:
-    """|f| as a QExp for a Poly or Rat."""
-    return f.val()
 
 
 # --- truncated Laurent series in 1/x ------------------------------------
@@ -1013,11 +1012,6 @@ def expand_rational(f: Rat, floor: int) -> LaurentSeries:
     low = floor + s
     exact = not any(rem) and not any(quo[:low])
     return LaurentSeries(field, quo[low:][::-1], floor, exact)
-
-
-def frac_part(s):
-    """Fractional part (exponents <= -1) of a Rat or LaurentSeries."""
-    return s.frac_part()
 
 
 # --- element grammar -----------------------------------------------------

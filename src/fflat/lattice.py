@@ -322,7 +322,7 @@ class ReducedBasis:
     def from_canonical(self, coords):
         """Fractional coordinates in the canonical frame, the reduced
         basis for the unit body, as fractional coordinates in this one."""
-        rb0 = reduce_lattice(self.lattice, ConvexBody.identity(self.lattice.field, self.d))
+        rb0 = reduce_lattice(self.lattice)
         if self.VP == rb0.VP:
             # the same basis vectors (a ball only shifts their norms)
             return list(coords)
@@ -343,8 +343,13 @@ def norm_in_body(v, C: ConvexBody) -> QExp:
     return base if base.is_zero else QExp(base.exp - C.det_H.degree + C.shift)
 
 
-def reduce_lattice(lat: Lattice, C: ConvexBody) -> ReducedBasis:
-    """Reduced basis of lat w.r.t. C; cached on the lattice per body."""
+def reduce_lattice(lat: Lattice, C: ConvexBody = None) -> ReducedBasis:
+    """Reduced basis of lat w.r.t. C, the unit body O^d when C is None:
+    the one place that default is picked, so callers pass their C as
+    given and read the body reduced for from rb.body.  Cached on the
+    lattice per body."""
+    if C is None:
+        C = ConvexBody.identity(lat.field, lat.d)
     key = C.cache_key()
     hit = lat._reductions.get(key)
     if hit is not None:

@@ -133,12 +133,12 @@ def _points_by_definition(S: PeriodicLattice, C: ConvexBody):
     deg Q <= N in counting order (for N-rational alpha the first
     occurrence of each point), or sum_k combo[k] * rep_k for each digit
     combination, combo[0] most significant.  Computed once per body."""
-    key = ("oracle", C.cache_key())
+    rb = reduce_lattice(S.lattice, C)
+    key = ("oracle", rb.body.cache_key())
     hit = S._points_cache.get(key)
     if hit is not None:
         return hit
     field = S.field
-    rb = reduce_lattice(S.lattice, C)
     pts = []
     if S.N is not None:
         phi = rb.from_canonical(S.vecs[0])
@@ -179,8 +179,6 @@ def _window(S: PeriodicLattice, R: int, C: ConvexBody, budget: int):
     """
     if budget is None:
         budget = default_budget()
-    if C is None:
-        C = S.base_body()
     rb = reduce_lattice(S.lattice, C)
     one_ball = QExp(R)
     reps_in = [
@@ -246,13 +244,11 @@ def succmin_oracle(S: PeriodicLattice, C: ConvexBody = None,
     """
     if budget is None:
         budget = default_budget()
-    if C is None:
-        C = S.base_body()
-    key = ("oracle", "succmin", C.cache_key(), budget)
+    rb = reduce_lattice(S.lattice, C)
+    key = ("oracle", "succmin", rb.body.cache_key(), budget)
     hit = S._points_cache.get(key)
     if hit is not None:
         return list(hit)
-    rb = reduce_lattice(S.lattice, C)
     pts = _points_by_definition(S, C)
     if any(y.eff_floor() is not None for coords, _n in pts for y in coords):
         raise PrecisionTooCoarse(
@@ -291,8 +287,6 @@ def covrad_oracle(S: PeriodicLattice, C: ConvexBody = None, M: int = None,
     """
     if budget is None:
         budget = default_budget()
-    if C is None:
-        C = S.base_body()
     field = S.field
     rb = reduce_lattice(S.lattice, C)
     e_d = rb.exps[-1]
@@ -336,10 +330,8 @@ def density_oracle(S: PeriodicLattice, C: ConvexBody = None, R: int = None,
     disjoint translates; the window count divided by the window volume
     is already stationary once R clears max(e_d, 0) + 1.
     """
-    if C is None:
-        C = S.base_body()
     field = S.field
-    rb_sup = reduce_lattice(S.lattice, S.base_body())
+    rb_sup = reduce_lattice(S.lattice)
     floor_R = max(rb_sup.exps[-1], 0) + 1
     if R is None:
         R = floor_R
@@ -349,5 +341,5 @@ def density_oracle(S: PeriodicLattice, C: ConvexBody = None, R: int = None,
         )
     e1 = succmin_oracle(S, C, budget=budget)[0]
     count = count_oracle(S, R, budget=budget)
-    scale = S.d * (e1 - 1) + C.log_volume.exp - S.d * R
+    scale = S.d * (e1 - 1) + reduce_lattice(S.lattice, C).body.log_volume.exp - S.d * R
     return Fraction(count) * qpow_fraction(field.q, scale)

@@ -4,10 +4,15 @@ Lambda(alpha, q^N) and for listed coset representatives; only their
 constructors differ.
 
 All fractional data lives in reduced-basis coordinates.  The canonical
-frame is the reduced basis for the sup-norm body; operations taking a
-different body convert coordinates (ReducedBasis.from_canonical) and
-reduce into that body's fundamental domain, which does not change the
-point set modulo Lambda.
+frame is the reduced basis for the unit (sup-norm) body O^d, which
+reduce_lattice picks when no body is given: every invariant passes its
+C, None included, straight to it and reads the body off rb.body.
+Operations taking a different body convert coordinates
+(ReducedBasis.from_canonical) and reduce into that body's fundamental
+domain, which does not change the point set modulo Lambda.  A ball
+x^R O^d needs no reduction of its own: its reduction is the unit
+body's with every exponent lowered by R, so count reads the unit
+body's with R as its stop.
 
 The coordinates of one periodic lattice share one arithmetic backend,
 chosen at construction (_lift): Rat when no input coordinate is a
@@ -56,7 +61,6 @@ from .errors import CapExceeded, InsufficientPrecision, NRational, UndefinedValu
 from .exactlinalg import _echelon_fq, _minor_table
 from .ffcore import (
     GF,
-    LaurentSeries,
     Poly,
     QExp,
     Rat,
@@ -73,7 +77,6 @@ from .lattice import (
     _is_series,
     _known_tail,
     _lift,
-    _tail_pattern,
     reduce_lattice,
 )
 
@@ -120,9 +123,6 @@ class PeriodicLattice:
     @property
     def d(self) -> int:
         return self.lattice.d
-
-    def base_body(self) -> ConvexBody:
-        return ConvexBody.identity(self.field, self.d)
 
 
 # --- coordinates -------------------------------------------------------------
@@ -178,8 +178,7 @@ def make_alpha_lattice(
     field = lat.field
     coords = _lift(_parse_coords(lat, alpha), lat.d)
     if frame == "ambient":
-        rb0 = reduce_lattice(lat, ConvexBody.identity(field, lat.d))
-        coords = rb0.coords_from_ambient(coords)
+        coords = reduce_lattice(lat).coords_from_ambient(coords)
     elif frame != "reduced":
         raise ValueError("frame must be 'ambient' or 'reduced'")
     phi = [y.frac_part() for y in coords]
@@ -319,20 +318,6 @@ def _pattern_columns(vecs, reach: int, depths):
                     unknown[j] |= 1 << k
         cols += zip(repeat(i), range(1, dep + 1), unknown, zip(*rows))
     return cols
-
-
-def hankel(alpha, m: int, n: int):
-    """m x n Hankel matrix: entry (i,j) is the coefficient of
-    x^-(i+j-1) in the fractional part of alpha (1-indexed).  Stacked
-    per coordinate, the Hankel matrices of alpha's coordinates are the
-    alpha form's pattern matrix transposed: the coefficient of x^-t in
-    frac(x^k y) is that of x^-(t+k) in y."""
-    if m <= 0 or n <= 0:
-        return []
-    if not isinstance(alpha, (Rat, LaurentSeries)):
-        raise TypeError(f"unsupported tail type {type(alpha).__name__}")
-    tail = _tail_pattern(alpha.frac_part(), m + n - 1)
-    return [list(tail[i:i + n]) for i in range(m)]
 
 
 def _cut(S: PeriodicLattice, vecs, depth: int) -> InsufficientPrecision:
@@ -484,8 +469,6 @@ def succ_minima_periodic(S: PeriodicLattice, C: ConvexBody = None):
     """Successive minima exponents of S for C, with witness vectors: the
     picks of _minima in the ambient frame.  Only here are witnesses
     built; the closed forms that read just the exponents call _minima."""
-    if C is None:
-        C = S.base_body()
     exps, picks = _minima(S, C)
     rb = reduce_lattice(S.lattice, C)
     return exps, [rb.ambient_from_coords(coords) for coords in picks]
@@ -513,8 +496,6 @@ def _minima(S: PeriodicLattice, C: ConvexBody = None):
     its columns, zero exactly when that is.  Series rows enter as they
     are.
     """
-    if C is None:
-        C = S.base_body()
     field = S.field
     rb = reduce_lattice(S.lattice, C)
     pivots, _rest, cut = _weight_echelon(S, rb)
@@ -573,39 +554,38 @@ def packing_radius(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
 
 def packing_density(S: PeriodicLattice, C: ConvexBody = None) -> Fraction:
     """Density of the packing by packing-radius copies of C."""
-    if C is None:
-        C = S.base_body()
     exps, _picks = _minima(S, C)
-    e1 = exps[0]
-    exp = S.period_size + S.d * e1 + C.log_volume.exp - S.lattice.log_det
+    log_volume = reduce_lattice(S.lattice, C).body.log_volume
+    exp = S.period_size + S.d * exps[0] + log_volume.exp - S.lattice.log_det
     return qpow_fraction(S.field.q, exp)
 
 
 def count_points(S: PeriodicLattice, C: ConvexBody = None, radius: int = None) -> int:
-    """|C intersect S| (or a sup-norm ball of radius q^radius).
+    """|C intersect S|, or with radius R the points of sup norm <= q^R.
 
-    Splitting across the fundamental domain: a point f + w lies in C
-    iff both parts do, and the lattice part count factors through the
-    reduced basis as prod_i q^max(1 - e_i, 0).  The fractional parts of
-    norm <= 1 are the span of the rows that the columns of weight > 0
-    leave without a pivot (see _weight_echelon), q^(period_size - r) of
-    them for r pivots.  On truncated input that elimination refuses
+    Splitting across the fundamental domain: a point f + w has norm
+    <= q^R iff both parts do, and the lattice part count factors
+    through the reduced basis as prod_i q^max(R + 1 - e_i, 0).  The
+    fractional parts of norm <= q^R are the span of the rows that the
+    columns of weight > R leave without a pivot (see _weight_echelon),
+    q^(period_size - r) of them for r pivots.  A body is read at R = 0.
+    The ball x^R O^d is the unit body scaled: adj(H) G is x^k G, on
+    which Popov takes the same steps, so its reduction is the unit
+    body's with every e_i lowered by R, and the unit body's is read
+    with R as the stop.  On truncated input the elimination refuses
     only where a point's norm is undecided, naming the floor at which
     every one of those columns is known.
     """
-    if radius is not None:
-        if C is not None:
-            raise ValueError("give either a body or a radius, not both")
-        C = ConvexBody.ball(S.field, S.d, radius)
-    elif C is None:
-        C = S.base_body()
+    if radius is not None and C is not None:
+        raise ValueError("give either a body or a radius, not both")
+    R = radius or 0
     rb = reduce_lattice(S.lattice, C)
-    pivots, _rest, cut = _weight_echelon(S, rb, 0)
+    pivots, _rest, cut = _weight_echelon(S, rb, R)
     if cut:
         raise cut[1]
     total = S.field.q ** (S.period_size - len(pivots))
     for e in rb.exps:
-        total *= S.field.q ** max(1 - e, 0)
+        total *= S.field.q ** max(R + 1 - e, 0)
     return total
 
 
@@ -627,8 +607,6 @@ def covrad_periodic(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
     raised only when no w above it answers, naming the floor at which
     every column down to low is known.
     """
-    if C is None:
-        C = S.base_body()
     rb = reduce_lattice(S.lattice, C)
 
     def columns(w):
@@ -650,8 +628,6 @@ def covrad_bounds(lat: Lattice, N: int, C: ConvexBody = None):
     """(lower, upper) exponent bounds for the covering radius of any
     Lambda(alpha, q^N): lower is an exact rational exponent, upper is
     the lattice covering radius exponent e_d - 1."""
-    if C is None:
-        C = ConvexBody.identity(lat.field, lat.d)
     rb = reduce_lattice(lat, C)
     e = rb.exps
     d = lat.d
@@ -700,14 +676,12 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
     so a no_point outcome is a certified counterexample to the measure
     hypothesis guaranteeing a point.
     """
-    if C is None:
-        C = S.base_body()
     rb = reduce_lattice(S.lattice, C)
     pivots, rest, cut = _weight_echelon(S, rb, 0)
     if cut:
         raise cut[1]
     classes_log = len(pivots)
-    measure_exp = C.log_volume.exp + classes_log
+    measure_exp = rb.body.log_volume.exp + classes_log
     threshold_exp = S.lattice.log_det - S.period_size - S.d
     if not measure_exp > threshold_exp:
         return MinkowskiReport("inapplicable", measure_exp, threshold_exp, classes_log)
@@ -746,8 +720,6 @@ def d_invariant(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
     leaves one undecided."""
     if S.N is None:
         raise TypeError("d_invariant requires an alpha-form periodic lattice")
-    if C is None:
-        C = S.base_body()
     if S.N > _DINV_MAX_N:
         raise CapExceeded(
             f"d_invariant is limited to N <= {_DINV_MAX_N}: past it not every "
@@ -806,11 +778,10 @@ def check_bounds(S: PeriodicLattice, C: ConvexBody = None) -> BoundsReport:
     """Evaluate the minima bounds, and when the hypothesis is certified
     (rational fractional coordinates with denominator degree > N in the
     frame of C) also the two-sided product sandwich."""
-    if C is None:
-        C = S.base_body()
     exps, _picks = _minima(S, C)
+    rb = reduce_lattice(S.lattice, C)
     logdet = S.lattice.log_det
-    logm = C.log_volume.exp
+    logm = rb.body.log_volume.exp
     rhs = logdet - logm - S.period_size
     first_lhs = S.d * exps[0]
     prod_lhs = sum(exps)
@@ -826,7 +797,6 @@ def check_bounds(S: PeriodicLattice, C: ConvexBody = None) -> BoundsReport:
         bnd_prod_ok=prod_lhs <= rhs,
     )
     if S.reach == S.N:  # alpha, certified N-irrational
-        rb = reduce_lattice(S.lattice, C)
         phi = _coords(S, rb)[0]
         if not _is_series(phi) and all(y.den.degree > S.N for y in phi):
             dinv = d_invariant(S, C)

@@ -186,7 +186,7 @@ def test_c5_packing():
         # cells of the underlying lattice, so its radius threshold is
         # the plain lattice's top sup-norm minimum
         def floor_radius(inst):
-            e_sup = reduce_lattice(inst.lattice, inst.base_body()).exps[-1]
+            e_sup = reduce_lattice(inst.lattice).exps[-1]
             return max(e_sup, 0) + 1
         R0 = floor_radius(S)
         if not _feasible_radius_grid(S, R0 + 1, limit=60_000):

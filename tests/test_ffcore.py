@@ -13,9 +13,7 @@ from fflat import (
     Poly,
     QExp,
     Rat,
-    abs_value,
     expand_rational,
-    frac_part,
     parse_element,
 )
 from fflat.battery import random_lattice
@@ -25,6 +23,7 @@ from fflat.ffcore import (
     format_poly,
     format_rat,
     format_series,
+    poly_gcd,
     poly_lcm,
     qpow_fraction,
     series_from_json,
@@ -258,18 +257,36 @@ def test_poly_lcm_divisibility(a, b):
     assert m.degree <= a.degree + b.degree
 
 
+# zero, a nonzero constant and a general operand, each drawn often
+lcm_operands = st.one_of(
+    st.just(Poly.zero(GF(3))),
+    st.integers(1, 2).map(lambda c: Poly(GF(3), (c,))),
+    poly_f3,
+)
+
+
+@given(a=lcm_operands, b=lcm_operands)
+def test_poly_lcm_is_the_product_over_the_gcd(a, b):
+    """The constant shortcut changes no lcm: poly_lcm is a*b / gcd(a, b)
+    made monic, and 0 when either operand is."""
+    if a.is_zero or b.is_zero:
+        assert poly_lcm(a, b).is_zero
+    else:
+        assert poly_lcm(a, b) == ((a * b) // poly_gcd(a, b)).monic()
+
+
 def test_abs_value_examples(F2):
-    assert abs_value(parse_element(F2, "x^2+1")) == QExp(2)
-    assert abs_value(parse_element(F2, "1/(x^3+x+1)")) == QExp(-3)
-    assert abs_value(parse_element(F2, "0")).is_zero
+    assert parse_element(F2, "x^2+1").val() == QExp(2)
+    assert parse_element(F2, "1/(x^3+x+1)").val() == QExp(-3)
+    assert parse_element(F2, "0").val().is_zero
 
 
 @given(a=poly_f3, b=poly_f3)
 def test_abs_multiplicative_and_ultrametric(a, b):
     ra, rb = Rat.from_poly(a), Rat.from_poly(b)
-    assert abs_value(ra * rb) == abs_value(ra) * abs_value(rb)
+    assert (ra * rb).val() == ra.val() * rb.val()
     s = Rat.from_poly(a + b)
-    assert abs_value(s) <= max(abs_value(ra), abs_value(rb))
+    assert s.val() <= max(ra.val(), rb.val())
 
 
 def test_rat_lowest_terms(F2):
@@ -334,14 +351,14 @@ def test_expand_rational_refinement(num, den, floor):
 
 def test_frac_part_examples(F2):
     s = LaurentSeries.from_pairs(F2, {2: 1, 0: 1, -1: 1}, -4, exact=True)
-    t = frac_part(s)
+    t = s.frac_part()
     assert t.coeffs == (1,) and t.top == -1 and t.exact
     p = LaurentSeries.from_poly(Poly(F2, (1, 1, 1)))
-    assert frac_part(p).is_exact_zero
+    assert p.frac_part().is_exact_zero
     # (x^3+1)/(x^3+x+1) = 1 + x/(x^3+x+1): the fractional part is the
     # expansion of x/(x^3+x+1)
     f = parse_element(F2, "(x^3+1)/(x^3+x+1)")
-    got = frac_part(expand_rational(f, -9))
+    got = expand_rational(f, -9).frac_part()
     want = expand_rational(parse_element(F2, "x/(x^3+x+1)"), -9)
     for e in range(-1, -9, -1):
         assert got.coeff_exp(e) == want.coeff_exp(e)
@@ -352,11 +369,11 @@ def test_frac_part_linear(a, b):
     x3 = Poly(GF(2), (1, 1, 0, 1))
     sa = expand_rational(Rat(a, x3), -10)
     sb = expand_rational(Rat(b, x3), -10)
-    lhs = frac_part(sa + sb)
-    rhs = frac_part(sa) + frac_part(sb)
+    lhs = (sa + sb).frac_part()
+    rhs = sa.frac_part() + sb.frac_part()
     for e in range(-1, -9, -1):
         assert lhs.coeff_exp(e) == rhs.coeff_exp(e)
-    assert frac_part(frac_part(sa)).coeffs == frac_part(sa).coeffs
+    assert sa.frac_part().frac_part().coeffs == sa.frac_part().coeffs
 
 
 def test_series_arith_floor_tracking(F2):

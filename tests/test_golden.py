@@ -27,7 +27,8 @@ EXPECTED = GOLDEN / "expected.json"
 INSTANCES = sorted(p.stem for p in GOLDEN.glob("*.json") if p != EXPECTED)
 COMMANDS = (
     ["reduce"], ["minima"], ["covrad"], ["covrad", "--oracle"], ["packrad"],
-    ["density"], ["count"], ["count", "--radius", "1"], ["dinv"], ["mink-search"],
+    ["density"], ["count"], ["count", "--radius", "1"],
+    ["count", "--radius", "-2"], ["count", "--radius", "3"], ["dinv"], ["mink-search"],
 )
 
 

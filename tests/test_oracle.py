@@ -158,7 +158,7 @@ def windows(draw):
         assume(False)
     C = draw(st.sampled_from([None, -1, 1]))
     C = None if C is None else ConvexBody.ball(F, d, C)
-    exps = reduce_lattice(lat, S.base_body() if C is None else C).exps
+    exps = reduce_lattice(lat, C).exps
     R = draw(st.integers(exps[0] - 2, exps[-1] + 1))
     try:
         # counting builds no point, so the size probe needs no budget
@@ -420,3 +420,38 @@ def test_each_coordinate_answers_for_itself():
     rat = next(node for node in ast.walk(tree("fflat.ffcore"))
                if isinstance(node, ast.ClassDef) and node.name == "Rat")
     assert "eff_floor" in {n.name for n in rat.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_reduce_lattice_alone_picks_the_unit_body():
+    """No body given means the unit body, and only reduce_lattice says
+    so: periodic.py and oracle.py pass their C, None included, straight
+    to it with no `C is None` test, no module but lattice.py names
+    ConvexBody.identity or a base_body, and count_points reads a radius
+    off the unit body's reduction without building a ball."""
+    package = Path(import_module("fflat").__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+
+    def none_tests(tree):
+        return [n.lineno for n in ast.walk(tree)
+                if isinstance(n, ast.Compare) and isinstance(n.left, ast.Name) and n.left.id == "C"
+                and isinstance(n.ops[0], ast.Is) and isinstance(n.comparators[0], ast.Constant)
+                and n.comparators[0].value is None]
+
+    def unit_bodies(tree):
+        return [n.lineno for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and n.attr == "base_body"
+                or isinstance(n, ast.FunctionDef) and n.name == "base_body"
+                or isinstance(n, ast.Attribute) and n.attr == "identity"
+                and isinstance(n.value, ast.Name) and n.value.id == "ConvexBody"]
+
+    for module in ("periodic", "oracle"):
+        assert not none_tests(trees[module]), module
+    for module, tree in trees.items():
+        if module != "lattice":
+            assert not unit_bodies(tree), module
+    # the one place: the guard checks something
+    functions = {n.name: n for n in ast.walk(trees["lattice"]) if isinstance(n, ast.FunctionDef)}
+    assert unit_bodies(functions["reduce_lattice"]) and none_tests(functions["reduce_lattice"])
+    count = next(n for n in ast.walk(trees["periodic"])
+                 if isinstance(n, ast.FunctionDef) and n.name == "count_points")
+    assert not [n for n in ast.walk(count) if isinstance(n, ast.Attribute) and n.attr == "ball"]

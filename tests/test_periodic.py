@@ -39,7 +39,7 @@ from fflat import (
 )
 from fflat import cli
 from fflat.battery import random_body
-from fflat.errors import BudgetExceeded, CapExceeded, UndefinedValue
+from fflat.errors import BudgetExceeded, CapExceeded, FFLatError, UndefinedValue
 from fflat.ffcore import Poly, Rat, expand_rational
 from fflat.oracle import (
     _points_by_definition, count_oracle, density_oracle, rank_rational, succmin_oracle,
@@ -72,7 +72,7 @@ def _rat_key(y):
 class TestWFamily:
     def test_period_size(self, W):
         assert W.period_size == 2
-        assert len(_points_by_definition(W, W.base_body())) == 4
+        assert len(_points_by_definition(W, ConvexBody.identity(F2, 2))) == 4
         # every one of the 4 points has norm < 1, and the lattice adds
         # 4 shifts of norm <= 1 to each
         assert count_oracle(W, 0) == count_points(W) == 16
@@ -85,7 +85,7 @@ class TestWFamily:
             ("0", "x^-1"),
             ("x^-1", "x^-1+x^-2"),
         ]
-        pts = _points_by_definition(W, W.base_body())
+        pts = _points_by_definition(W, ConvexBody.identity(F2, 2))
         assert len(pts) == len(want)
         for n, ((coords, norm), strs) in enumerate(zip(pts, want)):
             exp = [parse_element(F2, e) for e in strs]
@@ -98,7 +98,7 @@ class TestWFamily:
     def test_minima(self, W):
         exps, wits = succ_minima_periodic(W)
         assert exps == [-1, -1]
-        C = W.base_body()
+        C = ConvexBody.identity(F2, 2)
         for e, w in zip(exps, wits):
             assert norm_in_body(w, C) == QExp(e)
 
@@ -221,7 +221,7 @@ class TestAlphaValidation:
     def test_relaxed_alpha_zero(self, lam):
         Z = make_alpha_lattice(lam, ["0", "0"], 0, require_irrational=False)
         assert Z.period_size == 0
-        assert len(_points_by_definition(Z, Z.base_body())) == 1
+        assert len(_points_by_definition(Z, ConvexBody.identity(F2, 2))) == 1
         assert count_oracle(Z, 0) == count_points(Z) == 4
         exps, _ = succ_minima_periodic(Z)
         assert exps == [0, 0]
@@ -555,7 +555,7 @@ def _dinv_by_definition(S, C=None) -> QExp:
     over k, index k-subsets J and k-subsets of the nonzero polynomials
     of degree <= N, with d_invariant's refusals: a truncated minor with
     no known nonzero coefficient might be nonzero and smaller."""
-    body = S.base_body() if C is None else C
+    body = reduce_lattice(S.lattice, C).body
     phi = reduce_lattice(S.lattice, body).from_canonical(S.vecs[0])
     series = isinstance(phi[0], LaurentSeries)
     qs = [Poly(S.field, c) for c in product(range(S.field.q), repeat=S.N + 1) if any(c)]
@@ -647,7 +647,7 @@ def test_truncated_d_invariant_answers_as_its_twin(inst, floor):
 def test_periodic_lattice_accessors(W):
     assert isinstance(W, PeriodicLattice)
     assert W.field.q == 2 and W.d == 2
-    assert W.base_body().log_volume == QExp(0)
+    assert reduce_lattice(W.lattice).body.log_volume == QExp(0)
 
 
 # --- the Minkowski classes against the definition -----------------------
@@ -805,7 +805,7 @@ def _minima_instances(draw):
     except (NRational, InsufficientPrecision, ValueError):
         assume(False)
     ball = draw(st.one_of(st.none(), st.integers(-1, 1)))
-    return S, S.base_body() if ball is None else ConvexBody.ball(F, d, ball)
+    return S, ConvexBody.identity(F, d) if ball is None else ConvexBody.ball(F, d, ball)
 
 
 # two points of this instance have different denominators in one
@@ -815,7 +815,7 @@ _UNEQUAL_DENOMINATORS = make_coset_lattice(
 
 
 @given(_minima_instances())
-@example((_UNEQUAL_DENOMINATORS, _UNEQUAL_DENOMINATORS.base_body()))
+@example((_UNEQUAL_DENOMINATORS, ConvexBody.identity(F2, 2)))
 def test_minima_equal_the_pick_with_rat_minors(inst):
     """The column-scaled minor table picks as the table of the points'
     own coordinates does: the same exponents and witnesses, or the same
@@ -912,7 +912,7 @@ def test_mink_classes_are_the_tail_patterns_of_the_definition(inst):
     a pattern coefficient of some point, it refuses naming the same
     floor, or answers (the twin tests check those answers)."""
     S, C = inst
-    body = S.base_body() if C is None else C
+    body = reduce_lattice(S.lattice, C).body
     want = _outcome(_points_by_definition, S, body)
     if isinstance(want, tuple):
         return
@@ -1004,7 +1004,7 @@ def test_count_and_mink_point_equal_the_oracle(inst):
         S = build(None)
     except ValueError:
         assume(False)
-    body = S.base_body() if C is None else C
+    body = reduce_lattice(S.lattice, C).body
     # the oracle counts its window without building it, so no budget
     assert count_points(S, C) == count_oracle(S, 0, body, budget=1 << 62)
     rep = minkowski_search(S, C)
@@ -1061,6 +1061,27 @@ def test_truncated_count_and_mink_search_answer_as_their_twins(inst, floor):
         assert all(_expands(t, e) for t, e in zip(got.point, want.point))
 
 
+@settings(max_examples=200)
+@given(_twins(), st.one_of(st.none(), st.integers(-6, -1)), st.integers(-2, 3))
+def test_count_at_a_radius_is_the_count_in_the_ball(inst, floor, R):
+    """count_points at radius R reads the unit body's reduction with R
+    as its stop; it counts as the ball x^R O^d does, or refuses as that
+    does, with the same exception and the same floor."""
+    build, _C = inst
+    try:
+        S = build(floor)
+    except (NRational, InsufficientPrecision, ValueError):
+        assume(False)
+
+    def outcome(*args, **kw):
+        try:
+            return count_points(S, *args, **kw)
+        except FFLatError as e:
+            return type(e), getattr(e, "needed_floor", None)
+
+    assert outcome(radius=R) == outcome(ConvexBody.ball(S.field, S.d, R))
+
+
 def test_a_cut_coefficient_of_a_pivoted_generator_is_not_read():
     # e = (0, 3): the weight-2 column (x^-1 of coordinate 2) pivots out
     # frac(x * alpha) before the weight-1 column reads its x^-2, which
@@ -1095,7 +1116,7 @@ def test_minima_packing_and_density_equal_the_oracles(inst):
         S = build(None)
     except ValueError:
         assume(False)
-    body = S.base_body() if C is None else C
+    body = reduce_lattice(S.lattice, C).body
     exps, wits = succ_minima_periodic(S, C)
     assert [norm_in_body(w, body) for w in wits] == [QExp(e) for e in exps]
     try:
