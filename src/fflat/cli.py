@@ -377,7 +377,8 @@ def _parser():
     p.add_argument("--bounds", action="store_true", help="print corollary bounds")
     p = sub.add_parser("count", parents=[common], help="points in a body or ball")
     p.add_argument("file")
-    p.add_argument("--radius", type=int, default=None, help="sup-norm ball exponent")
+    p.add_argument("--radius", type=int, default=None,
+                   help="count in the sup-norm ball x^RADIUS O^d, in place of the instance's body")
     p = sub.add_parser("verify", parents=[common], help="randomized verification battery")
     p.add_argument("--grid", default="", help="axes like q=2,3;d=2,3;N=0,1,2")
     p.add_argument("--seed", type=int, default=7)

@@ -68,6 +68,13 @@ def _base_digits(n: int, base: int, k: int) -> list[int]:
     return out
 
 
+def _monomial_degree(coeffs) -> int:
+    """k when coeffs, lowest first and ending in a nonzero entry, is
+    c*x^k (a constant when k = 0); -1 otherwise, the empty one included."""
+    k = len(coeffs) - 1
+    return k if coeffs.count(0) == k else -1
+
+
 @cache
 def _prime_field(p: int) -> GF:
     """F_p, built once: its kernels are F_p[t] for every F_p^k."""
@@ -319,8 +326,9 @@ class GF:
         db = len(b) - 1
         if len(a) <= db:
             return [], list(a)
-        if db == 0:
-            return self.scale_coeffs(a, self.inv(b[0])), []
+        if _monomial_degree(b) == db:
+            # b = c*x^db: the quotient is a[db:] / c, the remainder a[:db]
+            return self.scale_coeffs(a[db:], self.inv(b[db])), list(a[:db])
         rem = list(a)
         quo = [0] * (len(rem) - db)
         inv_lead = self.inv(b[-1])
@@ -613,12 +621,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
-    """Monic lcm; lcm(0, b) = 0, and a nonzero constant operand gives
-    the other made monic, without a gcd."""
+    """Monic lcm; lcm(0, b) = 0.  An operand c*x^k (a nonzero constant
+    when k = 0) takes no gcd: the lcm is x^max(k - v, 0) times the other
+    made monic, v the other's x-valuation."""
     if a.is_zero or b.is_zero:
         return Poly.zero(a.field)
-    if a.degree == 0 or b.degree == 0:
-        return (b if a.degree == 0 else a).monic()
+    k = _monomial_degree(a.coeffs)
+    if k < 0:
+        a, b = b, a
+        k = _monomial_degree(a.coeffs)
+    if k >= 0:
+        v = next(i for i, c in enumerate(b.coeffs) if c)
+        return b.monic().shift(max(k - v, 0))
     g = poly_gcd(a, b)
     return ((a * b) // g).monic()
 
@@ -639,9 +653,17 @@ class Rat:
         if num.is_zero:
             den = Poly.one(num.field)
         elif not _canonical:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
+            k = _monomial_degree(den.coeffs)
+            if k > 0:
+                # den = c*x^k takes no gcd: it is x^min(k, v), v the
+                # x-valuation of num, cancelled by slicing
+                m = min(k, next(i for i, c in enumerate(num.coeffs) if c))
+                if m:
+                    num, den = Poly(num.field, num.coeffs[m:]), Poly(num.field, den.coeffs[m:])
+            elif k < 0:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num, den = num // g, den // g
             if not den.is_monic:
                 f = num.field
                 inv = f.inv(den.lc())

@@ -27,19 +27,11 @@ from .ffcore import (
     QEXP_ZERO,
     QExp,
     Rat,
+    _monomial_degree,
     element,
     expand_rational,
     poly_lcm,
 )
-
-
-def _xpower_degree(p: Poly) -> int:
-    # degree k when p = x^k, else -1
-    if p.degree < 0 or not p.is_monic:
-        return -1
-    if any(c for c in p.coeffs[:-1]):
-        return -1
-    return p.degree
 
 
 def normalize_matrix(field: GF, entries):
@@ -55,7 +47,7 @@ def normalize_matrix(field: GF, entries):
     shift = 0
     for row in rats:
         for r in row:
-            k = _xpower_degree(r.den)
+            k = _monomial_degree(r.den.coeffs)
             if k < 0:
                 raise ValueError(
                     "matrix entries must be Laurent polynomials "
@@ -66,7 +58,7 @@ def normalize_matrix(field: GF, entries):
     for row in rats:
         prow = []
         for r in row:
-            k = _xpower_degree(r.den)
+            k = _monomial_degree(r.den.coeffs)
             prow.append(r.num.shift(shift - k))
         P.append(prow)
     return P, shift

@@ -606,6 +606,20 @@ def test_mixed_backend_answers_as_its_rational_twin(capsys, tmp_path):
     assert got == want
 
 
+@pytest.mark.parametrize("name", ["plain_body", "ambient_body"])
+def test_count_radius_replaces_the_body(capsys, tmp_path, name):
+    """count --radius R counts in the ball x^R O^d whatever body the
+    instance names: the answer is its body-less twin's."""
+    inst = json.loads((DATA / "golden" / f"{name}.json").read_text())
+    p = write_instance(tmp_path, "body.json", inst)
+    twin = write_instance(tmp_path, "twin.json", {k: v for k, v in inst.items() if k != "body"})
+    for radius in ("-2", "0", "1", "3"):
+        for fmt in ("text", "json"):
+            argv = ["count", "--radius", radius, "--format", fmt]
+            got = run(capsys, *argv, p)
+            assert got[0] == 0 and got == run(capsys, *argv, twin)
+
+
 def test_ambient_frame_exact_row(capsys, tmp_path):
     p = write_instance(tmp_path, "amb.json", AMBIENT)
     twin = write_instance(tmp_path, "amb-prec.json", dict(AMBIENT, precision=-10))

@@ -267,12 +267,96 @@ lcm_operands = st.one_of(
 
 @given(a=lcm_operands, b=lcm_operands)
 def test_poly_lcm_is_the_product_over_the_gcd(a, b):
-    """The constant shortcut changes no lcm: poly_lcm is a*b / gcd(a, b)
+    """The c*x^k path changes no lcm: poly_lcm is a*b / gcd(a, b)
     made monic, and 0 when either operand is."""
     if a.is_zero or b.is_zero:
         assert poly_lcm(a, b).is_zero
     else:
         assert poly_lcm(a, b) == ((a * b) // poly_gcd(a, b)).monic()
+
+
+def _long_divmod(a, b):
+    """a by b, one leading term at a time, without divmod_coeffs."""
+    f = a.field
+    inv = f.inv(b.lc())
+    quo, rem = Poly.zero(f), a
+    while rem.degree >= b.degree:
+        t = Poly.monomial(f, f.mul(rem.lc(), inv), rem.degree - b.degree)
+        quo, rem = quo + t, rem - t * b
+    return quo, rem
+
+
+def _euclid(a, b):
+    """The monic gcd by Euclid on _long_divmod."""
+    while not b.is_zero:
+        a, b = b, _long_divmod(a, b)[1]
+    return a.monic()
+
+
+def _lowest_terms(num, den):
+    """num / den over the gcd, the denominator made monic."""
+    if num.is_zero:
+        return num, Poly.one(num.field)
+    g = _euclid(num, den)
+    num, den = _long_divmod(num, g)[0], _long_divmod(den, g)[0]
+    inv = den.field.inv(den.lc())
+    return num.scale(inv), den.scale(inv)
+
+
+# c*x^k operands, c != 1 included, over prime and extension fields
+XPOW_FIELDS = [_make_field(q) for q in (2, 3, 5, 4, 9)]
+
+
+@st.composite
+def xpow_cases(draw):
+    """A field, two monomials c*x^k and a polynomial x^j * u, j up to 16."""
+    f = draw(st.sampled_from(XPOW_FIELDS))
+    c, d = draw(st.integers(1, f.q - 1)), draw(st.integers(1, f.q - 1))
+    m = Poly.monomial(f, c, draw(st.integers(0, 12)))
+    m2 = Poly.monomial(f, d, draw(st.integers(0, 12)))
+    u = draw(st.lists(st.integers(0, f.q - 1), max_size=8))
+    return m, m2, Poly(f, [0] * draw(st.integers(0, 16)) + u)
+
+
+@settings(max_examples=300)
+@given(xpow_cases())
+def test_x_power_paths_are_euclid(case):
+    """The c*x^k paths of Rat, divmod_coeffs and poly_lcm give what a
+    gcd by Euclid and long division give."""
+    m, m2, a = case
+    f = a.field
+    r = Rat(a, m)
+    assert (r.num, r.den) == _lowest_terms(a, m)
+    quo, rem = f.divmod_coeffs(a.coeffs, m.coeffs)
+    assert len(rem) <= m.degree
+    assert (Poly(f, quo), Poly(f, rem)) == _long_divmod(a, m)
+    assert poly_lcm(m, m2) == _long_divmod(m * m2, _euclid(m, m2))[0].monic()
+    if not a.is_zero:
+        want = _long_divmod(m * a, _euclid(m, a))[0].monic()
+        assert poly_lcm(m, a) == want and poly_lcm(a, m) == want
+
+
+def test_x_power_denominators_take_no_gcd(monkeypatch):
+    """Rat over x^k or a constant, the lcm of powers of x and the common
+    denominator of coset-style coordinates (tails x^-1 .. x^-3) never
+    call poly_gcd."""
+    from fflat import ffcore, lattice
+
+    def refuse(a, b):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(ffcore, "poly_gcd", refuse)
+    F = GF(3)
+    num = Poly(F, (0, 0, 2, 1, 0, 1))
+    r = Rat(num, Poly.monomial(F, 2, 4))
+    assert (r.num, r.den) == (Poly(F, (1, 2, 0, 2)), Poly.monomial(F, 1, 2))
+    r = Rat(num, Poly.const(F, 2))
+    assert (r.num, r.den) == (Poly(F, (0, 0, 1, 2, 0, 2)), Poly.one(F))
+    assert poly_lcm(Poly.monomial(F, 2, 3), Poly.monomial(F, 1, 5)) == Poly.monomial(F, 1, 5)
+    ys = [parse_element(F, s) for s in ("x^-1 + 2x^-3", "2", "x^-2", "x + x^-1")]
+    assert lattice._common_den(F, ys) == Poly.monomial(F, 1, 3)
+    M = [[Poly(F, (1, 1)), Poly.one(F), Poly.zero(F), Poly.one(F)]]
+    assert lattice._mat_vec(M, ys) == [parse_element(F, "x + 2x^-1 + 2x^-2 + 2x^-3")]
 
 
 def test_abs_value_examples(F2):
