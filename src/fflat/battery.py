@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .errors import NRational, ParseError, SingularInput
-from .exactlinalg import mat_mul_poly, popov_reduce
+from .exactlinalg import identity_poly, mat_mul_poly, popov_reduce
 from .ffcore import GF, Poly, QExp, Rat, field_of_order
 from .lattice import ConvexBody, Lattice, norm_in_body, reduce_lattice
 from .oracle import count_oracle, covrad_oracle, density_oracle, det_poly, succmin_oracle
@@ -35,10 +35,7 @@ from .periodic import (
 
 
 def random_unimodular(rng, field: GF, d: int, deg: int = 1):
-    m = [
-        [Poly.one(field) if i == j else Poly.zero(field) for j in range(d)]
-        for i in range(d)
-    ]
+    m = identity_poly(field, d)
     for i in range(d):
         for j in range(d):
             if i != j and rng.random() < 0.6:
@@ -189,7 +186,7 @@ def _check_reduction_soundness(rng, grid):
                 C = random_body(rng, field, d)
                 rb = reduce_lattice(lat, C)
                 M0 = mat_mul_poly(C.adj, lat.G)
-                R, U, degs = popov_reduce(M0)
+                R, U, degs = popov_reduce(M0, identity_poly(field, d))
                 du = det_poly(U)
                 if du.degree != 0 or du.is_zero:
                     return False, f"det(U) not a unit at q={q} d={d}"

@@ -5,7 +5,12 @@ or LaurentSeries depending on the function.  Everything here is exact.
 Each coefficient ring has one elimination: over F_q the row echelon
 form by row insertion (the kernel vector back-substitutes into its
 basis), over F_q[x] the column reduction popov_reduce, which detects
-a singular input itself, when a column reduces to zero.  One table of
+a singular input itself, when a column reduces to zero, and applies
+each column operation to the rows it carries (a basis, which it
+returns reduced, or the identity, which it returns as U).  One product,
+_mat_vec, multiplies a polynomial matrix into a vector of Poly, Rat or
+LaurentSeries: mat_mul_poly takes it per column, and popov_reduce's
+column combination is one _mat_vec.  One table of
 minors, grown a row at a time by cofactor expansion without a division,
 holds every minor the closed forms read (F_q[x], F_q(x) and truncated
 series alike; on series it carries precision floors soundly), and
@@ -20,7 +25,7 @@ from functools import reduce
 from itertools import combinations
 
 from .errors import SingularInput
-from .ffcore import GF, Poly
+from .ffcore import GF, Poly, Rat, poly_lcm
 
 
 # --- F_q matrices --------------------------------------------------------
@@ -71,22 +76,47 @@ def kernel_vector_fq(field: GF, rows):
 # --- polynomial matrices -------------------------------------------------
 
 
-def mat_mul_poly(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    zero = Poly.zero(B[0][0].field)
+def identity_poly(field: GF, d: int):
+    """The d x d identity matrix over F_q[x]."""
+    one, zero = Poly.one(field), Poly.zero(field)
+    return [[one if i == j else zero for j in range(d)] for i in range(d)]
+
+
+def _common_den(field: GF, ys) -> Poly:
+    """The lcm of the denominators of exact coordinates, Rats or exact
+    series."""
+    lcm = Poly.one(field)
+    for y in ys:
+        den = y.to_rat().den
+        if den.degree > 0:
+            lcm = poly_lcm(lcm, den)
+    return lcm
+
+
+def _mat_vec(M, vec):
+    """M @ vec for a polynomial matrix M and a vector of Poly, of Rat or
+    of LaurentSeries, the one polynomial matrix product: a Rat vector
+    as one numerator per entry over the lcm of its denominators, so each
+    output is reduced once.  A zero entry of M takes no product; a zero
+    row gives the zero of vec's type."""
+    if isinstance(vec[0], Rat):
+        lcm = _common_den(vec[0].field, vec)
+        return [Rat(acc, lcm) for acc in _mat_vec(M, [y.num * (lcm // y.den) for y in vec])]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = zero
-            for t in range(k):
-                a = A[i][t]
-                b = B[t][j]
-                if not (a.is_zero or b.is_zero):
-                    acc = acc + a * b
-            row.append(acc)
-        out.append(row)
+    for row in M:
+        acc = None
+        for p, y in zip(row, vec):
+            if not p.is_zero:
+                term = y.mul_poly(p)
+                acc = term if acc is None else acc + term
+        out.append(vec[0].scale(0) if acc is None else acc)
     return out
+
+
+def mat_mul_poly(A, B):
+    """A @ B over F_q[x]: _mat_vec of A on each column of B."""
+    cols = [_mat_vec(A, col) for col in zip(*B)]
+    return [list(row) for row in zip(*cols)]
 
 
 def _minor_table(rows, below=None):
@@ -148,12 +178,15 @@ def _col_degree(m, j) -> int:
     return max(row[j].degree for row in m)
 
 
-def popov_reduce(rows):
-    """Column-reduce a nonsingular polynomial matrix.
+def popov_reduce(rows, carry):
+    """Column-reduce a nonsingular polynomial matrix M, applying each
+    column operation to the rows of carry as well.
 
-    Returns (R, U, degs) with R = M @ U, U unimodular (det in F_q^*),
-    the leading coefficient matrix of R nonsingular, and columns sorted
-    so degs is ascending.  The sum of degs equals deg det M.
+    Returns (R, carry @ U, degs) with R = M @ U, U unimodular (det in
+    F_q^*), the leading coefficient matrix of R nonsingular, and columns
+    sorted so degs is ascending.  The sum of degs equals deg det M.
+    Carrying the identity gives U itself; carrying a basis G gives the
+    reduced basis G @ U with no product.
 
     While the leading coefficient matrix L (L[j][i] = coefficient of
     x^(deg of column i) in entry (j, i)) is singular, a kernel vector c
@@ -166,10 +199,7 @@ def popov_reduce(rows):
     n = len(rows)
     field = rows[0][0].field
     m = [list(r) for r in rows]
-    u = [
-        [Poly.one(field) if i == j else Poly.zero(field) for j in range(n)]
-        for i in range(n)
-    ]
+    both = m + [list(r) for r in carry]
     degs = [_col_degree(m, j) for j in range(n)]
     while True:
         if min(degs) < 0:
@@ -181,18 +211,11 @@ def popov_reduce(rows):
         involved = [j for j in range(n) if c[j]]
         delta = max(degs[j] for j in involved)
         target = min(j for j in involved if degs[j] == delta)
-        new_col = [Poly.zero(field) for _ in range(n)]
-        new_ucol = [Poly.zero(field) for _ in range(n)]
-        for j in involved:
-            mono = Poly.monomial(field, c[j], delta - degs[j])
-            for i in range(n):
-                new_col[i] = new_col[i] + m[i][j] * mono
-                new_ucol[i] = new_ucol[i] + u[i][j] * mono
-        for i in range(n):
-            m[i][target] = new_col[i]
-            u[i][target] = new_ucol[i]
+        monos = [Poly.monomial(field, c[j], delta - degs[j]) for j in involved]
+        new_col = _mat_vec([[row[j] for j in involved] for row in both], monos)
+        for row, p in zip(both, new_col):
+            row[target] = p
         degs[target] = _col_degree(m, target)
     order = sorted(range(n), key=lambda j: (degs[j], j))
-    r_sorted = [[m[i][order[j]] for j in range(n)] for i in range(n)]
-    u_sorted = [[u[i][order[j]] for j in range(n)] for i in range(n)]
-    return r_sorted, u_sorted, [degs[j] for j in order]
+    out = [[row[j] for j in order] for row in both]
+    return out[:n], out[n:], [degs[j] for j in order]

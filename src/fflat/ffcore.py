@@ -1294,7 +1294,7 @@ def format_rat(r: Rat) -> str:
     field = r.field
     den = r.den
     # pure power of x in the denominator: print as a Laurent polynomial
-    if den.degree == 0 or (den.coeffs.count(0) == den.degree and den.is_monic):
+    if _monomial_degree(den.coeffs) >= 0:
         shift = den.degree
         terms = [(e - shift, c) for e, c in enumerate(r.num.coeffs)][::-1]
         return _format_terms(field, terms)

@@ -5,13 +5,17 @@ Matrices with Laurent-polynomial entries are stored as a polynomial
 matrix together with a nonnegative x-power shift: the actual matrix is
 x^(-shift) * P.  This keeps all heavy arithmetic inside F_q[x].
 
-Columns are basis vectors throughout.
+Columns are basis vectors throughout.  reduce_lattice column-reduces
+adj(H) G by exactlinalg.popov_reduce, which carries G to the reduced
+basis.
 
 A coordinate vector is all Rat, or all LaurentSeries when one input is
 a truncated series (_lift).  Changes of frame (ReducedBasis methods)
 and the weighted max norm (_frac_norm, also behind norm_in_body) each
 have one implementation for both, which asks each coordinate what it
-knows (eff_floor, val); _mat_vec puts a Rat vector over one denominator.
+knows (eff_floor, val); every product of a polynomial matrix and a
+vector is exactlinalg._mat_vec, which puts a Rat vector over one
+denominator.
 """
 
 from __future__ import annotations
@@ -19,7 +23,14 @@ from __future__ import annotations
 import functools
 
 from .errors import InsufficientPrecision, SingularInput
-from .exactlinalg import _minor_table, det_adjugate, mat_mul_poly, popov_reduce
+from .exactlinalg import (
+    _mat_vec,
+    _minor_table,
+    det_adjugate,
+    identity_poly,
+    mat_mul_poly,
+    popov_reduce,
+)
 from .ffcore import (
     GF,
     LaurentSeries,
@@ -30,7 +41,6 @@ from .ffcore import (
     _monomial_degree,
     element,
     expand_rational,
-    poly_lcm,
 )
 
 
@@ -44,23 +54,14 @@ def normalize_matrix(field: GF, entries):
     rats = [[element(field, e).to_rat() for e in row] for row in entries]
     if any(len(row) != d for row in rats):
         raise ValueError("matrix must be square")
-    shift = 0
-    for row in rats:
-        for r in row:
-            k = _monomial_degree(r.den.coeffs)
-            if k < 0:
-                raise ValueError(
-                    "matrix entries must be Laurent polynomials "
-                    "(denominator a power of x)"
-                )
-            shift = max(shift, k)
-    P = []
-    for row in rats:
-        prow = []
-        for r in row:
-            k = _monomial_degree(r.den.coeffs)
-            prow.append(r.num.shift(shift - k))
-        P.append(prow)
+    ks = [[_monomial_degree(r.den.coeffs) for r in row] for row in rats]
+    if any(k < 0 for row in ks for k in row):
+        raise ValueError(
+            "matrix entries must be Laurent polynomials "
+            "(denominator a power of x)"
+        )
+    shift = max((k for row in ks for k in row), default=0)
+    P = [[r.num.shift(shift - k) for r, k in zip(row, krow)] for row, krow in zip(rats, ks)]
     return P, shift
 
 
@@ -83,9 +84,7 @@ class ConvexBody:
     def identity(cls, field: GF, d: int) -> "ConvexBody":
         """The unit body O^d, built once per (field, d): nothing mutates
         a body, and its cache key is an idempotent lazy cache."""
-        one = Poly.one(field)
-        zero = Poly.zero(field)
-        return cls(field, [[one if i == j else zero for j in range(d)] for i in range(d)])
+        return cls(field, identity_poly(field, d))
 
     @classmethod
     def ball(cls, field: GF, d: int, R: int) -> "ConvexBody":
@@ -128,9 +127,7 @@ class Lattice:
 
     @classmethod
     def standard(cls, field: GF, d: int) -> "Lattice":
-        one = Poly.one(field)
-        zero = Poly.zero(field)
-        return cls(field, [[one if i == j else zero for j in range(d)] for i in range(d)])
+        return cls(field, identity_poly(field, d))
 
 
 # --- coordinates: one arithmetic backend per vector --------------------------
@@ -165,34 +162,6 @@ def _as_series(vals, margin: int):
         else expand_rational(v, deep)
         for v in vals
     ]
-
-
-def _common_den(field: GF, ys) -> Poly:
-    """The lcm of the denominators of exact coordinates, Rats or exact
-    series."""
-    lcm = Poly.one(field)
-    for y in ys:
-        den = y.to_rat().den
-        if den.degree > 0:
-            lcm = poly_lcm(lcm, den)
-    return lcm
-
-
-def _mat_vec(M, vec):
-    """M @ vec for a polynomial matrix M and a vector of Poly, of Rat or
-    of LaurentSeries; a Rat vector as one numerator per entry over the
-    lcm of its denominators, so each output is reduced once."""
-    if isinstance(vec[0], Rat):
-        lcm = _common_den(vec[0].field, vec)
-        return [Rat(acc, lcm) for acc in _mat_vec(M, [y.num * (lcm // y.den) for y in vec])]
-    out = []
-    for row in M:
-        acc = None
-        for p, y in zip(row, vec):
-            term = y.mul_poly(p)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
 
 
 def _frac_norm(exps, coords) -> QExp:
@@ -324,7 +293,9 @@ class ReducedBasis:
 
 def norm_in_body(v, C: ConvexBody) -> QExp:
     """||v||_C = |adj(H) v| q^(shift - deg det H) for a vector of Rat,
-    Poly, element strings, or exact or truncated series."""
+    Poly, element strings, or exact or truncated series, d entries."""
+    if len(v) != C.d:
+        raise ValueError(f"a vector of length {len(v)} in a body of dimension {C.d}")
     vals = [element(C.field, e) for e in v]
     if any(e.eff_floor() is not None for e in vals):
         # expanded rationals must never be the precision bottleneck
@@ -339,19 +310,23 @@ def reduce_lattice(lat: Lattice, C: ConvexBody = None) -> ReducedBasis:
     """Reduced basis of lat w.r.t. C, the unit body O^d when C is None:
     the one place that default is picked, so callers pass their C as
     given and read the body reduced for from rb.body.  Cached on the
-    lattice per body."""
+    lattice per body; C must have lat's dimension and field."""
     if C is None:
         C = ConvexBody.identity(lat.field, lat.d)
+    elif C.d != lat.d or C.field != lat.field:
+        raise ValueError(
+            f"a body of dimension {C.d} over {C.field} for a lattice "
+            f"of dimension {lat.d} over {lat.field}"
+        )
     key = C.cache_key()
     hit = lat._reductions.get(key)
     if hit is not None:
         return hit
-    # h^(-1) g = x^(shift_C - shift_L) adj(H) G / det(H): reduce adj(H)G
-    M0 = mat_mul_poly(C.adj, lat.G)
-    RP, U, degs = popov_reduce(M0)
+    # h^(-1) g = x^(shift_C - shift_L) adj(H) G / det(H): reduce adj(H)G,
+    # carrying G to the reduced basis VP = G U
+    RP, VP, degs = popov_reduce(mat_mul_poly(C.adj, lat.G), lat.G)
     norm_shift = C.shift - lat.shift - C.det_H.degree
     exps = [dg + norm_shift for dg in degs]
-    VP = mat_mul_poly(lat.G, U)
     rb = ReducedBasis(lat, C, exps, VP, RP, norm_shift)
     lat._reductions[key] = rb
     return rb

@@ -58,7 +58,7 @@ from fractions import Fraction
 from itertools import combinations, groupby, repeat
 
 from .errors import CapExceeded, InsufficientPrecision, NRational, UndefinedValue
-from .exactlinalg import _echelon_fq, _minor_table
+from .exactlinalg import _common_den, _echelon_fq, _minor_table
 from .ffcore import (
     GF,
     Poly,
@@ -72,7 +72,6 @@ from .lattice import (
     ConvexBody,
     Lattice,
     ReducedBasis,
-    _common_den,
     _frac_norm,
     _is_series,
     _known_tail,

@@ -35,7 +35,7 @@ from fflat import (
     reduce_lattice,
     succ_minima_periodic,
 )
-from fflat.exactlinalg import mat_mul_poly, popov_reduce
+from fflat.exactlinalg import identity_poly, mat_mul_poly, popov_reduce
 from fflat.ffcore import Poly, field_of_order as _make_field
 from fflat.oracle import det_poly
 from fflat.battery import (
@@ -314,7 +314,7 @@ def test_c8_reduction_soundness():
                 C = random_body(rng, field, d)
                 rb = reduce_lattice(lat, C)
                 M0 = mat_mul_poly(C.adj, lat.G)
-                R, U, degs = popov_reduce(M0)
+                R, U, degs = popov_reduce(M0, identity_poly(field, d))
                 du = det_poly(U)
                 assert du.degree == 0 and not du.is_zero
                 assert sum(degs) == det_poly(M0).degree

@@ -6,13 +6,15 @@ import signal
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fflat import GF, LaurentSeries, Poly, Rat, SingularInput
 from fflat.exactlinalg import (
     _echelon_fq,
+    _mat_vec,
     _minor_table,
     det_adjugate,
+    identity_poly,
     kernel_vector_fq,
     mat_mul_poly,
     popov_reduce,
@@ -228,7 +230,7 @@ def _leading_matrix(field, rows, degs_by_col):
 def test_popov_worked_example():
     x = Poly.x(F2)
     M = [[x, x + Poly.one(F2)], [Poly.one(F2), Poly.one(F2)]]
-    R, U, degs = popov_reduce(M)
+    R, U, degs = popov_reduce(M, identity_poly(F2, 2))
     assert degs == [0, 0]
     assert det_poly(U).degree == 0
     assert mat_mul_poly(M, U) == R
@@ -238,7 +240,7 @@ def test_popov_diagonal_untouched():
     x2 = Poly.monomial(F2, 1, 2)
     x1 = Poly.x(F2)
     M = [[x2, Poly.zero(F2)], [Poly.zero(F2), x1]]
-    R, U, degs = popov_reduce(M)
+    R, U, degs = popov_reduce(M, identity_poly(F2, 2))
     assert degs == [1, 2]
     assert det_poly(R) == det_poly(M)
 
@@ -246,7 +248,7 @@ def test_popov_diagonal_untouched():
 def test_popov_rejects_singular():
     x = Poly.x(F2)
     with pytest.raises(SingularInput):
-        popov_reduce([[x, x], [x, x]])
+        popov_reduce([[x, x], [x, x]], identity_poly(F2, 2))
 
 
 def _within(seconds, fn, *args):
@@ -277,7 +279,7 @@ def test_popov_singular_column_shapes(field, d, shape):
         for row in M:
             row[j] = {"zero": Poly.zero(field), "repeated": row[i], "x-times": x * row[i]}[shape]
         with pytest.raises(SingularInput):
-            _within(10, popov_reduce, M)
+            _within(10, popov_reduce, M, identity_poly(field, d))
 
 
 @given(
@@ -380,7 +382,7 @@ def test_popov_invariants_random(field, d):
         if dM.is_zero:
             continue
         done += 1
-        R, U, degs = popov_reduce(M)
+        R, U, degs = popov_reduce(M, identity_poly(field, d))
         dU = det_poly(U)
         assert not dU.is_zero and dU.degree == 0          # unimodular
         assert degs == sorted(degs)
@@ -400,3 +402,96 @@ def test_mat_mul_poly_associative():
         B = _rand_poly_matrix(rng, F3, 3, 1)
         C = _rand_poly_matrix(rng, F3, 3, 1)
         assert mat_mul_poly(mat_mul_poly(A, B), C) == mat_mul_poly(A, mat_mul_poly(B, C))
+
+
+# --- one product, one column reduction -----------------------------------
+
+
+def _schoolbook(M, vec, lift):
+    """M @ vec by the definition: every entry's product, zeros included,
+    summed from the zero of the vector's type; lift takes a Poly entry
+    of M into that type."""
+    zero = lift(Poly.zero(M[0][0].field)) if M else None
+    return [sum((y * lift(p) for p, y in zip(row, vec)), zero) for row in M]
+
+
+def _schoolbook_mat(A, B):
+    cols = [_schoolbook(A, col, lambda p: p) for col in zip(*B)]
+    return [list(row) for row in zip(*cols)]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([F2, F3, F4, F9]), st.integers(1, 6), st.integers(0, 3),
+       st.sampled_from(["random"] * 3 + ["zero", "repeated", "combined"]),
+       st.integers(0, 10**6))
+def test_popov_carries_its_column_operations(field, d, k, shape, seed):
+    """popov_reduce(M, K) applies each column operation to K's rows:
+    it returns (R, K @ U, degs) for the (R, U, degs) that carrying the
+    identity gives, and it raises SingularInput exactly when M is
+    singular, whatever it carries."""
+    rng = random.Random(seed)
+    M = _rand_poly_matrix(rng, field, d)
+    if d > 1 and shape != "random":
+        i, j = rng.sample(range(d), 2)
+        a, b = (_poly(field, [rng.randrange(field.q) for _ in range(2)]) for _ in range(2))
+        for row in M:
+            row[j] = {"zero": Poly.zero(field), "repeated": row[i],
+                      "combined": a * row[i] + b * row[(j + 1) % d]}[shape]
+    K = [row[:d] for row in _rand_poly_matrix(rng, field, max(k, d))[:k]]
+    if det_poly(M).is_zero:
+        for carry in (identity_poly(field, d), K):
+            with pytest.raises(SingularInput):
+                _within(10, popov_reduce, M, carry)
+        return
+    R, U, degs = popov_reduce(M, identity_poly(field, d))
+    assert popov_reduce(M, K) == (R, _schoolbook_mat(K, U), degs)
+    assert R == _schoolbook_mat(M, U)
+    assert det_poly(U).degree == 0
+
+
+def _vector(draw, field, kind, d):
+    digits = st.lists(st.integers(0, field.q - 1), max_size=4)
+    out = []
+    for _ in range(d):
+        cs = draw(digits)
+        if kind == "poly":
+            out.append(Poly(field, cs))
+        elif kind == "rat":
+            den = Poly(field, draw(st.lists(st.integers(0, field.q - 1), max_size=3)) + [1])
+            out.append(Rat(Poly(field, cs), den))
+        else:
+            known = "exact" if kind == "exact" else draw(st.sampled_from(["exact", "floor", "none"]))
+            cs = [] if known == "none" else cs
+            out.append(LaurentSeries(field, cs, draw(st.integers(-6, 2)), exact=known == "exact"))
+    return out
+
+
+@st.composite
+def _product_case(draw):
+    field = draw(st.sampled_from([F2, F3, F4, F9]))
+    rows, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.one_of(st.just(()), st.lists(st.integers(0, field.q - 1), max_size=3))
+    M = [[Poly(field, draw(entry)) for _ in range(d)] for _ in range(rows)]
+    if draw(st.booleans()):
+        M[draw(st.integers(0, rows - 1))] = [Poly.zero(field)] * d
+    kind = draw(st.sampled_from(["poly", "rat", "exact", "truncated"]))
+    return M, kind, _vector(draw, field, kind, d)
+
+
+@settings(max_examples=200)
+@given(_product_case())
+def test_mat_vec_is_the_schoolbook_product(case):
+    """_mat_vec, which skips the zero entries of M and puts a Rat vector
+    over one denominator, equals the product by the definition on Poly,
+    Rat, exact-series and truncated-series vectors (a truncated one may
+    hold exact entries), zero entries and zero rows included; series
+    agree in coefficients, floor and exactness."""
+    M, kind, vec = case
+    lift = {"poly": lambda p: p, "rat": Rat.from_poly}.get(kind, LaurentSeries.from_poly)
+    got, want = _mat_vec(M, vec), _schoolbook(M, vec, lift)
+    assert [type(y) for y in got] == [type(vec[0])] * len(M)
+    if kind in ("poly", "rat"):
+        assert got == want
+    else:
+        assert [(y.coeffs, y.floor, y.exact) for y in got] == \
+            [(y.coeffs, y.floor, y.exact) for y in want]

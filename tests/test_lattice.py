@@ -15,6 +15,7 @@ from fflat import (
     QExp,
     Rat,
     SingularInput,
+    count_points,
     expand_rational,
     covrad_periodic,
     from_lattice,
@@ -338,3 +339,29 @@ def test_frac_norm_is_the_two_branch_formula(case):
         with pytest.raises(InsufficientPrecision) as exc:
             _frac_norm(exps, coords)
         assert exc.value.needed_floor == need
+
+
+def test_a_body_of_another_dimension_or_field_is_refused():
+    """A body must match the lattice, and a vector the body, in dimension
+    and field: reduce_lattice refuses a mismatched body before its cache
+    (keyed by the body's matrix, not its field) is read, and norm_in_body
+    a vector of another length, each with a ValueError.  Unchecked, the
+    F_3 unit body would read the F_2 lattice's cached unit reduction,
+    the d = 3 body would end in an IndexError, and the product would
+    drop the entries of a longer vector or the columns past a shorter
+    one."""
+    C = ConvexBody.identity(F2, 2)
+    for v in (["1", "x", "x^2"], ["1"]):
+        with pytest.raises(ValueError, match="dimension 2"):
+            norm_in_body(v, C)
+    assert norm_in_body(["1", "x"], C) == QExp(1)
+    lat = Lattice.standard(F2, 2)
+    assert reduce_lattice(lat).exps == [0, 0]  # cached under the unit body's key
+    for body in (ConvexBody.identity(F3, 2), ConvexBody.identity(F2, 3)):
+        with pytest.raises(ValueError, match="for a lattice of dimension 2 over GF\\(2\\)"):
+            reduce_lattice(lat, body)
+    S = from_lattice(lat)
+    for question in (count_points, covrad_periodic):
+        with pytest.raises(ValueError):
+            question(S, ConvexBody.identity(F2, 3))
+    assert reduce_lattice(lat, C) is reduce_lattice(lat)

@@ -422,6 +422,29 @@ def test_each_coordinate_answers_for_itself():
     assert "eff_floor" in {n.name for n in rat.body if isinstance(n, ast.FunctionDef)}
 
 
+def test_one_polynomial_product_and_one_column_reduction():
+    """exactlinalg holds the one product of a polynomial matrix and a
+    vector: mat_mul_poly takes it per column and popov_reduce combines
+    columns by it, lattice.py defines no product of its own, and
+    reduce_lattice multiplies once, for adj(H) G, reading the reduced
+    basis from popov_reduce, which carries G."""
+    def functions(module):
+        tree = ast.parse(Path(import_module(module).__file__).read_text())
+        return {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+    def calls(node):
+        return [n.func.attr if isinstance(n.func, ast.Attribute) else n.func.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.Call) and isinstance(n.func, (ast.Attribute, ast.Name))]
+
+    linalg, lattice = functions("fflat.exactlinalg"), functions("fflat.lattice")
+    for name in ("mat_mul_poly", "popov_reduce"):
+        assert "_mat_vec" in calls(linalg[name]), name
+    assert not {"_mat_vec", "_common_den"} & set(lattice)
+    assert calls(lattice["reduce_lattice"]).count("mat_mul_poly") == 1
+    assert calls(lattice["reduce_lattice"]).count("popov_reduce") == 1
+
+
 def test_reduce_lattice_alone_picks_the_unit_body():
     """No body given means the unit body, and only reduce_lattice says
     so: periodic.py and oracle.py pass their C, None included, straight

@@ -44,8 +44,8 @@ from fflat.ffcore import Poly, Rat, expand_rational
 from fflat.oracle import (
     _points_by_definition, count_oracle, density_oracle, rank_rational, succmin_oracle,
 )
-from fflat.exactlinalg import _echelon_fq, _minor_table
-from fflat.lattice import ReducedBasis, _common_den, _lift, _tail_pattern
+from fflat.exactlinalg import _common_den, _echelon_fq, _minor_table
+from fflat.lattice import ReducedBasis, _lift, _tail_pattern
 from fflat import periodic
 from fflat.periodic import PeriodicLattice, _first_spanned, _independent
 from test_exactlinalg import _rref_by_columns, det
