@@ -98,10 +98,14 @@ def _mat_vec(M, vec):
     of LaurentSeries, the one polynomial matrix product: a Rat vector
     as one numerator per entry over the lcm of its denominators, so each
     output is reduced once.  A zero entry of M takes no product; a zero
-    row gives the zero of vec's type."""
+    row gives the zero of vec's type.  A vector whose length is not M's
+    row length is refused (ValueError)."""
+    if len(vec) != len(M[0]):
+        raise ValueError(f"a vector of length {len(vec)} for a matrix with rows of length {len(M[0])}")
+    lcm = None
     if isinstance(vec[0], Rat):
         lcm = _common_den(vec[0].field, vec)
-        return [Rat(acc, lcm) for acc in _mat_vec(M, [y.num * (lcm // y.den) for y in vec])]
+        vec = [y.num * (lcm // y.den) for y in vec]
     out = []
     for row in M:
         acc = None
@@ -110,7 +114,7 @@ def _mat_vec(M, vec):
                 term = y.mul_poly(p)
                 acc = term if acc is None else acc + term
         out.append(vec[0].scale(0) if acc is None else acc)
-    return out
+    return out if lcm is None else [Rat(acc, lcm) for acc in out]
 
 
 def mat_mul_poly(A, B):

@@ -16,6 +16,10 @@ have one implementation for both, which asks each coordinate what it
 knows (eff_floor, val); every product of a polynomial matrix and a
 vector is exactlinalg._mat_vec, which puts a Rat vector over one
 denominator.
+
+The per-body memos (reduce_lattice's and the periodic lattice's) key
+on the ConvexBody object, which hashes by identity: nothing mutates a
+body, and two bodies built from one matrix are two equal-answer keys.
 """
 
 from __future__ import annotations
@@ -68,22 +72,22 @@ def normalize_matrix(field: GF, entries):
 class ConvexBody:
     """A body C = h O^d with h = x^(-shift) H, H a polynomial matrix."""
 
-    __slots__ = ("field", "d", "H", "shift", "det_H", "adj", "_key")
+    __slots__ = ("field", "d", "shift", "det_H", "adj")
 
     def __init__(self, field: GF, entries):
         self.field = field
-        self.H, self.shift = normalize_matrix(field, entries)
-        self.d = len(self.H)
-        self.det_H, self.adj = det_adjugate(self.H)
+        H, self.shift = normalize_matrix(field, entries)
+        self.d = len(H)
+        self.det_H, self.adj = det_adjugate(H)
         if self.det_H.is_zero:
             raise SingularInput("convex body matrix has zero determinant")
-        self._key = None
 
     @classmethod
     @functools.cache
     def identity(cls, field: GF, d: int) -> "ConvexBody":
         """The unit body O^d, built once per (field, d): nothing mutates
-        a body, and its cache key is an idempotent lazy cache."""
+        a body, so every caller shares this one, and with it the memo
+        entries keyed on it."""
         return cls(field, identity_poly(field, d))
 
     @classmethod
@@ -97,14 +101,6 @@ class ConvexBody:
     def log_volume(self) -> QExp:
         """m(C) = |det h| as a q-power."""
         return QExp(self.det_H.degree - self.d * self.shift)
-
-    def cache_key(self):
-        if self._key is None:
-            self._key = (
-                self.shift,
-                tuple(tuple(p.coeffs for p in row) for row in self.H),
-            )
-        return self._key
 
 
 class Lattice:
@@ -310,7 +306,8 @@ def reduce_lattice(lat: Lattice, C: ConvexBody = None) -> ReducedBasis:
     """Reduced basis of lat w.r.t. C, the unit body O^d when C is None:
     the one place that default is picked, so callers pass their C as
     given and read the body reduced for from rb.body.  Cached on the
-    lattice per body; C must have lat's dimension and field."""
+    lattice per body object; C must have lat's dimension and field, or
+    it is refused, not just missed in the cache."""
     if C is None:
         C = ConvexBody.identity(lat.field, lat.d)
     elif C.d != lat.d or C.field != lat.field:
@@ -318,8 +315,7 @@ def reduce_lattice(lat: Lattice, C: ConvexBody = None) -> ReducedBasis:
             f"a body of dimension {C.d} over {C.field} for a lattice "
             f"of dimension {lat.d} over {lat.field}"
         )
-    key = C.cache_key()
-    hit = lat._reductions.get(key)
+    hit = lat._reductions.get(C)
     if hit is not None:
         return hit
     # h^(-1) g = x^(shift_C - shift_L) adj(H) G / det(H): reduce adj(H)G,
@@ -328,6 +324,6 @@ def reduce_lattice(lat: Lattice, C: ConvexBody = None) -> ReducedBasis:
     norm_shift = C.shift - lat.shift - C.det_H.degree
     exps = [dg + norm_shift for dg in degs]
     rb = ReducedBasis(lat, C, exps, VP, RP, norm_shift)
-    lat._reductions[key] = rb
+    lat._reductions[C] = rb
     return rb
 

@@ -134,7 +134,7 @@ def _points_by_definition(S: PeriodicLattice, C: ConvexBody):
     occurrence of each point), or sum_k combo[k] * rep_k for each digit
     combination, combo[0] most significant.  Computed once per body."""
     rb = reduce_lattice(S.lattice, C)
-    key = ("oracle", rb.body.cache_key())
+    key = ("oracle", rb.body)
     hit = S._points_cache.get(key)
     if hit is not None:
         return hit
@@ -245,7 +245,7 @@ def succmin_oracle(S: PeriodicLattice, C: ConvexBody = None,
     if budget is None:
         budget = default_budget()
     rb = reduce_lattice(S.lattice, C)
-    key = ("oracle", "succmin", rb.body.cache_key(), budget)
+    key = ("oracle", "succmin", rb.body, budget)
     hit = S._points_cache.get(key)
     if hit is not None:
         return list(hit)

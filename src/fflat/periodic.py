@@ -128,12 +128,11 @@ class PeriodicLattice:
 
 
 def _coords(S: PeriodicLattice, rb: ReducedBasis):
-    """S.vecs in the rb frame, in their order; converted once per body."""
-    key = rb.body.cache_key()
-    hit = S._coord_cache.get(key)
+    """S.vecs in the rb frame, in their order; kept per body object."""
+    hit = S._coord_cache.get(rb.body)
     if hit is None:
         hit = [rb.from_canonical(v) for v in S.vecs]
-        S._coord_cache[key] = hit
+        S._coord_cache[rb.body] = hit
     return hit
 
 

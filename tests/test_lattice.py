@@ -19,6 +19,7 @@ from fflat import (
     expand_rational,
     covrad_periodic,
     from_lattice,
+    make_coset_lattice,
     norm_in_body,
     parse_element,
     reduce_lattice,
@@ -26,6 +27,8 @@ from fflat import (
 from fflat.battery import random_body, random_lattice
 from fflat.exactlinalg import det_adjugate
 from fflat.lattice import _frac_norm, _lift
+from fflat.oracle import _points_by_definition
+from fflat.periodic import _coords
 
 F2 = GF(2)
 F3 = GF(3)
@@ -64,7 +67,12 @@ def test_identity_body_is_built_once_per_field_and_dimension():
     a, b = ConvexBody.identity(t2_1, 2), ConvexBody.identity(t2_t_2, 2)
     assert a is not b
     assert (a.field, b.field) == (t2_1, t2_t_2)
-    assert a.cache_key() == ConvexBody(t2_1, [["1", "0"], ["0", "1"]]).cache_key()
+    # a body built afresh from the same matrix is another memo key with
+    # the same reduction
+    lat = Lattice.standard(t2_1, 2)
+    ra, rc = reduce_lattice(lat, a), reduce_lattice(lat, ConvexBody(t2_1, [["1", "0"], ["0", "1"]]))
+    assert ra is not rc
+    assert (ra.exps, ra.VP) == (rc.exps, rc.VP)
 
 
 def test_identity_body_reduces_w_as_before():
@@ -343,20 +351,19 @@ def test_frac_norm_is_the_two_branch_formula(case):
 
 def test_a_body_of_another_dimension_or_field_is_refused():
     """A body must match the lattice, and a vector the body, in dimension
-    and field: reduce_lattice refuses a mismatched body before its cache
-    (keyed by the body's matrix, not its field) is read, and norm_in_body
-    a vector of another length, each with a ValueError.  Unchecked, the
-    F_3 unit body would read the F_2 lattice's cached unit reduction,
-    the d = 3 body would end in an IndexError, and the product would
-    drop the entries of a longer vector or the columns past a shorter
-    one."""
+    and field: reduce_lattice refuses a mismatched body, which its cache
+    (keyed by the body object) would only miss, and norm_in_body a
+    vector of another length, each with a ValueError.  Unchecked, the
+    F_3 unit body would mix two fields in one product, the d = 3 body
+    would end in an IndexError, and the product would drop the entries
+    of a longer vector or the columns past a shorter one."""
     C = ConvexBody.identity(F2, 2)
     for v in (["1", "x", "x^2"], ["1"]):
         with pytest.raises(ValueError, match="dimension 2"):
             norm_in_body(v, C)
     assert norm_in_body(["1", "x"], C) == QExp(1)
     lat = Lattice.standard(F2, 2)
-    assert reduce_lattice(lat).exps == [0, 0]  # cached under the unit body's key
+    assert reduce_lattice(lat).exps == [0, 0]  # cached under the unit body
     for body in (ConvexBody.identity(F3, 2), ConvexBody.identity(F2, 3)):
         with pytest.raises(ValueError, match="for a lattice of dimension 2 over GF\\(2\\)"):
             reduce_lattice(lat, body)
@@ -365,3 +372,48 @@ def test_a_body_of_another_dimension_or_field_is_refused():
         with pytest.raises(ValueError):
             question(S, ConvexBody.identity(F2, 3))
     assert reduce_lattice(lat, C) is reduce_lattice(lat)
+
+
+def test_frame_methods_refuse_a_vector_of_another_length():
+    """A coordinate or ambient vector must have the lattice's d entries:
+    the one product, _mat_vec, refuses any other length with a
+    ValueError naming both, where its zip would drop entries or read
+    missing ones as zero."""
+    rb = reduce_lattice(Lattice(F2, [["x", "1"], ["0", "x^2"]]))
+    one = Poly.one(F2)
+    calls = [
+        (rb.ambient_from_coords, [one], 1),
+        (rb.ambient_from_coords, [one, one, one], 3),
+        (rb.norm_from_coords, [one], 1),
+        (rb.coords_from_ambient, [Rat.from_poly(one)], 1),
+    ]
+    for method, vec, n in calls:
+        with pytest.raises(ValueError, match=f"vector of length {n} for a matrix with rows of length 2"):
+            method(vec)
+    assert rb.ambient_from_coords([one, one]) == V(F2, "x + 1", "x^2")
+
+
+def test_each_body_object_has_one_memo_entry():
+    """Each memo keeps one entry per body object: the same body twice
+    adds one entry and reads it back; a body built afresh from the same
+    matrix adds its own entry, with equal values."""
+    lat = Lattice(F3, [["x", "1"], ["0", "x^2"]])
+    S = make_coset_lattice(lat, [["x^-1", "x^-2"]])
+    cells = [["x", "1"], ["0", "x^-1"]]
+    reduce_lattice(lat)  # the unit body's entry, which from_canonical reads
+
+    def sizes():
+        return len(lat._reductions), len(S._coord_cache), len(S._points_cache)
+
+    C = ConvexBody(F3, cells)
+    rb = reduce_lattice(lat, C)
+    coords, points = _coords(S, rb), _points_by_definition(S, C)
+    assert sizes() == (2, 1, 1)
+    assert reduce_lattice(lat, C) is rb
+    assert _coords(S, rb) is coords and _points_by_definition(S, C) is points
+    assert sizes() == (2, 1, 1)
+    D = ConvexBody(F3, cells)
+    rb_d = reduce_lattice(lat, D)
+    assert rb_d is not rb and (rb_d.exps, rb_d.VP) == (rb.exps, rb.VP)
+    assert _coords(S, rb_d) == coords and _points_by_definition(S, D) == points
+    assert sizes() == (3, 2, 2)

@@ -478,3 +478,27 @@ def test_reduce_lattice_alone_picks_the_unit_body():
     count = next(n for n in ast.walk(trees["periodic"])
                  if isinstance(n, ast.FunctionDef) and n.name == "count_points")
     assert not [n for n in ast.walk(count) if isinstance(n, ast.Attribute) and n.attr == "ball"]
+
+
+def test_memos_key_on_the_body_object():
+    """A body is its own memo key: src/fflat builds no cache_key, a body
+    stores no matrix H for one, and reduce_lattice reads and writes
+    _reductions under its C."""
+    package = Path(import_module("fflat").__file__).parent
+    for path in package.glob("*.py"):
+        assert "cache_key" not in path.read_text(), path.name
+    assert not {"H", "_key", "cache_key"} & set(dir(ConvexBody))
+    tree = ast.parse((package / "lattice.py").read_text())
+    reduce_fn = next(n for n in ast.walk(tree)
+                     if isinstance(n, ast.FunctionDef) and n.name == "reduce_lattice")
+
+    def on_reductions(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_reductions"
+
+    keys = [n.slice for n in ast.walk(reduce_fn)
+            if isinstance(n, ast.Subscript) and on_reductions(n.value)]
+    keys += [n.args[0] for n in ast.walk(reduce_fn)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+             and n.func.attr == "get" and on_reductions(n.func.value)]
+    assert len(keys) == 2
+    assert all(isinstance(k, ast.Name) and k.id == "C" for k in keys)

@@ -777,12 +777,12 @@ def _minima_with_rat_minors(S, C):
 
 @st.composite
 def _minima_instances(draw):
-    """(periodic lattice, body): q in {2, 3}, d in {2, 3, 4}, exact alpha
-    (N-rational admitted) or coset representatives with denominators of
-    degree 1..3, or their twins truncated at a floor between x^-6 and
-    x^-1, shallow enough that some minima refuse; the unit body or a
-    ball."""
-    F = draw(st.sampled_from([F2, F3]))
+    """(periodic lattice, body): q in {2, 3, 4}, d in {2, 3, 4}, exact
+    alpha (N-rational admitted) or coset representatives with
+    denominators of degree 1..3, or their twins truncated at a floor
+    between x^-6 and x^-1, shallow enough that some minima refuse; the
+    unit body or a ball."""
+    F = draw(st.sampled_from([F2, F3, F4]))
     d = draw(st.integers(2, 4))
     diag = [draw(st.sampled_from(["1", "x", "x^-1", "x+1", "x^2"])) for _ in range(d)]
     basis = [[diag[i] if i == j else ("0" if i > j else draw(st.sampled_from(["0", "1", "x"])))
@@ -1273,3 +1273,32 @@ def test_alpha_form_answers_as_the_cosets_of_its_generators(inst):
     ms, mt = minkowski_search(S, C), minkowski_search(T, C)
     assert ms.as_dict() == mt.as_dict()
     assert (ms.point, ms.point_norm) == (mt.point, mt.point_norm)
+
+
+# --- bodies built from one matrix ----------------------------------------
+
+
+@st.composite
+def _body_twins(draw):
+    """(S, C, D): an instance of _minima_instances and two bodies built
+    apart from one random upper triangular matrix."""
+    S, _C = draw(_minima_instances())
+    cells = [[draw(st.sampled_from(["x", "1", "x^-1", "x^2", "x+1"])) if i == j
+              else ("0" if i > j else draw(st.sampled_from(["0", "1", "x"])))
+              for j in range(S.d)] for i in range(S.d)]
+    return S, ConvexBody(S.field, cells), ConvexBody(S.field, cells)
+
+
+@given(_body_twins())
+def test_bodies_built_from_one_matrix_answer_alike(inst):
+    """The memos key on the body object, so a body built afresh from
+    the same matrix is reduced and answered anew, on the same periodic
+    lattice: equal reductions, and equal minima, counts, covering and
+    packing radii and densities, or the same refusal."""
+    S, C, D = inst
+    rb_c, rb_d = reduce_lattice(S.lattice, C), reduce_lattice(S.lattice, D)
+    assert rb_c is not rb_d
+    assert (rb_c.exps, rb_c.VP) == (rb_d.exps, rb_d.VP)
+    for question in (succ_minima_periodic, count_points, covrad_periodic,
+                     packing_radius, packing_density):
+        assert _outcome(question, S, C) == _outcome(question, S, D), question.__name__
