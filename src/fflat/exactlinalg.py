@@ -105,7 +105,8 @@ def _mat_vec(M, vec):
     lcm = None
     if isinstance(vec[0], Rat):
         lcm = _common_den(vec[0].field, vec)
-        vec = [y.num * (lcm // y.den) for y in vec]
+        # a denominator of the lcm's degree is the lcm: both are monic
+        vec = [y.num if y.den.degree == lcm.degree else y.num * (lcm // y.den) for y in vec]
     out = []
     for row in M:
         acc = None

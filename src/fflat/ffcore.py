@@ -75,12 +75,6 @@ def _monomial_degree(coeffs) -> int:
     return k if coeffs.count(0) == k else -1
 
 
-@cache
-def _prime_field(p: int) -> GF:
-    """F_p, built once: its kernels are F_p[t] for every F_p^k."""
-    return GF(p)
-
-
 # extension fields up to this size compute with log/antilog/Zech tables;
 # larger ones keep the digit arithmetic, whose set-up costs nothing
 _TABLE_MAX_Q = 2**8
@@ -96,10 +90,12 @@ class GF:
     Besides the element operations, GF has kernels on coefficient
     sequences (`add_coeffs`, `neg_coeffs`, `scale_coeffs`, `mul_coeffs`,
     `divmod_coeffs`), which Poly and LaurentSeries call, so that the
-    choice of arithmetic lives here alone.
+    choice of arithmetic lives here alone.  `_zero` and `_one` are the
+    zero and one of F_q[x], which Poly.zero and Poly.one return.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_fp", "_residues", "_log", "_exp", "_zech")
+    __slots__ = ("p", "k", "q", "modulus", "_fp", "_residues", "_log", "_exp", "_zech",
+                 "_zero", "_one")
 
     def __init__(self, p: int, k: int = 1, modulus=None):
         q = _field_order(p, k)
@@ -118,18 +114,19 @@ class GF:
             if modulus[-1] != 1:
                 inv = pow(modulus[-1], p - 2, p)
                 modulus = tuple(c * inv % p for c in modulus)
-            if not self._irreducible(modulus, _prime_field(p)):
+            if not self._irreducible(modulus, field_of_order(p)):
                 raise ParseError(f"modulus {list(modulus)} is reducible over F_{p}")
         self.p = p
         self.k = k
         self.q = q
         self.modulus = modulus
-        self._fp = _prime_field(p) if k > 1 else None  # the digits' kernels
+        self._fp = field_of_order(p) if k > 1 else None  # the digits' kernels
         # byte c -> c mod p, for products packed one coefficient a byte
         self._residues = bytes(c % p for c in range(256))
         self._log = self._exp = self._zech = None
         if k > 1 and q <= _TABLE_MAX_Q:
             self._build_tables()
+        self._zero, self._one = Poly._of(self, ()), Poly._of(self, (1,))
 
     @staticmethod
     def _irreducible(m, fp: GF) -> bool:
@@ -243,9 +240,6 @@ class GF:
         if self._log is None:
             return self.pow(a, self.q - 2)
         return self._exp[-self._log[a] % (self.q - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
         r = 1
@@ -388,8 +382,13 @@ def _prime_power(q: int):
 
 
 def field_of_order(q: int, modulus=None) -> GF:
-    """F_q; for q = p^k, k > 1, without a modulus the first irreducible
-    one in base-p counting order."""
+    """F_q, one GF per (q, modulus); for q = p^k, k > 1, without a
+    modulus the first irreducible one in base-p counting order."""
+    return _field_of_order(q, None if modulus is None else tuple(modulus))
+
+
+@cache
+def _field_of_order(q: int, modulus) -> GF:
     p, k = _prime_power(q)
     if k == 1 or modulus is not None:
         return GF(p, k, modulus)
@@ -489,12 +488,29 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _of(cls, field: GF, coeffs: tuple) -> "Poly":
+        """The Poly on coeffs, a tuple already trimmed (empty or ending
+        in a nonzero entry), taken unchecked."""
+        p = object.__new__(cls)
+        p.field = field
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
+    def _trim(cls, field: GF, cs: list) -> "Poly":
+        """The Poly on cs, a fresh list that may end in zeros, trimmed in
+        place."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cls._of(field, tuple(cs))
+
+    @classmethod
     def zero(cls, field: GF) -> "Poly":
-        return cls(field, ())
+        return field._zero
 
     @classmethod
     def one(cls, field: GF) -> "Poly":
-        return cls(field, (1,))
+        return field._one
 
     @classmethod
     def const(cls, field: GF, c: int) -> "Poly":
@@ -508,7 +524,7 @@ class Poly:
     def monomial(cls, field: GF, c: int, k: int) -> "Poly":
         if k < 0:
             raise ValueError("monomial exponent must be >= 0")
-        return cls(field, (0,) * k + (c,))
+        return cls._of(field, (0,) * k + (c,)) if c else field._zero
 
     @property
     def degree(self) -> int:
@@ -539,8 +555,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero or self.is_monic:
             return self
-        f = self.field
-        return Poly(f, f.scale_coeffs(self.coeffs, f.inv(self.lc())))
+        return self.scale(self.field.inv(self.lc()))
 
     def scale(self, c: int) -> "Poly":
         f = self.field
@@ -548,21 +563,21 @@ class Poly:
             return Poly.zero(f)
         if c == 1:
             return self
-        return Poly(f, f.scale_coeffs(self.coeffs, c))
+        return Poly._of(f, tuple(f.scale_coeffs(self.coeffs, c)))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k, k >= 0."""
         if self.is_zero or k == 0:
             return self
-        return Poly(self.field, (0,) * k + self.coeffs)
+        return Poly._of(self.field, (0,) * k + self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
         f = self.field
-        return Poly(f, f.add_coeffs(self.coeffs, other.coeffs))
+        return Poly._trim(f, f.add_coeffs(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Poly":
         f = self.field
-        return Poly(f, f.neg_coeffs(self.coeffs))
+        return Poly._of(f, tuple(f.neg_coeffs(self.coeffs)))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -576,7 +591,8 @@ class Poly:
             return self.scale(b[0])
         if len(a) == 1:
             return other.scale(a[0])
-        return Poly(f, f.mul_coeffs(a, b))
+        # F_q has no zero divisors: the top entry lc(a) lc(b) is nonzero
+        return Poly._of(f, tuple(f.mul_coeffs(a, b)))
 
     def mul_poly(self, p: "Poly") -> "Poly":
         """self * p, under the name Rat and LaurentSeries share."""
@@ -591,7 +607,8 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
         quo, rem = f.divmod_coeffs(self.coeffs, other.coeffs)
-        return Poly(f, quo), Poly(f, rem)
+        # quo's top entry is lc(self) / lc(other)
+        return Poly._of(f, tuple(quo)), Poly._trim(f, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -602,7 +619,7 @@ class Poly:
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.coeffs == other.coeffs
         )
 
@@ -659,7 +676,7 @@ class Rat:
                 # x-valuation of num, cancelled by slicing
                 m = min(k, next(i for i, c in enumerate(num.coeffs) if c))
                 if m:
-                    num, den = Poly(num.field, num.coeffs[m:]), Poly(num.field, den.coeffs[m:])
+                    num, den = Poly._of(num.field, num.coeffs[m:]), Poly._of(num.field, den.coeffs[m:])
             elif k < 0:
                 g = poly_gcd(num, den)
                 if g.degree > 0:
@@ -725,7 +742,7 @@ class Rat:
             return self
         low = self.den if k > 0 else self.num
         m = min(abs(k), next(i for i, c in enumerate(low.coeffs) if c))
-        low = Poly(low.field, low.coeffs[m:])
+        low = Poly._of(low.field, low.coeffs[m:])
         if k > 0:
             return Rat(self.num.shift(k - m), low, _canonical=True)
         return Rat(low, self.den.shift(-k - m), _canonical=True)
@@ -782,10 +799,9 @@ class LaurentSeries:
 
     def __init__(self, field: GF, coeffs, floor: int, exact: bool = False):
         cs = list(coeffs)
-        top = floor + len(cs) - 1
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            top -= 1
+        lead = next((i for i, c in enumerate(cs) if c), len(cs))
+        top = floor + len(cs) - 1 - lead
+        del cs[:lead]
         if exact:
             while cs and cs[-1] == 0:
                 cs.pop()

@@ -265,11 +265,14 @@ class ReducedBasis:
     def ambient_from_coords(self, coords):
         """sum coords[i] v^(i): series for series coords, else Rat (coords
         Poly or Rat).  Each Rat ambient coordinate is one numerator over
-        the lcm of the coordinate denominators (_mat_vec), times x^-shift.
+        the lcm of the coordinate denominators (_mat_vec), times x^-shift;
+        all-Poly coords take the Poly product, each output over 1.
         """
-        if not _is_series(coords):
-            coords = [c.to_rat() for c in coords]
-        return [y.mul_xpow(-self.lattice.shift) for y in _mat_vec(self.VP, coords)]
+        if all(isinstance(c, Poly) for c in coords):
+            ys = [Rat.from_poly(y) for y in _mat_vec(self.VP, coords)]
+        else:
+            ys = _mat_vec(self.VP, coords if _is_series(coords) else [c.to_rat() for c in coords])
+        return [y.mul_xpow(-self.lattice.shift) for y in ys]
 
     def ambient_basis(self):
         """The reduced vectors x^(-shift) VP as a matrix of Rat, columns

@@ -495,3 +495,33 @@ def test_mat_vec_is_the_schoolbook_product(case):
     else:
         assert [(y.coeffs, y.floor, y.exact) for y in got] == \
             [(y.coeffs, y.floor, y.exact) for y in want]
+
+
+@st.composite
+def _shared_den_case(draw):
+    """A matrix and a Rat vector whose denominators are all 1, all one
+    monic D, or each its own: entry r D + s, s a nonzero constant, over
+    D keeps the denominator D."""
+    field = draw(st.sampled_from([F2, F3, F4, F9]))
+    rows, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    poly = st.lists(st.integers(0, field.q - 1), max_size=3).map(lambda cs: Poly(field, cs))
+    den = st.lists(st.integers(0, field.q - 1), max_size=2).map(lambda cs: Poly(field, cs + [1]))
+    M = [[draw(poly) for _ in range(d)] for _ in range(rows)]
+    kind = draw(st.sampled_from(["one", "equal", "mixed"]))
+    shared = Poly.one(field) if kind == "one" else draw(den)
+    vec = []
+    for _ in range(d):
+        D = draw(den) if kind == "mixed" else shared
+        s = Poly(field, [draw(st.integers(1, field.q - 1))])
+        vec.append(Rat(draw(poly) * D + s, D))
+    return M, vec
+
+
+@settings(max_examples=200)
+@given(_shared_den_case())
+def test_mat_vec_over_one_or_many_denominators_is_the_term_sum(case):
+    """A Rat vector whose denominators are all 1, all equal or mixed:
+    the entries whose denominator is the lcm take their numerator as it
+    is, and the product equals the sum of its terms in Rat arithmetic."""
+    M, vec = case
+    assert _mat_vec(M, vec) == _schoolbook(M, vec, Rat.from_poly)

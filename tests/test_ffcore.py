@@ -257,6 +257,98 @@ def test_poly_lcm_divisibility(a, b):
     assert m.degree <= a.degree + b.degree
 
 
+def _ref_poly(field, cs):
+    """The checked Poly of a reference coefficient list."""
+    return Poly(field, list(cs))
+
+
+def _ref_add(field, a, b):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return [field.add(x, y) for x, y in zip(a, b)]
+
+
+def _ref_mul(field, a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
+
+
+def _ref_divmod(field, a, b):
+    """Long division of a by b, b with a nonzero last entry, one
+    coefficient of the quotient at a time, from the top."""
+    rem, db = list(a), len(b) - 1
+    quo = [0] * max(len(a) - db, 0)
+    inv = field.inv(b[-1])
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = quo[i - db] = field.mul(rem[i], inv)
+        for j, y in enumerate(b):
+            rem[i - db + j] = field.sub(rem[i - db + j], field.mul(c, y))
+    return quo, rem[:db]
+
+
+@st.composite
+def _construction_case(draw):
+    """A field and two coefficient lists that may end in zeros or be all
+    zero; often b's top entries are those of -a, so that a + b cancels
+    at the top (x + x over F_2 among them)."""
+    field = _make_field(draw(st.sampled_from((2, 3, 4, 5, 9))))
+    entries = st.lists(st.integers(0, field.q - 1), max_size=5)
+    a = draw(entries) + [0] * draw(st.integers(0, 2))
+    b = draw(entries) + [0] * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(a)))
+        b = b[:k] + [0] * (k - len(b)) + [field.neg(c) for c in a[k:]]
+    return field, a, b, draw(st.integers(0, field.q - 1)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=300)
+@given(_construction_case())
+def test_every_poly_result_is_built_trimmed(case):
+    """Each Poly operation, including those that build their result
+    unchecked, gives a coefficient tuple without a trailing zero, equal
+    to the checked Poly of a schoolbook reference: operands with
+    trailing zeros, zero operands, scale and monomial by 0, and sums
+    whose top terms cancel."""
+    field, a, b, c, k = case
+    pa, pb = Poly(field, a), Poly(field, b)
+    results = [
+        (pa + pb, _ref_add(field, a, b)),
+        (pa - pb, _ref_add(field, a, [field.neg(y) for y in b])),
+        (pa + pa, _ref_add(field, a, a)),
+        (pa - pa, []),
+        (-pa, [field.neg(x) for x in a]),
+        (pa * pb, _ref_mul(field, a, b)),
+        (pa.scale(c), [field.mul(x, c) for x in a]),
+        (pa.shift(k), [0] * k + a),
+        (Poly.monomial(field, c, k), [0] * k + [c]),
+    ]
+    if not pa.is_zero:
+        results.append((pa.monic(), [field.mul(x, field.inv(pa.lc())) for x in a]))
+    if not pb.is_zero:
+        quo, rem = _ref_divmod(field, a, list(pb.coeffs))
+        results += list(zip(divmod(pa, pb), (quo, rem)))
+    for got, want in results:
+        assert isinstance(got.coeffs, tuple)
+        assert not got.coeffs or got.coeffs[-1] != 0
+        assert got == _ref_poly(field, want)
+
+
+def test_fields_and_their_zero_and_one_are_built_once():
+    """field_of_order returns one GF per (q, modulus), a list modulus
+    read as the tuple, and each GF one zero and one of F_q[x]."""
+    assert _make_field(3) is _make_field(3)
+    assert _make_field(9) is _make_field(9)
+    assert _make_field(4, [1, 1, 1]) is _make_field(4, (1, 1, 1))
+    for field in (_make_field(3), _make_field(4, [1, 1, 1]), GF(5)):
+        assert Poly.zero(field) is Poly.zero(field)
+        assert Poly.one(field) is Poly.one(field)
+        assert Poly.zero(field) == Poly(field, [0]) and Poly.one(field) == Poly(field, [1, 0])
+        assert Poly.monomial(field, 0, 2) is Poly.zero(field)
+
+
 # zero, a nonzero constant and a general operand, each drawn often
 lcm_operands = st.one_of(
     st.just(Poly.zero(GF(3))),

@@ -284,6 +284,19 @@ def test_ambient_from_coords_is_the_sum_of_its_terms():
                 assert norm_in_body(want, C) == norm
 
 
+@given(st.sampled_from([F2, F3, F4]), st.integers(2, 3), st.integers(0, 10**6))
+def test_ambient_from_coords_takes_poly_coords_as_their_rats(field, d, seed):
+    """An all-Poly coordinate vector, which takes the polynomial
+    product, gives the ambient vector of the same coordinates as Rat."""
+    rng = random.Random(seed)
+    rb = reduce_lattice(random_lattice(rng, field, d), random_body(rng, field, d))
+    cs = [Poly(field, [rng.randrange(field.q) for _ in range(rng.randint(0, 4))])
+          for _ in range(d)]
+    got = rb.ambient_from_coords(cs)
+    assert got == rb.ambient_from_coords([c.to_rat() for c in cs])
+    assert all(isinstance(y, Rat) for y in got)
+
+
 def _frac_norm_two_branches(exps, coords):
     """(norm, None), or (None, needed_floor) for a refusal: the weighted
     max norm with one branch per backend, a Rat one and a series one."""
