@@ -364,7 +364,8 @@ def _check_mink_search(rng, grid):
                 held += 1
                 if rep.status == "no_point":
                     # statement gap: hypothesis held, exhaustive search
-                    # certified there is no point (see decisions ledger)
+                    # certified there is no point (see "certified gaps"
+                    # in the README)
                     gaps += 1
                     continue
                 norm = norm_in_body(rep.point, C)

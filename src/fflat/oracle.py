@@ -4,7 +4,7 @@ Everything here is derived directly from definitions: minima are read
 off growing balls, the covering radius is certified by
 coefficient-pattern coverage at explicit depth.  The fundamental-domain
 points are built point by point from the definition of S
-(frac(Q * alpha), sums of scaled coset representatives), not from the
+(sum_j frac(Q_j * v_j) over the vectors v_j of S), not from the
 generators whose patterns periodic eliminates.  A window of S is counted
 by the rep/lattice splitting (a rep in the ball times the lattice
 shifts that keep it there); its points are built only where the rank
@@ -23,8 +23,8 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import BudgetExceeded, ParseError, PrecisionTooCoarse
-from .ffcore import LaurentSeries, Poly, QExp, Rat, _base_digits, poly_lcm, qpow_fraction
-from .lattice import ConvexBody, _frac_norm, _is_series, _tail_pattern, reduce_lattice
+from .ffcore import Poly, QExp, _base_digits, poly_lcm, qpow_fraction
+from .lattice import ConvexBody, _frac_norm, _tail_pattern, reduce_lattice
 from .periodic import PeriodicLattice
 
 
@@ -109,15 +109,6 @@ def rank_rational(rows) -> int:
     return len(_bareiss(_clear_denominators(rows)[0])[1])
 
 
-def _exact_coords(coords):
-    """A rep's coordinates as Rat; a rep with a truncated coordinate
-    stays in series (every coordinate of an instance shares one
-    backend)."""
-    if any(y.eff_floor() is not None for y in coords):
-        return coords
-    return [y.to_rat() for y in coords]
-
-
 def _poly_upto(field, deg: int):
     """All polynomials of degree <= deg (just zero when deg < 0)."""
     if deg < 0:
@@ -129,39 +120,38 @@ def _poly_upto(field, deg: int):
 
 def _points_by_definition(S: PeriodicLattice, C: ConvexBody):
     """(coords, norm) of every fundamental-domain point of S, in the
-    rb-frame of C, built from the definition: frac(Q * alpha) for each
-    deg Q <= N in counting order (for N-rational alpha the first
-    occurrence of each point), or sum_k combo[k] * rep_k for each digit
-    combination, combo[0] most significant.  Computed once per body."""
+    rb-frame of C, built from the definition: sum_j frac(Q_j * v_j) over
+    the vectors v_j of S, deg Q_j <= N for alpha and Q_j constant for
+    coset representatives.  The Q_j run as one counter, each in
+    _poly_upto's counting order and v_0's most significant (for
+    N-rational alpha the first occurrence of each point is kept); a
+    zero Q_j adds nothing.  Exact coordinates are taken as Rat.
+    Computed once per body."""
     rb = reduce_lattice(S.lattice, C)
     key = ("oracle", rb.body)
     hit = S._points_cache.get(key)
     if hit is not None:
         return hit
     field = S.field
+    vecs = [rb.from_canonical(v) for v in S.vecs]
+    if all(y.eff_floor() is None for v in vecs for y in v):
+        vecs = [[y.to_rat() for y in v] for v in vecs]
+    zero = [Poly.zero(field).to_rat()] * S.d
+    polys = list(_poly_upto(field, 0 if S.N is None else S.N))
+    # terms[j][k] = frac(Q_k * v_j), None for Q_0 = 0
+    terms = [[None] + [[y.mul_poly(Q).frac_part() for y in v] for Q in polys[1:]] for v in vecs]
+    seen = set() if S.N is not None and S.reach != S.N else None
     pts = []
-    if S.N is not None:
-        phi = rb.from_canonical(S.vecs[0])
-        seen = set()
-        for Q in _poly_upto(field, S.N):
-            coords = [y.mul_poly(Q).frac_part() for y in phi]
-            if S.reach != S.N:
-                if tuple(coords) in seen:
-                    continue
-                seen.add(tuple(coords))
-            pts.append(coords)
-    else:
-        reps = [rb.from_canonical(v) for v in S.vecs]
-        if reps and _is_series(reps[0]):
-            zero = LaurentSeries.exact_zero(field)
-        else:
-            zero = Rat.from_poly(Poly.zero(field))
-        for combo in product(range(field.q), repeat=len(reps)):
-            coords = [zero] * S.d
-            for rep, a in zip(reps, combo):
-                if a:
-                    coords = [c + y.scale(a) for c, y in zip(coords, rep)]
-            pts.append([y.frac_part() for y in coords])
+    for combo in product(*terms):
+        coords = zero
+        for term in combo:
+            if term is not None:
+                coords = term if coords is zero else [c + t for c, t in zip(coords, term)]
+        if seen is not None:
+            if tuple(coords) in seen:
+                continue
+            seen.add(tuple(coords))
+        pts.append(coords)
     out = [(coords, _frac_norm(rb.exps, coords)) for coords in pts]
     S._points_cache[key] = out
     return out
@@ -216,20 +206,9 @@ def enumerate_points(S: PeriodicLattice, R: int, C: ConvexBody = None,
     shifts = [list(_poly_upto(field, R - e)) for e in rb.exps]
     out = []
     for coords in reps_in:
-        coords = _exact_coords(coords)
-        stack = [coords]
-        for i in range(S.d):
-            nxt = []
-            for c in stack:
-                for a in shifts[i]:
-                    cc = list(c)
-                    cc[i] = cc[i].add_poly(a)
-                    nxt.append(cc)
-            stack = nxt
-        if coords_only:
-            out.extend(stack)
-        else:
-            out.extend(rb.ambient_from_coords(c) for c in stack)
+        options = [[y.add_poly(a) for a in shift] for y, shift in zip(coords, shifts)]
+        for c in map(list, product(*options)):
+            out.append(c if coords_only else rb.ambient_from_coords(c))
     return out
 
 

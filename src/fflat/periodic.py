@@ -718,6 +718,10 @@ def d_invariant(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
     leaves one undecided."""
     if S.N is None:
         raise TypeError("d_invariant requires an alpha-form periodic lattice")
+    if len(S.vecs) != 1:
+        raise UndefinedValue(
+            f"d_invariant is defined for one alpha vector; this lattice has {len(S.vecs)}"
+        )
     if S.N > _DINV_MAX_N:
         raise CapExceeded(
             f"d_invariant is limited to N <= {_DINV_MAX_N}: past it not every "
@@ -774,8 +778,9 @@ class BoundsReport:
 
 def check_bounds(S: PeriodicLattice, C: ConvexBody = None) -> BoundsReport:
     """Evaluate the minima bounds, and when the hypothesis is certified
-    (rational fractional coordinates with denominator degree > N in the
-    frame of C) also the two-sided product sandwich."""
+    (one alpha vector, its rational fractional coordinates with
+    denominator degree > N in the frame of C) also the two-sided product
+    sandwich."""
     exps, _picks = _minima(S, C)
     rb = reduce_lattice(S.lattice, C)
     logdet = S.lattice.log_det
@@ -794,7 +799,7 @@ def check_bounds(S: PeriodicLattice, C: ConvexBody = None) -> BoundsReport:
         bnd_prod_lhs=prod_lhs,
         bnd_prod_ok=prod_lhs <= rhs,
     )
-    if S.reach == S.N:  # alpha, certified N-irrational
+    if S.reach == S.N and len(S.vecs) == 1:  # one alpha, certified N-irrational
         phi = _coords(S, rb)[0]
         if not _is_series(phi) and all(y.den.degree > S.N for y in phi):
             dinv = d_invariant(S, C)

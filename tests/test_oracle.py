@@ -18,10 +18,15 @@ from fflat import (
     InsufficientPrecision,
     Lattice,
     NRational,
+    PeriodicLattice,
     QExp,
+    UndefinedValue,
+    check_bounds,
     count_oracle,
     count_points,
     covrad_oracle,
+    covrad_periodic,
+    d_invariant,
     density_oracle,
     enumerate_points,
     from_lattice,
@@ -35,7 +40,8 @@ from fflat import (
     succmin_oracle,
 )
 from fflat.errors import BudgetExceeded, PrecisionTooCoarse
-from fflat.ffcore import expand_rational
+from fflat.ffcore import Poly, Rat, expand_rational
+from fflat.periodic import _first_spanned, _minima
 from test_periodic import _frac_coord
 
 F2 = GF(2)
@@ -128,6 +134,16 @@ WINDOW_CAP = 1024
 
 
 @st.composite
+def _triangular_lattices(draw, F, d):
+    """An upper triangular basis with diagonal entries 1, x, x^-1 or
+    x + 1 and entries 0, 1 or x above it."""
+    diag = [draw(st.sampled_from(["1", "x", "x^-1", "x+1"])) for _ in range(d)]
+    basis = [[diag[i] if i == j else ("0" if i > j else draw(st.sampled_from(["0", "1", "x"])))
+              for j in range(d)] for i in range(d)]
+    return Lattice(F, basis)
+
+
+@st.composite
 def windows(draw):
     """(S, R, C or None) over q in {2, 3, 4}, d in {2, 3}: the alpha form
     (N-rational alpha admitted), the coset form or a plain lattice, with
@@ -136,10 +152,7 @@ def windows(draw):
     WINDOW_CAP points."""
     F = draw(st.sampled_from([F2, F3, F4]))
     d = draw(st.sampled_from([2, 3]))
-    diag = [draw(st.sampled_from(["1", "x", "x^-1", "x+1"])) for _ in range(d)]
-    basis = [[diag[i] if i == j else ("0" if i > j else draw(st.sampled_from(["0", "1", "x"])))
-              for j in range(d)] for i in range(d)]
-    lat = Lattice(F, basis)
+    lat = draw(_triangular_lattices(F, d))
     series = draw(st.booleans())
 
     def coords():
@@ -192,6 +205,42 @@ def test_count_oracle_counts_the_enumerated_window(inst):
             fn(S, R, C, budget=total - 1)
     assert count_oracle(S, R, C, budget=total) == total
     assert len(enumerate_points(S, R, C, budget=total, coords_only=True)) == total
+
+
+@st.composite
+def alpha_systems(draw):
+    """Lambda(A, q^N) for A = (alpha_1 .. alpha_m), built from the library
+    type: q in {2, 3}, d in {2, 3}, m in {2, 3}, each alpha_j exact with
+    one monic denominator of degree N + 1, q^(m(N+1)) <= 512 points, and
+    the m(N+1) generators independent."""
+    F = draw(st.sampled_from([F2, F3]))
+    d = draw(st.sampled_from([2, 3]))
+    m = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(0, max(n for n in range(4) if F.q ** (m * (n + 1)) <= 512)))
+    lat = draw(_triangular_lattices(F, d))
+    digits = st.lists(st.integers(0, F.q - 1), min_size=N + 1, max_size=N + 1)
+    vecs = []
+    for _ in range(m):
+        den = Poly(F, (*draw(digits), 1))
+        alpha = [Rat(Poly(F, draw(digits)), den) for _ in range(d)]
+        # alpha_j reduced modulo Lambda, in the reduced frame
+        vecs.append(make_alpha_lattice(lat, alpha, N, require_irrational=False).vecs[0])
+    assume(_first_spanned(F, vecs, N) is None)
+    return PeriodicLattice(lat, vecs, N, N)
+
+
+@given(alpha_systems())
+def test_several_alpha_vectors_match_the_oracles(S):
+    """The oracles enumerate every alpha vector of S: the closed forms,
+    which loop over S.vecs, agree with them; d_invariant and the
+    sandwich, defined for one alpha, refuse or skip."""
+    for R in (-2, -1, 0):
+        assert count_points(S, radius=R) == count_oracle(S, R)
+    assert covrad_periodic(S) == covrad_oracle(S)
+    assert _minima(S)[0] == succmin_oracle(S)
+    with pytest.raises(UndefinedValue, match=f"has {len(S.vecs)}"):
+        d_invariant(S)
+    assert not check_bounds(S).sandwich_checked
 
 
 class TestSuccminMemo:
@@ -310,6 +359,46 @@ def test_oracle_imports_no_closed_form():
         for alias in node.names
     }
     assert from_periodic == {"PeriodicLattice"}
+
+
+def test_oracle_enumerates_once():
+    """One enumeration builds the points of every form: oracle.py
+    subscripts no vector list (vecs[0] would read alpha_1 alone), needs
+    no backend type or per-point exact conversion, and
+    _points_by_definition runs one loop over a product."""
+    import fflat.oracle
+
+    tree = ast.parse(Path(fflat.oracle.__file__).read_text())
+    subscripted = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Subscript)
+                   and (isinstance(n.value, ast.Attribute) and n.value.attr == "vecs"
+                        or isinstance(n.value, ast.Name) and n.value.id == "vecs")]
+    assert not subscripted
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"_is_series", "LaurentSeries", "Rat"}
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "_exact_coords" not in functions
+    loops = [n for n in ast.walk(functions["_points_by_definition"]) if isinstance(n, ast.For)]
+    nested = {m for n in loops for m in ast.walk(n) if m is not n}
+    outer = [n for n in loops if n not in nested]
+    assert len(outer) == 1 and ast.unparse(outer[0].iter).startswith("product(")
+
+
+def test_every_import_is_read():
+    """No module of the package imports a name it never reads (the
+    package's __init__ imports to export)."""
+    package = Path(import_module("fflat").__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        assert not imported - read, (path.name, sorted(imported - read))
 
 
 def test_periodic_enumerates_no_polynomials():
