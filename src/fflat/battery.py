@@ -40,9 +40,7 @@ def random_unimodular(rng, field: GF, d: int, deg: int = 1):
         for j in range(d):
             if i != j and rng.random() < 0.6:
                 k = rng.randint(0, deg)
-                m[i][j] = Poly(
-                    field, tuple(rng.randrange(field.q) for _ in range(k + 1))
-                )
+                m[i][j] = Poly._trim(field, [rng.randrange(field.q) for _ in range(k + 1)])
     return m
 
 
@@ -88,16 +86,13 @@ def random_alpha_lattice(rng, field: GF, d: int, N: int, lat: Lattice) -> Period
         for _ in range(d):
             if rng.random() < 0.25:
                 # a non-monomial denominator now and then
-                den = Poly(
-                    field,
-                    tuple(rng.randrange(field.q) for _ in range(N + 1)) + (1,),
-                )
+                den = Poly._of(field, tuple(rng.randrange(field.q) for _ in range(N + 1)) + (1,))
             else:
                 den = Poly.monomial(field, 1, rng.randint(N + 1, N + 2))
             num = [rng.randrange(field.q) for _ in range(den.degree)]
             if not any(num):
                 num[0] = 1
-            coords.append(Rat(Poly(field, tuple(num)), den))
+            coords.append(Rat(Poly._trim(field, num), den))
         try:
             return make_alpha_lattice(lat, coords, N, frame="reduced")
         except NRational:
@@ -119,7 +114,7 @@ def random_coset_lattice(rng, field: GF, d: int, n: int, lat: Lattice) -> Period
             for _ in range(d):
                 k = rng.randint(1, 3)
                 num = [rng.randrange(field.q) for _ in range(k)]
-                rep.append(Rat(Poly(field, tuple(num)), Poly.monomial(field, 1, k)))
+                rep.append(Rat(Poly._trim(field, num), Poly.monomial(field, 1, k)))
             reps.append(rep)
         try:
             return make_coset_lattice(lat, reps)
@@ -194,9 +189,8 @@ def _check_reduction_soundness(rng, grid):
                     return False, f"degree sum mismatch at q={q} d={d}"
                 for _ in range(50):
                     cs = [
-                        Poly(
-                            field,
-                            tuple(rng.randrange(field.q) for _ in range(rng.randint(1, 3))),
+                        Poly._trim(
+                            field, [rng.randrange(field.q) for _ in range(rng.randint(1, 3))]
                         )
                         for _ in range(d)
                     ]

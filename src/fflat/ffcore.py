@@ -484,6 +484,9 @@ class Poly:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
+        if cs and (min(cs) < 0 or max(cs) >= field.q):
+            bad = next(c for c in cs if not 0 <= c < field.q)
+            raise ValueError(f"coefficient {bad} is not an element of F_{field.q}")
         self.field = field
         self.coeffs = tuple(cs)
 
@@ -825,19 +828,6 @@ class LaurentSeries:
     def from_poly(cls, p: Poly) -> "LaurentSeries":
         return cls(p.field, tuple(reversed(p.coeffs)), 0, exact=True)
 
-    @classmethod
-    def from_pairs(cls, field: GF, pairs, floor: int, exact: bool = False):
-        """Build from {exponent: coefficient}; unlisted exponents are 0."""
-        if not isinstance(pairs, dict):
-            pairs = dict(pairs)
-        if pairs:
-            top = max(pairs)
-            top = max(top, floor - 1)
-        else:
-            top = floor - 1
-        cs = [pairs.get(n, 0) for n in range(top, floor - 1, -1)]
-        return cls(field, cs, floor, exact)
-
     # -- basic queries --
 
     @property
@@ -1178,7 +1168,8 @@ def _laurent_terms_to_rat(field: GF, terms: dict) -> Rat:
     cs = [0] * (max(terms) - lo + 1)
     for e, c in terms.items():
         cs[e - lo] = c
-    p = Poly(field, cs)
+    # the terms are sums in F_q and the top one is nonzero: no check, no trim
+    p = Poly._of(field, tuple(cs))
     if lo == 0:
         return Rat.from_poly(p)
     # p(0) is the nonzero coefficient of x^lo, so x does not divide p

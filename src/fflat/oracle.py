@@ -115,7 +115,7 @@ def _poly_upto(field, deg: int):
         yield Poly.zero(field)
         return
     for n in range(field.q ** (deg + 1)):
-        yield Poly(field, tuple(_base_digits(n, field.q, deg + 1)))
+        yield Poly._trim(field, _base_digits(n, field.q, deg + 1))
 
 
 def _points_by_definition(S: PeriodicLattice, C: ConvexBody):

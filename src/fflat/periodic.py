@@ -53,7 +53,6 @@ F_q-combination of them is a minor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, repeat
 
@@ -637,15 +636,23 @@ def covrad_bounds(lat: Lattice, N: int, C: ConvexBody = None):
     return (-(1 + best), QExp(e[-1] - 1))
 
 
-@dataclass
 class MinkowskiReport:
-    status: str                # "point" | "inapplicable" | "no_point"
-    measure_exp: int           # log_q m(C + fundamental-domain points)
-    threshold_exp: int         # log_q (det(Lambda) / q^(period_size + d))
-    classes_log: int
-    point: list = None
-    point_norm: QExp = None
-    point_source: str = None
+    """Outcome of minkowski_search.  status is "point", "inapplicable" or
+    "no_point"; measure_exp is log_q m(C + fundamental-domain points) and
+    threshold_exp is log_q (det(Lambda) / q^(period_size + d)).  A found
+    point sets point, point_norm and point_source."""
+
+    __slots__ = ("status", "measure_exp", "threshold_exp", "classes_log",
+                 "point", "point_norm", "point_source")
+
+    def __init__(self, status: str, measure_exp: int, threshold_exp: int, classes_log: int):
+        self.status = status
+        self.measure_exp = measure_exp
+        self.threshold_exp = threshold_exp
+        self.classes_log = classes_log
+        self.point = None
+        self.point_norm = None
+        self.point_source = None
 
     def as_dict(self):
         return {
@@ -752,21 +759,32 @@ def d_invariant(S: PeriodicLattice, C: ConvexBody = None) -> QExp:
     return QExp(min(weights))
 
 
-@dataclass
 class BoundsReport:
-    exps: list
-    logdet: int
-    logm: int
-    period_size: int
-    bnd_first_lhs: int
-    bnd_rhs: int
-    bnd_first_ok: bool
-    bnd_prod_lhs: int
-    bnd_prod_ok: bool
-    sandwich_checked: bool = False
-    dinv_exp: int = None
-    sandwich_lower_ok: bool = None
-    sandwich_upper_ok: bool = None
+    """The minima bounds of check_bounds: each *_lhs against bnd_rhs, and
+    the product sandwich with dinv_exp when sandwich_checked."""
+
+    __slots__ = ("exps", "logdet", "logm", "period_size", "bnd_first_lhs", "bnd_rhs",
+                 "bnd_first_ok", "bnd_prod_lhs", "bnd_prod_ok", "sandwich_checked",
+                 "dinv_exp", "sandwich_lower_ok", "sandwich_upper_ok")
+
+    def __init__(self, exps: list, logdet: int, logm: int, period_size: int,
+                 bnd_first_lhs: int, bnd_rhs: int, bnd_first_ok: bool,
+                 bnd_prod_lhs: int, bnd_prod_ok: bool, sandwich_checked: bool = False,
+                 dinv_exp: int = None, sandwich_lower_ok: bool = None,
+                 sandwich_upper_ok: bool = None):
+        self.exps = exps
+        self.logdet = logdet
+        self.logm = logm
+        self.period_size = period_size
+        self.bnd_first_lhs = bnd_first_lhs
+        self.bnd_rhs = bnd_rhs
+        self.bnd_first_ok = bnd_first_ok
+        self.bnd_prod_lhs = bnd_prod_lhs
+        self.bnd_prod_ok = bnd_prod_ok
+        self.sandwich_checked = sandwich_checked
+        self.dinv_exp = dinv_exp
+        self.sandwich_lower_ok = sandwich_lower_ok
+        self.sandwich_upper_ok = sandwich_upper_ok
 
     @property
     def passed(self) -> bool:

@@ -1,11 +1,14 @@
-"""End-to-end command line tests, run in-process through cli.main."""
+"""End-to-end command line tests, run in-process through cli.main, and
+at the end two that start a fresh interpreter."""
 
 import contextlib
 import decimal
 import io
 import json
+import os
 import random
 import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -851,3 +854,36 @@ def test_random_coset_lattice_rejects_more_reps_than_3d():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = DATA / "golden"
+
+
+def _child(*args):
+    """Run this interpreter on args with src first on the path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_import_loads_no_introspection_modules():
+    """dataclasses pulls inspect, ast, dis and tokenize into every
+    process start; modules that site loaded before the import do not
+    count."""
+    proc = _child("-c", "import sys; before = set(sys.modules); import fflat.cli; "
+                        "print(*sorted(set(sys.modules) - before))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "fflat.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_module_entry_matches_the_recorded_run(fmt):
+    """python -m fflat.cli answers as the golden run of cli.main."""
+    argv = ["mink-search", "--format", fmt]
+    want = next(run for run in json.loads((GOLDEN / "expected.json").read_text())["plain_body"]
+                if run[0] == [*argv, "plain_body"])
+    proc = _child("-m", "fflat.cli", *argv, str(GOLDEN / "plain_body.json"))
+    assert [proc.returncode, proc.stdout, proc.stderr] == want[1:]

@@ -336,6 +336,15 @@ def test_every_poly_result_is_built_trimmed(case):
         assert got == _ref_poly(field, want)
 
 
+@pytest.mark.parametrize("q, coeffs, bad", [(2, (2,), 2), (2, (1, 2), 2), (3, (-1,), -1)])
+def test_poly_refuses_entries_outside_the_field(q, coeffs, bad):
+    """The checked constructor takes only entries in range(q): an
+    unreduced 2 over F_2 would be a nonzero constant whose square has
+    coeffs (0,), and a -1 over F_3 would stay -1."""
+    with pytest.raises(ValueError, match=f"coefficient {bad} .*F_{q}"):
+        Poly(GF(q), coeffs)
+
+
 def test_fields_and_their_zero_and_one_are_built_once():
     """field_of_order returns one GF per (q, modulus), a list modulus
     read as the tuple, and each GF one zero and one of F_q[x]."""
@@ -526,7 +535,7 @@ def test_expand_rational_refinement(num, den, floor):
 
 
 def test_frac_part_examples(F2):
-    s = LaurentSeries.from_pairs(F2, {2: 1, 0: 1, -1: 1}, -4, exact=True)
+    s = LaurentSeries(F2, [1, 0, 1, 1, 0, 0, 0], -4, exact=True)
     t = s.frac_part()
     assert t.coeffs == (1,) and t.top == -1 and t.exact
     p = LaurentSeries.from_poly(Poly(F2, (1, 1, 1)))
@@ -553,24 +562,24 @@ def test_frac_part_linear(a, b):
 
 
 def test_series_arith_floor_tracking(F2):
-    a = LaurentSeries.from_pairs(F2, {-1: 1}, -5, exact=False)
+    a = LaurentSeries(F2, [1, 0, 0, 0, 0], -5, exact=False)
     z = a + a
     assert z.is_known_zero and z.floor == -5 and not z.exact
-    b = LaurentSeries.from_pairs(F2, {-1: 1, -2: 1}, -2, exact=True)
+    b = LaurentSeries(F2, [1, 1], -2, exact=True)
     xb = b.mul_xpow(1)
     assert xb.exact and xb.coeff_exp(0) == 1 and xb.coeff_exp(-1) == 1
-    c = LaurentSeries.from_pairs(F2, {2: 1}, 2, exact=True)
-    d = LaurentSeries.from_pairs(F2, {0: 1}, -3, exact=False)
+    c = LaurentSeries(F2, [1], 2, exact=True)
+    d = LaurentSeries(F2, [1, 0, 0, 0], -3, exact=False)
     assert (c * d).floor == -1  # -3 + top 2
 
 
 def test_series_unknown_coefficient_is_loud(F2):
-    s = LaurentSeries.from_pairs(F2, {-1: 1}, -3, exact=False)
+    s = LaurentSeries(F2, [1, 0, 0], -3, exact=False)
     assert s.coeff_exp(-3) == 0
     with pytest.raises(InsufficientPrecision):
         s.coeff_exp(-4)
     # exact series answer everywhere
-    e = LaurentSeries.from_pairs(F2, {-1: 1}, -3, exact=True)
+    e = LaurentSeries(F2, [1, 0, 0], -3, exact=True)
     assert e.coeff_exp(-40) == 0
 
 
@@ -709,7 +718,7 @@ rat_f3 = st.builds(
 def test_results_built_without_a_gcd_are_in_lowest_terms(r, terms):
     # frac_part, to_rat and the parser skip the gcd; reducing their
     # results again must change nothing
-    laurent = LaurentSeries.from_pairs(GF(3), terms, -7, exact=True)
+    laurent = LaurentSeries(GF(3), [terms.get(e, 0) for e in range(6, -8, -1)], -7, exact=True)
     text = " + ".join(f"{c}*x^{e}" for e, c in terms.items()) or "0"
     for got in (r.frac_part(), laurent.to_rat(), parse_element(GF(3), text)):
         assert got == Rat(got.num, got.den)

@@ -68,11 +68,11 @@ class TestHankelPlacement:
         assert _hankel(a, 2, 2) == [[1, 0], [0, 0]]
 
     def test_truncated_series_within_window(self):
-        s = LaurentSeries.from_pairs(F2, {-1: 1, -2: 1, -3: 0}, -3, exact=False)
+        s = LaurentSeries(F2, [1, 1, 0], -3, exact=False)
         assert _hankel(s, 2, 2) == [[1, 1], [1, 0]]
 
     def test_truncated_series_past_window(self):
-        s = LaurentSeries.from_pairs(F2, {-1: 1, -2: 1, -3: 0}, -3, exact=False)
+        s = LaurentSeries(F2, [1, 1, 0], -3, exact=False)
         with pytest.raises(InsufficientPrecision) as ei:
             _hankel(s, 3, 2)
         assert ei.value.needed_floor == -4
@@ -149,8 +149,8 @@ class TestCoefficientLocality:
     def test_truncation_below_needed_depth_is_invisible(self):
         lam = Lattice.standard(F2, 2)
         exact = make_alpha_lattice(lam, ["x^-1", "x^-2"], 1)
-        a1 = LaurentSeries.from_pairs(F2, {-1: 1}, -3, exact=False)
-        a2 = LaurentSeries.from_pairs(F2, {-2: 1}, -3, exact=False)
+        a1 = LaurentSeries(F2, [1, 0, 0], -3, exact=False)
+        a2 = LaurentSeries(F2, [1, 0], -3, exact=False)
         trunc = make_alpha_lattice(lam, [a1, a2], 1)
         assert covrad_periodic(trunc) == covrad_periodic(exact)
 
@@ -179,8 +179,8 @@ class TestCoefficientLocality:
     def test_level_past_the_generator_count_reads_nothing(self):
         # W's third level would read x^-3 but asks rank 4 of 2 generators
         lam = Lattice.standard(F2, 2)
-        a1 = LaurentSeries.from_pairs(F2, {-1: 1}, -2, exact=False)
-        a2 = LaurentSeries.from_pairs(F2, {-2: 1}, -2, exact=False)
+        a1 = LaurentSeries(F2, [1, 0], -2, exact=False)
+        a2 = LaurentSeries(F2, [1], -2, exact=False)
         trunc = make_alpha_lattice(lam, [a1, a2], 1)
         assert covrad_periodic(trunc) == QExp(-2)
 
@@ -188,8 +188,8 @@ class TestCoefficientLocality:
         lam = Lattice.standard(F2, 2)
         base = make_alpha_lattice(lam, ["x^-1", "x^-2"], 1)
         # perturb far below the scan depth; same N, same result
-        a1 = LaurentSeries.from_pairs(F2, {-1: 1, -9: 1}, -9, exact=True)
-        a2 = LaurentSeries.from_pairs(F2, {-2: 1, -8: 1}, -9, exact=True)
+        a1 = LaurentSeries(F2, [1, 0, 0, 0, 0, 0, 0, 0, 1], -9, exact=True)
+        a2 = LaurentSeries(F2, [1, 0, 0, 0, 0, 0, 1, 0], -9, exact=True)
         pert = make_alpha_lattice(lam, [a1, a2], 1)
         assert covrad_periodic(pert) == covrad_periodic(base)
 

@@ -169,14 +169,14 @@ def test_orthogonality_of_reduced_basis():
 def test_norm_with_truncated_series():
     C = ConvexBody.identity(F2, 2)
     v = [
-        LaurentSeries.from_pairs(F2, {-2: 1}, -6, exact=False),
-        LaurentSeries.from_pairs(F2, {-3: 1}, -6, exact=False),
+        LaurentSeries(F2, [1, 0, 0, 0, 0], -6, exact=False),
+        LaurentSeries(F2, [1, 0, 0, 0], -6, exact=False),
     ]
     assert norm_in_body(v, C) == QExp(-2)
     # an all-unknown leading window cannot be normed
     u = [
-        LaurentSeries.from_pairs(F2, {}, -2, exact=False),
-        LaurentSeries.from_pairs(F2, {}, -2, exact=False),
+        LaurentSeries(F2, [], -2, exact=False),
+        LaurentSeries(F2, [], -2, exact=False),
     ]
     with pytest.raises(InsufficientPrecision):
         norm_in_body(u, C)
@@ -186,7 +186,7 @@ def test_norm_mixed_rat_and_series():
     C = ConvexBody(F2, [["x", "0"], ["0", "1"]])
     v = [
         Rat(Poly.one(F2), Poly.x(F2)),
-        LaurentSeries.from_pairs(F2, {-1: 1}, -4, exact=False),
+        LaurentSeries(F2, [1, 0, 0, 0], -4, exact=False),
     ]
     # h^-1 v = (x^-2, x^-1 + ...): sup exponent -1
     assert norm_in_body(v, C) == QExp(-1)

@@ -260,8 +260,8 @@ class TestCosetForm:
 
 class TestTruncatedAlpha:
     def test_series_alpha_matches_exact(self, lam):
-        a1 = LaurentSeries.from_pairs(F2, {-1: 1, -3: 1, -5: 1}, -6, exact=False)
-        a2 = LaurentSeries.from_pairs(F2, {-2: 1}, -6, exact=True)
+        a1 = LaurentSeries(F2, [1, 0, 1, 0, 1, 0], -6, exact=False)
+        a2 = LaurentSeries(F2, [1, 0, 0, 0, 0], -6, exact=True)
         Wt = make_alpha_lattice(lam, [a1, a2], 1)
         assert Wt.period_size == 2
         exps, _ = succ_minima_periodic(Wt)
@@ -272,8 +272,8 @@ class TestTruncatedAlpha:
     def test_series_n_rational_witness(self):
         # exact series (x^-1 + 2x^-2, x^-2) over F_3: the first nonzero Q in
         # counting order with frac(Q alpha) = 0 is x^2, point 9 of the walk
-        a1 = LaurentSeries.from_pairs(F3, {-1: 1, -2: 2}, -2, exact=True)
-        a2 = LaurentSeries.from_pairs(F3, {-2: 1}, -2, exact=True)
+        a1 = LaurentSeries(F3, [1, 2], -2, exact=True)
+        a2 = LaurentSeries(F3, [1], -2, exact=True)
         with pytest.raises(NRational) as ei:
             make_alpha_lattice(Lattice.standard(F3, 2), [a1, a2], 2)
         assert ei.value.witness.coeffs == (0, 0, 1)
@@ -282,15 +282,15 @@ class TestTruncatedAlpha:
         # (x^-2 + O(x^-4), O(x^-4)) over F_3: frac(x^2 alpha) is O(x^-2),
         # while every Q of lower degree leaves x^-2 or x^-1 known nonzero;
         # the refusal names the degree and the next floor of alpha itself
-        a1 = LaurentSeries.from_pairs(F3, {-2: 1}, -3, exact=False)
-        a2 = LaurentSeries.from_pairs(F3, {}, -3, exact=False)
+        a1 = LaurentSeries(F3, [1, 0], -3, exact=False)
+        a2 = LaurentSeries(F3, [], -3, exact=False)
         with pytest.raises(InsufficientPrecision) as ei:
             make_alpha_lattice(Lattice.standard(F3, 2), [a1, a2], 2)
         assert "Q of degree 2" in str(ei.value)
         assert ei.value.needed_floor == -4
 
     def test_all_unknown_coordinate_refused(self, lam):
-        bad = LaurentSeries.from_pairs(F2, {}, -2, exact=False)
+        bad = LaurentSeries(F2, [], -2, exact=False)
         with pytest.raises(InsufficientPrecision):
             make_alpha_lattice(lam, [bad, bad], 0)
 
@@ -337,10 +337,8 @@ def _alpha_series(draw):
         top = draw(st.sampled_from([-1, min(floor + 2, -1)]))
         exps = draw(st.lists(st.integers(floor, top), max_size=3, unique=True))
         pairs = {e: draw(digit) for e in exps}
-        if kind == "exact":
-            phi.append(LaurentSeries.from_pairs(F, pairs, min(pairs, default=1), exact=True))
-        else:
-            phi.append(LaurentSeries.from_pairs(F, pairs, floor, exact=False))
+        coeffs = [pairs.get(e, 0) for e in range(-1, floor - 1, -1)]
+        phi.append(LaurentSeries(F, coeffs, floor, exact=kind == "exact"))
     return F, phi, N
 
 
