@@ -92,7 +92,7 @@ def _parse_matrix(field, obj, d: int, name: str):
     return out
 
 
-def _apply_precision(field, value, floor: int):
+def _apply_precision(value, floor: int):
     if isinstance(value, LaurentSeries):
         return value
     return expand_rational(value, floor).truncated(floor)
@@ -162,7 +162,7 @@ def load_instance(path: str) -> Instance:
             raise ParseError("N: required nonnegative integer with alpha")
         N = check_magnitude(raw["N"], "N")
         if precision is not None:
-            alpha = [_apply_precision(field, a, precision) for a in alpha]
+            alpha = [_apply_precision(a, precision) for a in alpha]
         periodic = make_alpha_lattice(lattice, alpha, N, frame=frame)
         return Instance(periodic, body, "alpha")
     if raw.get("frame") is not None:
@@ -182,7 +182,7 @@ def load_instance(path: str) -> Instance:
                 for j, c in enumerate(rep)
             ]
             if precision is not None:
-                coords = [_apply_precision(field, c, precision) for c in coords]
+                coords = [_apply_precision(c, precision) for c in coords]
             reps.append(coords)
         try:
             periodic = make_coset_lattice(lattice, reps)

@@ -3,8 +3,10 @@
 Matrices are plain lists of rows.  Entries are ints (F_q), Poly, Rat,
 or LaurentSeries depending on the function.  Everything here is exact.
 Each coefficient ring has one elimination: over F_q the row echelon
-form by row insertion (the kernel vector back-substitutes into its
-basis), over F_q[x] the column reduction popov_reduce, which detects
+form by columns, _column_echelon (the periodic invariants' weight
+echelon, the construction certificate and the mink-search point read
+it, and the kernel vector back-substitutes over its pivot rows), over
+F_q[x] the column reduction popov_reduce, which detects
 a singular input itself, when a column reduces to zero, and applies
 each column operation to the rows it carries (a basis, which it
 returns reduced, or the identity, which it returns as U).  One product,
@@ -20,7 +22,6 @@ keep their own determinant and rank (Bareiss elimination, in oracle.py).
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import reduce
 from itertools import combinations
 
@@ -31,43 +32,56 @@ from .ffcore import GF, Poly, Rat, poly_lcm
 # --- F_q matrices --------------------------------------------------------
 
 
-def _echelon_fq(field: GF, rows):
-    """Row echelon form over F_q, the rows inserted in order: (basis,
-    independent).  basis holds (pivot column, row) sorted by pivot; a
-    basis row is zero before its pivot, which is 1.  independent maps
-    each row that the earlier rows do not span, in order, to the pivot
-    of the basis row it adds: the first column c such that on columns
-    0..c it leaves their span."""
-    basis = []
-    independent = {}
-    for i, row in enumerate(rows):
-        row = list(row)
-        for col, b in basis:
-            if row[col]:
-                row = field.add_coeffs(row, field.scale_coeffs(b, field.neg(row[col])))
-        col = next((c for c, a in enumerate(row) if a), None)
-        if col is None:
+def _column_echelon(field: GF, rows, ncols: int, unknown=None):
+    """Row echelon form over F_q by columns: (pivots, free, cut).  Column
+    j < ncols takes the first row without a pivot that is nonzero there,
+    scaled to 1, and clears column j of the later rows without one;
+    entries past ncols ride along.  pivots lists (column, row index, pivot
+    row) as found, a pivot row zero before its column; the pairs are the
+    rank profile matrix's, which every echelon form shares.  free holds
+    the rows left without a pivot, reduced, in ascending order.  With
+    unknown, unknown[j] masks the rows that do not know column j, and a
+    row knows what all rows cleared into it know: the elimination stops
+    at cut, the first column a free row does not know, with the pivots
+    before it exact; otherwise cut is None."""
+    rows = list(rows)
+    free = list(range(len(rows)))
+    support = [1 << r for r in free]
+    pivots = []
+    for j in range(ncols):
+        if not free:
+            break
+        if unknown is not None and any(support[r] & unknown[j] for r in free):
+            return pivots, [rows[r] for r in free], j
+        p = next((r for r in free if rows[r][j]), None)
+        if p is None:
             continue
-        insort(basis, (col, field.scale_coeffs(row, field.inv(row[col]))))
-        independent[i] = col
-    return basis, independent
+        free.remove(p)
+        pivot = field.scale_coeffs(rows[p], field.inv(rows[p][j]))
+        for r in free:
+            if rows[r][j]:
+                minus = field.scale_coeffs(pivot, field.neg(rows[r][j]))
+                rows[r] = field.add_coeffs(rows[r], minus)
+                support[r] |= support[p]
+        pivots.append((j, p, pivot))
+    return pivots, [rows[r] for r in free], None
 
 
 def kernel_vector_fq(field: GF, rows):
     """First right-kernel basis vector of M over F_q, or None if none.
 
     Deterministic: 1 on the echelon form's first free column, and the
-    pivots before it, the first basis rows, solved from the last back.
+    pivots before it, the first pivot rows, solved from the last back.
     """
-    basis = _echelon_fq(field, rows)[0]
     ncols = len(rows[0]) if rows else 0
-    pivots = {col for col, _b in basis}
-    free = next((c for c in range(ncols) if c not in pivots), None)
-    if free is None:
+    pivots = _column_echelon(field, rows, ncols)[0]
+    # pivot columns ascend, so the first free column is the first gap
+    free = next((k for k, (col, _r, _b) in enumerate(pivots) if col != k), len(pivots))
+    if free == ncols:
         return None
     vec = [0] * ncols
     vec[free] = 1
-    for col, b in reversed(basis[:free]):
+    for col, _r, b in reversed(pivots[:free]):
         terms = map(field.mul, b[col + 1:free + 1], vec[col + 1:free + 1])
         vec[col] = field.neg(reduce(field.add, terms, 0))
     return vec

@@ -805,6 +805,9 @@ class LaurentSeries:
         lead = next((i for i, c in enumerate(cs) if c), len(cs))
         top = floor + len(cs) - 1 - lead
         del cs[:lead]
+        if cs and (min(cs) < 0 or max(cs) >= field.q):
+            bad = next(c for c in cs if not 0 <= c < field.q)
+            raise ValueError(f"coefficient {bad} is not an element of F_{field.q}")
         if exact:
             while cs and cs[-1] == 0:
                 cs.pop()

@@ -30,25 +30,25 @@ point, and no invariant lists the q^n points.  The coefficient of x^-t
 in coordinate i has weight e_i - t, and a point's norm is q^(the
 largest weight of a nonzero coefficient).  So one elimination of the
 generators' pattern matrix with its columns in descending weight
-(_weight_echelon) gives a basis of pivot points of known norm, and the
+(_weight_echelon, by exactlinalg._column_echelon, the one F_q
+elimination) gives a basis of pivot points of known norm, and the
 points of norm <= q^s are the span of the pivots of weight <= s.  Read
 down to weight 1 it gives count and the mink-search point; read until
 every generator has a pivot it gives the candidates of the successive
 minima, and with them the packing radius and density; read down to the
 lowest weight at which there are at most n columns of that weight or
 more it gives the covering radius (covrad_periodic), from how many
-pivots those columns take.  The same columns are also the
-construction certificate (_first_spanned): N-irrationality of
-truncated alpha and independence of the coset representatives both say
-that no generator lies in the span of the earlier ones on the
-coefficients they all know, which one row echelon form, its columns
-ordered by the first generator that does not know them, decides.
-Exact alpha keeps the closed form of that rank,
-the degree of its denominators' lcm.  So nothing here enumerates
-points, and no size cap is needed.  d_invariant reads its fixed
-Cauchy-Binet minors off one minor table per column set, eliminates
-them the same way, and keeps one cap, N <= 2, up to which every
-F_q-combination of them is a minor.
+pivots those columns take.  The same columns, ordered instead by the
+first generator that does not know them, give the construction
+certificate (_first_spanned) by the same elimination: N-irrationality
+of truncated alpha and independence of the coset representatives both
+say that no generator lies in the span of the earlier ones on the
+coefficients they all know, and the pivot each generator takes decides
+it.  Exact alpha keeps the closed form of that rank, the degree of
+its denominators' lcm.  So nothing here enumerates points, and no size
+cap is needed.  d_invariant reads its fixed Cauchy-Binet minors off
+one minor table per column set, eliminates them the same way, and
+keeps one cap, N <= 2, up to which every F_q-combination is a minor.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from fractions import Fraction
 from itertools import combinations, groupby, repeat
 
 from .errors import CapExceeded, InsufficientPrecision, NRational, UndefinedValue
-from .exactlinalg import _common_den, _echelon_fq, _minor_table
+from .exactlinalg import _column_echelon, _common_den, _minor_table
 from .ffcore import (
     GF,
     Poly,
@@ -247,16 +247,17 @@ def _first_spanned(field: GF, vecs, reach: int):
     coefficient.  With the columns ordered by the first generator that
     does not know them, that generator last, those that generators 0..m
     all know are a prefix; those generator 0 does not know are in none.
-    One row echelon form, the generators inserted as rows in order,
-    decides every m: a basis row with its pivot past the prefix is zero
-    on it, so generator m is spanned iff its row has no pivot inside.
+    One column echelon of the rows decides every m: row m's pivot is the
+    first column on which it leaves the span of rows 0..m-1, so generator
+    m is spanned iff its row has no pivot inside the prefix.
     """
     n = len(vecs) * (reach + 1)
     cols = [c for c in _pattern_columns(vecs, reach, _pattern_depths(field, vecs)) if not c[2] & 1]
     # the first generator that does not know a column is its mask's lowest bit
     cols.sort(key=lambda c: c[2] & -c[2] or 1 << n, reverse=True)
     # with no columns there are no rows either, and generator 0 is spanned
-    independent = _echelon_fq(field, list(zip(*(c[3] for c in cols))))[1]
+    rows = list(zip(*(c[3] for c in cols)))
+    independent = {r: j for j, r, _row in _column_echelon(field, rows, len(cols))[0]}
     for m in range(n):
         j = independent.get(m)
         # the pivot is inside the prefix iff generators 0..m all know it
@@ -349,7 +350,8 @@ def _weight_echelon(S: PeriodicLattice, rb: ReducedBasis, stop: int = None):
 
 def _echelon_by_weight(field: GF, vecs, reach: int, exps, stop: int = None):
     """The pattern matrix of the generators (_pattern_columns) in row
-    echelon form, its columns in descending weight: (pivots, rest, cut).
+    echelon form (_column_echelon), its columns in descending weight:
+    (pivots, rest, cut).
 
     Row k is generator k, then its digit vector; column (i, t) has
     weight exps[i] - t.  A pivot row is zero before its pivot, so it is
@@ -378,29 +380,13 @@ def _echelon_by_weight(field: GF, vecs, reach: int, exps, stop: int = None):
     cols.sort(key=lambda c: (c[1] - exps[c[0]], c[2].bit_count()))
     m = len(cols)
     rows = [[c[3][k] for c in cols] + [int(j == k) for j in range(n)] for k in range(n)]
-    support = [1 << k for k in range(n)]
-    free = list(range(n))
-    pivots = []
-    for j, (i, t, unknown, _entries) in enumerate(cols):
-        if not free:
-            break
-        weight = exps[i] - t
-        if any(support[r] & unknown for r in free):
-            if stop is not None:
-                t = max(max(e - 1 - stop, 0) for e in exps)
-            return pivots, None, (weight, t)
-        p = next((r for r in free if rows[r][j]), None)
-        if p is None:
-            continue
-        free.remove(p)
-        pivot = field.scale_coeffs(rows[p], field.inv(rows[p][j]))
-        for r in free:
-            if rows[r][j]:
-                minus = field.scale_coeffs(pivot, field.neg(rows[r][j]))
-                rows[r] = field.add_coeffs(rows[r], minus)
-                support[r] |= support[p]
-        pivots.append((weight, pivot[m:]))
-    return pivots, [rows[r][m:] for r in free], None
+    weights = [exps[i] - t for i, t, _unknown, _entries in cols]
+    pivots, free, cut = _column_echelon(field, rows, m, [c[2] for c in cols])
+    pivots = [(weights[j], row[m:]) for j, _r, row in pivots]
+    if cut is not None:
+        depth = cols[cut][1] if stop is None else max(max(e - 1 - stop, 0) for e in exps)
+        return pivots, None, (weights[cut], depth)
+    return pivots, [row[m:] for row in free], None
 
 
 def _combination(S: PeriodicLattice, rb: ReducedBasis, digits):
@@ -691,7 +677,7 @@ def minkowski_search(S: PeriodicLattice, C: ConvexBody = None) -> MinkowskiRepor
     if not measure_exp > threshold_exp:
         return MinkowskiReport("inapplicable", measure_exp, threshold_exp, classes_log)
     if rest:
-        last = _echelon_fq(S.field, [digits[::-1] for digits in rest])[0][-1][1]
+        last = _column_echelon(S.field, [digits[::-1] for digits in rest], S.period_size)[0][-1][2]
         coords = _combination(S, rb, last[::-1])
         rep = MinkowskiReport("point", measure_exp, threshold_exp, classes_log)
         rep.point = rb.ambient_from_coords(coords)

@@ -3,14 +3,16 @@
 import itertools
 import random
 import signal
+from bisect import insort
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fflat import GF, LaurentSeries, Poly, Rat, SingularInput
 from fflat.exactlinalg import (
-    _echelon_fq,
+    _column_echelon,
     _mat_vec,
     _minor_table,
     det_adjugate,
@@ -24,6 +26,7 @@ from fflat.oracle import det_poly, rank_rational
 F2 = GF(2)
 F3 = GF(3)
 F4 = GF(2, 2, (1, 1, 1))
+F5 = GF(5)
 F9 = GF(3, 2, (2, 2, 1))
 
 
@@ -34,8 +37,48 @@ def det(rows):
 
 
 def rank_fq(field, rows):
-    """Rank over F_q: how many rows the row-insertion echelon keeps."""
-    return len(_echelon_fq(field, rows)[1])
+    """Rank over F_q: how many pivots the column echelon finds."""
+    return len(_column_echelon(field, rows, len(rows[0]) if rows else 0)[0])
+
+
+def _echelon_fq(field, rows):
+    """Row echelon form over F_q by row insertion, kept as a reference
+    for _column_echelon: (basis, independent).  basis holds (pivot
+    column, row) sorted by pivot; a basis row is zero before its pivot,
+    which is 1.  independent maps each row that the earlier rows do not
+    span, in order, to the pivot of the basis row it adds: the first
+    column c such that on columns 0..c it leaves their span."""
+    basis = []
+    independent = {}
+    for i, row in enumerate(rows):
+        row = list(row)
+        for col, b in basis:
+            if row[col]:
+                row = field.add_coeffs(row, field.scale_coeffs(b, field.neg(row[col])))
+        col = next((c for c, a in enumerate(row) if a), None)
+        if col is None:
+            continue
+        insort(basis, (col, field.scale_coeffs(row, field.inv(row[col]))))
+        independent[i] = col
+    return basis, independent
+
+
+def _kernel_vector_by_insertion(field, rows):
+    """kernel_vector_fq as the row-insertion echelon gave it, kept as a
+    reference: 1 on the first free column, and the pivots before it,
+    the first basis rows, solved from the last back."""
+    basis = _echelon_fq(field, rows)[0]
+    ncols = len(rows[0]) if rows else 0
+    pivots = {col for col, _b in basis}
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
+        return None
+    vec = [0] * ncols
+    vec[free] = 1
+    for col, b in reversed(basis[:free]):
+        terms = map(field.mul, b[col + 1:free + 1], vec[col + 1:free + 1])
+        vec[col] = field.neg(reduce(field.add, terms, 0))
+    return vec
 
 
 def test_rank_fq_examples():
@@ -310,8 +353,8 @@ def test_kernel_vector_fq_matches_rank(field, m, n, seed):
 
 
 def _rref_by_columns(field, rows):
-    """Reduced row echelon form by the column-by-column Gauss-Jordan
-    elimination that row insertion replaced, kept as a reference."""
+    """Reduced row echelon form by column-by-column Gauss-Jordan
+    elimination, kept as a reference."""
     m = [list(r) for r in rows]
     pivots = []
     ncols = len(m[0]) if m else 0
@@ -337,13 +380,13 @@ def _rref_by_columns(field, rows):
     st.sampled_from([F2, F3, F4]), st.integers(0, 6), st.integers(0, 6), st.integers(0, 10**6)
 )
 def test_echelon_fq_row_profile_and_rref(field, m, n, seed):
-    """independent's keys are the greedy row-rank profile, and each
-    value is the pivot of the basis row that row adds: the first column
-    c on which M[i] restricted to columns 0..c leaves the span of the
-    earlier rows restricted alike.  The basis is an echelon form sorted
-    by pivot, and its last row is the reduced row echelon form's last
-    nonzero row, which back-substitution never touches: the row that
-    the mink-search point reads."""
+    """The reference row-insertion echelon: independent's keys are the
+    greedy row-rank profile, and each value is the pivot of the basis
+    row that row adds: the first column c on which M[i] restricted to
+    columns 0..c leaves the span of the earlier rows restricted alike.
+    The basis is an echelon form sorted by pivot, and its last row is the
+    reduced row echelon form's last nonzero row, which back-substitution
+    never touches: the row that the mink-search point reads."""
     rng = random.Random(seed)
     density = rng.random()
     M = [[rng.randrange(field.q) if rng.random() < density else 0 for _ in range(n)]
@@ -369,6 +412,56 @@ def test_echelon_fq_row_profile_and_rref(field, m, n, seed):
         assert not any(row[:col]) and row[col] == 1
     if basis:
         assert basis[-1][1] == _rref_by_columns(field, M)[0][len(basis) - 1]
+
+
+@given(
+    st.sampled_from([F2, F3, F4, F5, F9]), st.integers(0, 8), st.integers(0, 8),
+    st.integers(0, 10**6),
+)
+def test_column_echelon_matches_row_insertion(field, m, n, seed):
+    """The column echelon pairs each row with the pivot column that the
+    row-insertion echelon gives it, the rank profile matrix being
+    unique; so kernel_vector_fq, which back-substitutes over its pivot
+    rows, is the reference's vector, and its last pivot row is the
+    reference's last basis row, the row the mink-search point reads.
+    Some rows are planted combinations of earlier ones."""
+    rng = random.Random(seed)
+    density = rng.random()
+    M = [[rng.randrange(field.q) if rng.random() < density else 0 for _ in range(n)]
+         for _ in range(m)]
+    for i in range(1, m):
+        if rng.random() < 0.4:
+            a, b = rng.randrange(i), rng.randrange(i)
+            ca, cb = rng.randrange(field.q), rng.randrange(field.q)
+            M[i] = field.add_coeffs(field.scale_coeffs(M[a], ca), field.scale_coeffs(M[b], cb))
+    basis, independent = _echelon_fq(field, M)
+    pivots, free, cut = _column_echelon(field, M, n)
+    assert {r: col for col, r, _row in pivots} == independent
+    assert [col for col, _r, _row in pivots] == [col for col, _b in basis]
+    assert len(free) == m - len(pivots) and cut is None
+    assert not any(any(row) for row in free)
+    assert kernel_vector_fq(field, M) == _kernel_vector_by_insertion(field, M)
+    if basis:
+        assert pivots[-1][2] == basis[-1][1]
+
+
+def test_column_echelon_stops_at_the_first_unknown_column():
+    """A reduced row knows only what every row subtracted into it knows:
+    row 0 does not know column 1, and row 1, reduced by it at column 0,
+    no longer knows it either, so the elimination stops there with the
+    pivot of column 0 exact.  Row 0 alone, a pivot row, stops nothing."""
+    M = [[1, 0, 1], [1, 0, 0], [0, 1, 0]]
+    unknown = [0, 0b001, 0]
+    pivots, free, cut = _column_echelon(F2, M, 3, unknown)
+    assert cut == 1
+    assert pivots == _column_echelon(F2, M, 3)[0][:1] == [(0, 0, [1, 0, 1])]
+    assert free == [[0, 0, 1], [0, 1, 0]]
+    # row 1 zero on column 0 is not reduced: every column is read
+    M[1] = [0, 0, 1]
+    pivots, free, cut = _column_echelon(F2, M, 3, unknown)
+    assert cut is None and not free
+    assert pivots == _column_echelon(F2, M, 3)[0]
+    assert [(col, r) for col, r, _row in pivots] == [(0, 0), (1, 2), (2, 1)]
 
 
 @pytest.mark.parametrize("field", [F2, F3], ids=["q2", "q3"])

@@ -345,6 +345,16 @@ def test_poly_refuses_entries_outside_the_field(q, coeffs, bad):
         Poly(GF(q), coeffs)
 
 
+@pytest.mark.parametrize("q, coeffs, exact, bad", [
+    (2, (2,), True, 2), (2, (0, 1, 2), False, 2), (3, (1, -1), True, -1)])
+def test_series_refuses_entries_outside_the_field(q, coeffs, exact, bad):
+    """LaurentSeries takes only entries in range(q), as Poly does: an
+    unreduced 2 over F_2 would be a known nonzero series whose square
+    has no coefficient, and a -1 over F_3 would stay -1."""
+    with pytest.raises(ValueError, match=f"coefficient {bad} .*F_{q}"):
+        LaurentSeries(GF(q), coeffs, 0, exact=exact)
+
+
 def test_fields_and_their_zero_and_one_are_built_once():
     """field_of_order returns one GF per (q, modulus), a list modulus
     read as the tuple, and each GF one zero and one of F_q[x]."""

@@ -33,7 +33,7 @@ from fflat.battery import (
     random_lattice,
 )
 from fflat.cli import _apply_precision
-from fflat.exactlinalg import _echelon_fq
+from fflat.exactlinalg import _column_echelon
 from fflat.lattice import _tail_pattern, reduce_lattice
 from fflat.periodic import _coords, _cut
 from test_periodic import _pattern_rows
@@ -161,7 +161,7 @@ class TestCoefficientLocality:
         alpha = [parse_element(F2, "1/(x^5+x^2+1)"), parse_element(F2, "x/(x^3+x+1)")]
         # N = 1 at -2: x^-3 is cut, but only frac(x * alpha_2) reads it,
         # and that row took its pivot at x^-2 already
-        trunc = make_alpha_lattice(lam, [_apply_precision(F2, a, -2) for a in alpha], 1)
+        trunc = make_alpha_lattice(lam, [_apply_precision(a, -2) for a in alpha], 1)
         assert covrad_periodic(trunc) == QExp(0)
         with pytest.raises(InsufficientPrecision) as ei:
             _scan_covrad(trunc)
@@ -169,11 +169,11 @@ class TestCoefficientLocality:
         # N = 2 at -3 or -4: a row without a pivot meets x^-4 or x^-5
         alpha = [parse_element(F2, "1/(x^3+x+1)"), alpha[1]]
         for floor in (-3, -4):
-            trunc = make_alpha_lattice(lam, [_apply_precision(F2, a, floor) for a in alpha], 2)
+            trunc = make_alpha_lattice(lam, [_apply_precision(a, floor) for a in alpha], 2)
             with pytest.raises(InsufficientPrecision) as ei:
                 covrad_periodic(trunc)
             assert ei.value.needed_floor == -5
-        fine = make_alpha_lattice(lam, [_apply_precision(F2, a, -5) for a in alpha], 2)
+        fine = make_alpha_lattice(lam, [_apply_precision(a, -5) for a in alpha], 2)
         assert covrad_periodic(fine) == QExp(-1) == covrad_periodic(make_alpha_lattice(lam, alpha, 2))
 
     def test_level_past_the_generator_count_reads_nothing(self):
@@ -280,7 +280,7 @@ def _scan_covrad(S, C=None):
             rows = _rows_from_tails(vecs, reach, deps)
         except InsufficientPrecision:
             raise _cut(S, vecs, max(deps)) from None
-        return len(_echelon_fq(S.field, rows)[1]) == sum(deps)
+        return len(_column_echelon(S.field, rows, sum(deps))[0]) == sum(deps)
 
     ell = -rb.exps[-1]
     try:
@@ -312,7 +312,7 @@ def truncated_instances(draw):
         return Rat(Poly(F, draw(digits)), Poly(F, (*draw(digits), 1)))
 
     def cut(vals, floor):
-        return vals if floor is None else [_apply_precision(F, y, floor) for y in vals]
+        return vals if floor is None else [_apply_precision(y, floor) for y in vals]
 
     if draw(st.booleans()):
         N = draw(st.integers(1, 3))

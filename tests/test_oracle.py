@@ -444,9 +444,11 @@ def test_periodic_shares_no_rank_with_the_oracle():
 
 
 def test_one_fp_polynomial_arithmetic_and_one_fq_elimination():
-    """Over F_q the one elimination is the row-insertion echelon, with no
-    reduced form beside it: the kernel vector and the mink-search point
-    read its basis.  Over F_p the one polynomial arithmetic is GF's
+    """Over F_q the one elimination is the column echelon in exactlinalg,
+    with no row-insertion echelon or reduced form beside it: the kernel
+    vector, the construction certificate, the weight echelon and the
+    mink-search point call it, and periodic.py does no row operation of
+    its own.  Over F_p the one polynomial arithmetic is GF's
     coefficient kernels: the extension fields' digit arithmetic and the
     irreducibility test call them, and every remainder in ffcore is
     divmod_coeffs'."""
@@ -460,9 +462,15 @@ def test_one_fp_polynomial_arithmetic_and_one_fq_elimination():
                 if isinstance(n, ast.Call) and isinstance(n.func, (ast.Attribute, ast.Name))}
 
     linalg = functions("fflat.exactlinalg")
-    assert "_echelon_fq" in linalg and "_rref_fq" not in linalg
-    assert "_echelon_fq" in calls(linalg["kernel_vector_fq"])
-    assert "_echelon_fq" in calls(functions("fflat.periodic")["minkowski_search"])
+    assert "_column_echelon" in linalg
+    assert not set(linalg) & {"_echelon_fq", "_rref_fq"}
+    assert "insort" not in Path(import_module("fflat.exactlinalg").__file__).read_text()
+    assert "_column_echelon" in calls(linalg["kernel_vector_fq"])
+    periodic = functions("fflat.periodic")
+    for name in ("_first_spanned", "_echelon_by_weight", "minkowski_search"):
+        assert "_column_echelon" in calls(periodic[name]), name
+    row_ops = set().union(*map(calls, periodic.values()))
+    assert not row_ops & {"add_coeffs", "scale_coeffs"}
     ffcore = functions("fflat.ffcore")
     assert not set(ffcore) & {"_fp_mod", "_fp_trim"}
     kernels = {

@@ -44,7 +44,7 @@ from fflat.ffcore import Poly, Rat, expand_rational
 from fflat.oracle import (
     _points_by_definition, count_oracle, density_oracle, rank_rational, succmin_oracle,
 )
-from fflat.exactlinalg import _common_den, _echelon_fq, _minor_table
+from fflat.exactlinalg import _column_echelon, _common_den, _minor_table
 from fflat.lattice import ReducedBasis, _lift, _tail_pattern
 from fflat import periodic
 from fflat.periodic import PeriodicLattice, _first_spanned, _independent
@@ -491,11 +491,11 @@ def test_construction_certificate_is_one_elimination(lam, monkeypatch, make):
     echelon form of the whole pattern matrix decides every generator."""
     calls = []
 
-    def counted(field, rows):
+    def counted(field, rows, ncols, unknown=None):
         calls.append(len(rows))
-        return _echelon_fq(field, rows)
+        return _column_echelon(field, rows, ncols, unknown)
 
-    monkeypatch.setattr(periodic, "_echelon_fq", counted)
+    monkeypatch.setattr(periodic, "_column_echelon", counted)
     S = make(lam)
     assert len(calls) == 1 and calls[0] == S.period_size
 
